@@ -10,7 +10,17 @@ family is *exactly* r-wise independent (not just approximately so).
 Sampling a function consumes r*l seed bits, and a sampled function is an
 immutable value object that can be evaluated concurrently and serialized to a
 pinned byte format (see `HashFunction.to_bytes`).
+
+Whole output tables are computed by one vectorized path.  The output bit is
+GF(2)-linear in each coefficient, so lowbit(c * x^i) = parity(c & m_i(x))
+for an l-bit mask m_i(x) that depends only on the point and the degree.
+`point_masks` builds the masks for a set of points once; `hash_bits` then
+evaluates any number of hashes at those points with r AND/XOR passes and a
+popcount.  Scalar Horner evaluation (`HashFunction.__call__`) serves single
+lookups and is the reference oracle for the tables.
 """
+
+import functools
 
 import numpy as np
 
@@ -108,8 +118,12 @@ def _poly_mod(a, f):
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def _has_nontrivial_factor(f):
-    """Exhaustive trial division of f by all polynomials of degree 1..deg/2."""
+    """Exhaustive trial division of f by all polynomials of degree 1..deg/2.
+
+    Memoized per modulus, so each pinned modulus is searched once per process.
+    """
     deg = f.bit_length() - 1
     for d in range(1, deg // 2 + 1):
         for g in range(1 << d, 1 << (d + 1)):
@@ -123,9 +137,9 @@ class BinaryField:
 
     Elements are plain ints in [0, 2^l).  Addition is XOR; multiplication is
     carry-less product followed by reduction.  For l <= 16 the modulus is
-    re-verified irreducible at construction by exhaustive factor search; for
-    larger l the table entry is trusted (the test suite re-verifies the whole
-    table with Rabin's criterion).
+    verified irreducible by exhaustive factor search, once per modulus and
+    process; for larger l the table entry is trusted (the test suite
+    re-verifies the whole table with Rabin's criterion).
     """
 
     def __init__(self, ell):
@@ -258,63 +272,77 @@ def sample_hash(ell, r, rng):
     return HashFunction(field, coeffs)
 
 
-def eval_hash(h, x):
-    """Evaluate h on an ell-bit message; returns the output bit (0 or 1)."""
-    return h(x)
+def point_masks(ell, r, points):
+    """Seed masks of the degree <= r-1 family at the given domain points.
 
-
-def basis_tables(ell, ncoeffs, points):
-    """Output tables of the ncoeffs*ell basis hash functions at given points.
-
-    The output bit lowbit(h(x)) is a GF(2)-linear functional of the seed
-    bits (the bits of the coefficients), because multiplication by a fixed
-    field element is GF(2)-linear and so is taking the low bit.  Row
-    (i*ell + b) of the returned uint8 array is the output table, over the
-    supplied points, of the hash whose only nonzero coefficient is 2^b at
-    degree i.  A seed-bit row vector xi then evaluates to (xi @ B) mod 2 at
-    all points at once, which is how the Monte Carlo tail estimators batch
-    millions of hash evaluations through BLAS.
+    The output bit lowbit(c * x^i) is GF(2)-linear in the coefficient c, so
+    it equals parity(c & m_i(x)) for one ell-bit mask m_i(x): bit b of the
+    mask is lowbit(x^i * 2^b), the field product with the element 2^b.
+    Returns the (r, n) array of masks in the narrowest unsigned dtype that
+    holds ell bits; a hash with coefficients c_0..c_{r-1} outputs
+    parity(XOR_i c_i & m_i(x)) at x (see `hash_bits`).  All n points advance
+    together, one vectorized multiply-by-2 step per bit; at ell = 64 the
+    reduction XORs in the modulus without its x^64 term.
     """
     field = BinaryField(ell)
-    points = [int(x) for x in points]
-    rows = np.zeros((ncoeffs * ell, len(points)), dtype=np.uint8)
-    for col, x in enumerate(points):
-        if not (0 <= x < field.order):
-            raise ValueError("point %d outside {0,1}^%d" % (x, ell))
-        xp = 1
-        for i in range(ncoeffs):
-            for b in range(ell):
-                rows[i * ell + b, col] = field.mul(1 << b, xp) & 1
-            xp = field.mul(xp, x)
-    return rows
+    pts = [int(x) for x in points]
+    if not all(0 <= x < field.order for x in pts):
+        raise ValueError("points outside domain {0,1}^%d" % ell)
+    pts = np.array(pts, dtype=np.uint64)
+    one = np.uint64(1)
+    full = np.uint64(field.order - 1)
+    low = np.uint64(field.modulus & (field.order - 1))  # modulus without x^ell
+    top = np.uint64(ell - 1)
+
+    def times_x(a):
+        return ((a << one) & full) ^ (((a >> top) & one) * low)
+
+    masks = np.zeros((r, pts.size), dtype=np.uint64)
+    power = np.ones_like(pts)  # x^i
+    for i in range(r):
+        t = power
+        prod = np.zeros_like(pts)
+        for b in range(ell):
+            masks[i] |= (t & one) << np.uint64(b)
+            prod ^= t * ((pts >> np.uint64(b)) & one)  # accumulates x^i * x
+            t = times_x(t)
+        power = prod
+    narrowest = next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if ell <= np.iinfo(dt).bits)
+    return masks.astype(narrowest)
 
 
-def hash_from_seed_bits(ell, bits):
-    """Materialize the HashFunction whose seed bits are the given 0/1 vector.
+def hash_bits(coeffs, masks):
+    """Output bits of K hashes at the n points of `masks` (see `point_masks`).
 
-    Bit i*ell + b is bit b of coefficient i, matching `basis_tables`; used to
-    cross-check the batched matrix evaluation path against direct Horner
-    evaluation.
+    coeffs is a (K, r) array of field elements, constant term first.
+    Returns the (K, n) uint8 array of lowbit(h_k(x)), computed with r
+    AND/XOR passes and one popcount.
     """
-    bits = [int(v) & 1 for v in bits]
-    if len(bits) % ell != 0:
-        raise ValueError("bit vector length %d not a multiple of ell=%d" % (len(bits), ell))
-    ncoeffs = len(bits) // ell
-    coeffs = [sum(bits[i * ell + b] << b for b in range(ell)) for i in range(ncoeffs)]
-    return HashFunction(BinaryField(ell), coeffs)
+    masks = np.asarray(masks)
+    coeffs = np.asarray(coeffs, dtype=np.uint64)
+    if coeffs.ndim != 2 or coeffs.shape[1] != masks.shape[0]:
+        raise ValueError("coefficients of shape %r do not match %d mask rows"
+                         % (coeffs.shape, masks.shape[0]))
+    coeffs = coeffs.astype(masks.dtype)
+    acc = np.zeros((coeffs.shape[0], masks.shape[1]), dtype=masks.dtype)
+    term = np.empty_like(acc)
+    for i in range(masks.shape[0]):
+        np.bitwise_and(coeffs[:, i, None], masks[i], out=term)
+        acc ^= term
+    return np.bitwise_count(acc) & np.uint8(1)
 
 
-def _point_functionals(rows):
-    """Per-domain-point seed functionals packed as ints (column x of rows)."""
-    nbits, n = rows.shape
-    out = []
-    for x in range(n):
-        v = 0
-        for j in range(nbits):
-            if rows[j, x]:
-                v |= 1 << j
-        out.append(v)
-    return out
+def coeffs_from_seed_bits(bits, ell):
+    """Pack 0/1 seed bits, shape (..., r*ell), into (..., r) uint64 coefficients.
+
+    Bit i*ell + b of the seed is bit b of coefficient i.
+    """
+    bits = np.asarray(bits)
+    if bits.shape[-1] % ell != 0:
+        raise ValueError("bit vector length %d not a multiple of ell=%d" % (bits.shape[-1], ell))
+    grouped = bits.reshape(bits.shape[:-1] + (-1, ell)).astype(np.uint64)
+    return (grouped << np.arange(ell, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
 
 
 def _tuples_up_to(n, size):
@@ -389,7 +417,7 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
         raise ValueError("ncoeffs must be >= 1")
     n = 1 << ell
     nbits = ncoeffs * ell
-    rows = basis_tables(ell, ncoeffs, range(n))
+    masks = point_masks(ell, ncoeffs, np.arange(n))
     if method == "auto":
         method = "direct" if nbits <= 12 else "rank"
 
@@ -397,7 +425,8 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
     worst = None
     count = 0
     if method == "rank":
-        funcs = _point_functionals(rows)
+        # the seed functional of point x: its masks concatenated into one int
+        funcs = [sum(int(m) << (i * ell) for i, m in enumerate(masks[:, x])) for x in range(n)]
         for t in _tuples_up_to(n, r):
             count += 1
             rho = _gf2_rank([funcs[x] for x in t])
@@ -408,7 +437,7 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
         nseeds = 1 << nbits
         seeds = np.arange(nseeds, dtype=np.uint64)
         bits = ((seeds[:, None] >> np.arange(nbits, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
-        tables = bits @ rows % 2  # (nseeds, n): output of every seed at every point
+        tables = hash_bits(coeffs_from_seed_bits(bits, ell), masks)  # (nseeds, n)
         for t in _tuples_up_to(n, r):
             count += 1
             tt = len(t)

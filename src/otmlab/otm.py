@@ -40,9 +40,10 @@ import mpmath
 import numpy as np
 
 from .entropy import entropy_split, joint_cond_dist
-from .hashfam import HashFunction, sample_hash
-from .quantum import PovmElement, is_delta_non_negligible, norms, tensor
+from .hashfam import HashFunction, hash_bits, point_masks, sample_hash
+from .quantum import NumericalConsistencyError, PovmElement, is_delta_non_negligible, norms, tensor
 from .tails import (
+    CHUNK,
     clopper_pearson_upper,
     crayfish_bound,
     kite_bound,
@@ -552,7 +553,8 @@ def program_ideal(otm, a0, a1, rng):
 def hash_signs(h, npoints):
     """(-1)^{h(x)} for x = 0..npoints-1, as a float array."""
     if isinstance(h, HashFunction):
-        return np.array([1.0 - 2.0 * h(x) for x in range(npoints)])
+        masks = point_masks(h.ell, h.r, np.arange(npoints))
+        return 1.0 - 2.0 * hash_bits([h.coefficients], masks)[0]
     arr = np.asarray(h, dtype=float)
     if arr.shape != (npoints,):
         raise ValueError("expected %d sign entries, got shape %r" % (npoints, arr.shape))
@@ -625,8 +627,9 @@ def hummingbird_distance(P):
     q = float(P[0, 0] + P[0, 1] - P[1, 0] - P[1, 1])
     r = float(P[0, 0] - P[0, 1] - P[1, 0] + P[1, 1])
     l1 = float(np.abs(P[0] - P[1]).sum())
-    assert abs(l1 - max(abs(q), abs(r))) < 1e-12
-    assert l1 <= abs(q) + abs(r) + 1e-12
+    if not (abs(l1 - max(abs(q), abs(r))) < 1e-12 and l1 <= abs(q) + abs(r) + 1e-12):
+        raise NumericalConsistencyError("2x2 distance %r breaks the Fourier identity (Q=%r, R=%r)"
+                                        % (l1, q, r))
     return {"l1": l1, "Q": q, "R": r}
 
 
@@ -795,7 +798,7 @@ def evaluate_security(otm, delta, params):
             table /= qr["pr_c"][c]
             hb = hummingbird_distance(table)
             if abs(hb["Q"] - qr["Q"][c]) > 1e-9 or abs(hb["R"] - qr["R"][c]) > 1e-9:
-                raise AssertionError("Fourier coefficients disagree with direct sums")
+                raise NumericalConsistencyError("Fourier coefficients disagree with direct sums")
             direct_abs.append(prob * np.abs(table[0] - table[1]).sum() * qr["pr_c"][c])
         l1_weighted = sum(qr["pr_c"][c] * l1[c] for c in (0, 1))
         weighted_l1.append((prob, l1_weighted))
@@ -888,18 +891,24 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     op_half = [float(np.linalg.norm(V, 2)) / 2.0 for V in r_instances]
     V_stack = np.stack(r_instances)
 
+    masks = point_masks(model.ell, r, np.arange(n))
     max_q = np.empty(trials)
     max_r = np.empty(trials)
-    for i in range(trials):
-        sF = hash_signs(sample_hash(model.ell, r, rng), n)
-        sG = hash_signs(sample_hash(model.ell, r, rng), n)
-        best = 0.0
-        for (u, c) in q_instances:
-            val = abs(float(u @ (sF if c == 0 else sG)))
-            if val > best:
-                best = val
-        max_q[i] = best
-        max_r[i] = np.abs(np.einsum("s,kst,t->k", sF, V_stack, sG)).max()
+    for lo in range(0, trials, CHUNK):
+        # draw order per trial stays F then G; each chunk is evaluated at once
+        pairs = [(sample_hash(model.ell, r, rng).coefficients,
+                  sample_hash(model.ell, r, rng).coefficients)
+                 for _ in range(min(CHUNK, trials - lo))]
+        signs_F = 1.0 - 2.0 * hash_bits([f for f, _ in pairs], masks)
+        signs_G = 1.0 - 2.0 * hash_bits([g for _, g in pairs], masks)
+        for i, sF, sG in zip(range(lo, trials), signs_F, signs_G):
+            best = 0.0
+            for (u, c) in q_instances:
+                val = abs(float(u @ (sF if c == 0 else sG)))
+                if val > best:
+                    best = val
+            max_q[i] = best
+            max_r[i] = np.abs(np.einsum("s,kst,t->k", sF, V_stack, sG)).max()
     stat = np.maximum(max_q, max_r)
 
     out = {"lambdas": lambdas, "trials": trials, "r": r,

@@ -26,10 +26,13 @@ under/overflow doubles once t reaches the hundreds.
 
 Monte Carlo
 -----------
-The empirical harnesses draw hash functions by sampling seed-bit matrices
-and pushing them through the GF(2)-linear basis tables of the family
-(`hashfam.basis_tables`), so millions of full hash evaluations reduce to a
-few chunked BLAS products.  Frequencies come with one-sided 99%
+The empirical harnesses draw hash functions as uniform seed bits, pack them
+into coefficients (`hashfam.coeffs_from_seed_bits`) and evaluate whole
+chunks of hashes at once against the family's per-point seed masks
+(`hashfam.point_masks`, `hashfam.hash_bits`): a hash's output bit at x is
+the parity of its coefficients ANDed with the masks of x, so millions of
+full hash evaluations reduce to a few integer AND/XOR passes and one
+popcount per chunk.  Frequencies come with one-sided 99%
 Clopper-Pearson upper confidence limits: Monte Carlo cannot prove an
 inequality, so domination is asserted against the confidence limit.
 """
@@ -39,7 +42,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from . import hashfam
 
@@ -272,7 +275,7 @@ def clopper_pearson_upper(k, n, confidence=0.99):
         raise ValueError("need 0 <= k <= n, n >= 1; got k=%r n=%r" % (k, n))
     if k >= n:
         return 1.0
-    return float(_beta_dist.ppf(confidence, k + 1, n - k))
+    return float(betaincinv(k + 1, n - k, confidence))
 
 
 def default_lambda_grid(scale, points=16):
@@ -299,14 +302,14 @@ def _sign_chunks(ell, r, npoints, trials, rng, split=None):
         if width > (1 << ell):
             raise ValueError("instance needs %d domain points but 2^%d available" % (width, ell))
     nbits = r * ell
-    basis = [hashfam.basis_tables(ell, r, range(w)).astype(np.float64) for w in blocks]
+    masks = [hashfam.point_masks(ell, r, np.arange(w)) for w in blocks]
     done = 0
     while done < trials:
         c = min(CHUNK, trials - done)
         parts = []
-        for b in basis:
-            bits = rng.integers(0, 2, size=(c, nbits), dtype=np.uint8).astype(np.float64)
-            parts.append(1.0 - 2.0 * ((bits @ b) % 2.0))
+        for m in masks:
+            bits = rng.integers(0, 2, size=(c, nbits), dtype=np.uint8)
+            parts.append(1.0 - 2.0 * hashfam.hash_bits(hashfam.coeffs_from_seed_bits(bits, ell), m))
         yield np.hstack(parts) if len(parts) > 1 else parts[0]
         done += c
 

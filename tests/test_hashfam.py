@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from otmlab import hashfam
 from otmlab.hashfam import (
     IRREDUCIBLE_POLY,
     BinaryField,
     HashFunction,
-    basis_tables,
-    eval_hash,
-    hash_from_seed_bits,
+    coeffs_from_seed_bits,
+    hash_bits,
+    point_masks,
     sample_hash,
     verify_independence,
 )
@@ -135,15 +136,16 @@ def test_field_axioms_small():
             assert sorted(F.mul(a, b) for b in range(n)) == list(range(n))
 
 
-def test_eval_hash_matches_schoolbook_horner():
+def test_hash_bits_match_schoolbook_horner():
     F = BinaryField(4)
     h = HashFunction(F, [0x3, 0xA, 0x7])  # 3 + Ax + 7x^2
+    table = hash_bits([h.coefficients], point_masks(4, 3, range(16)))[0]
     for x in range(16):
         acc = 0
         for c in reversed(h.coefficients):
             acc = _school_mul_gf16(acc, x) ^ c
         assert h.eval_field(x) == acc
-        assert eval_hash(h, x) == acc & 1
+        assert h(x) == table[x] == acc & 1
 
 
 def test_eval_rejects_out_of_domain():
@@ -239,31 +241,74 @@ def test_single_point_output_is_unbiased():
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation through the seed-bit basis matrix.
+# Batched evaluation through the per-point seed masks.
 # ---------------------------------------------------------------------------
 
-def test_basis_tables_match_direct_evaluation():
+def _oracle_coeffs(ell, bits):
+    # seed bit i*ell + b is bit b of coefficient i
+    return [sum(int(bits[i * ell + b]) << b for b in range(ell)) for i in range(len(bits) // ell)]
+
+
+def test_hash_bits_match_seed_bit_evaluation():
     rng = np.random.default_rng(7)
     ell, r = 6, 4
     points = [0, 1, 5, 17, 40, 63]
-    B = basis_tables(ell, r, points)
-    assert B.shape == (r * ell, len(points))
-    for _ in range(25):
-        bits = rng.integers(0, 2, size=r * ell, dtype=np.uint8)
-        fast = (bits @ B) % 2
-        h = hash_from_seed_bits(ell, bits)
+    masks = point_masks(ell, r, points)
+    assert masks.shape == (r, len(points)) and masks.dtype == np.uint8
+    bits = rng.integers(0, 2, size=(25, r * ell), dtype=np.uint8)
+    coeffs = coeffs_from_seed_bits(bits, ell)
+    fast = hash_bits(coeffs, masks)
+    for row in range(25):
+        assert list(coeffs[row]) == _oracle_coeffs(ell, bits[row])
+        h = HashFunction(BinaryField(ell), _oracle_coeffs(ell, bits[row]))
         slow = np.array([h(x) for x in points], dtype=np.uint8)
-        assert (fast == slow).all()
+        assert (fast[row] == slow).all()
 
 
-def test_basis_tables_rejects_bad_point():
+def test_point_masks_rejects_bad_point():
     with pytest.raises(ValueError):
-        basis_tables(3, 2, [0, 9])
-
-
-def test_hash_from_seed_bits_length_check():
+        point_masks(3, 2, [0, 9])
     with pytest.raises(ValueError):
-        hash_from_seed_bits(3, [1, 0])
+        point_masks(3, 2, [-1, 0])
+    with pytest.raises(ValueError):
+        point_masks(64, 2, [0, 1 << 64])
+    with pytest.raises(ValueError):
+        hash_bits([[1, 2, 3]], point_masks(3, 2, [0, 1]))  # r mismatch
+
+
+def test_coeffs_from_seed_bits_length_check():
+    with pytest.raises(ValueError):
+        coeffs_from_seed_bits([1, 0], 3)
+
+
+@seed(3)
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0),
+       st.lists(st.integers(min_value=0), max_size=6))
+def test_hash_bits_match_scalar_evaluation(ell, r, entropy, extra):
+    r = min(r, 1 << ell)
+    top = (1 << ell) - 1
+    points = [0, top] + [v & top for v in extra]
+    rng = np.random.default_rng(entropy)
+    hashes = [sample_hash(ell, r, rng) for _ in range(4)]
+    masks = point_masks(ell, r, points)
+    assert masks.dtype.itemsize * 8 >= ell and (ell <= 8 or masks.dtype.itemsize * 4 < ell)
+    table = hash_bits([h.coefficients for h in hashes], masks)
+    assert table.shape == (4, len(points))
+    for k, h in enumerate(hashes):
+        assert list(table[k]) == [h(x) for x in points]
+
+
+def test_field_irreducibility_check_is_cached_and_still_rejects(monkeypatch):
+    BinaryField(12)
+    before = hashfam._has_nontrivial_factor.cache_info().hits
+    BinaryField(12)
+    assert hashfam._has_nontrivial_factor.cache_info().hits == before + 1
+    monkeypatch.setitem(IRREDUCIBLE_POLY, 4, 0x11)  # x^4 + 1 = (x + 1)^4
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible"):
+            BinaryField(4)
 
 
 # ---------------------------------------------------------------------------

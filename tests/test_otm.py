@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from otmlab import otm as otm_module
 from otmlab.hashfam import BinaryField, HashFunction, sample_hash
 from otmlab.otm import (
     ClassicalLeakSim,
@@ -25,7 +26,7 @@ from otmlab.otm import (
     WiesnerToyOtm,
     write_security_csv,
 )
-from otmlab.quantum import PovmElement
+from otmlab.quantum import NumericalConsistencyError, PovmElement
 from otmlab.tails import kite_bound
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -321,6 +322,15 @@ def test_hash_signs_forms():
     assert list(hash_signs(np.array([1.0, -1.0, 1.0, 1.0]), 4)) == [1.0, -1.0, 1.0, 1.0]
     with pytest.raises(ValueError):
         hash_signs(np.array([1.0, 0.5, 1.0, 1.0]), 4)
+    with pytest.raises(ValueError):
+        hash_signs(h, 5)  # beyond the domain
+
+
+def test_hash_signs_match_scalar_evaluation():
+    rng = np.random.default_rng(21)
+    for ell, r, n in ((1, 2, 2), (4, 3, 16), (8, 8, 256), (9, 4, 300), (17, 5, 64)):
+        h = sample_hash(ell, r, rng)
+        assert list(hash_signs(h, n)) == [1.0 - 2.0 * h(x) for x in range(n)]
 
 
 def test_hummingbird_hand_values_and_identity():
@@ -426,6 +436,64 @@ def test_security_report_serialization(tmp_path):
         rows = list(_csv.DictReader(fh))
     assert list(rows[0]) == SECURITY_CSV_COLUMNS
     assert len(rows) == 2
+
+
+def test_hash_bias_tail_matches_scalar_oracle():
+    model = ClassicalLeakSim(4, 0.25)
+    alpha_k, eta, r, trials = 6.0, 0.25, 4, 1000
+    grid = np.geomspace(1.0 / 64.0, 2.0, 40)
+    out = hash_bias_tail(model, 0.25, r, trials, np.random.default_rng(404),
+                         alpha_k=alpha_k, eta=eta, lambda_grid=grid)
+    # oracle: the same instances, and per-trial signs from scalar Horner
+    u_list, v_list = [], []
+    for token in model.outcome_set(0.5):
+        if model.certified_entropy(token) < alpha_k - 1e-9:
+            continue
+        P = model.conditional_joint(token)
+        art = otm_module._split_outcome(P, alpha_k, eta)
+        for c in (0, 1):
+            q_c = art["C"] if c == 1 else (1.0 - art["C"])
+            pc = float((P * q_c).sum())
+            if pc > 0.0:
+                weight = P * q_c * art["E"][c] / pc
+                u_list.append((weight.sum(axis=1) if c == 0 else weight.sum(axis=0), c))
+                v_list.append(weight)
+    assert out["instances"] == len(v_list) > 0
+    V = np.stack(v_list)
+    rng = np.random.default_rng(404)
+    max_q, max_r = [], []
+    for _ in range(trials):
+        F = sample_hash(4, r, rng)
+        G = sample_hash(4, r, rng)
+        sF = np.array([1.0 - 2.0 * F(x) for x in range(16)])
+        sG = np.array([1.0 - 2.0 * G(x) for x in range(16)])
+        max_q.append(max(abs(float(u @ (sF if c == 0 else sG))) for u, c in u_list))
+        max_r.append(np.abs(np.einsum("s,kst,t->k", sF, V, sG)).max())
+    max_q, max_r = np.array(max_q), np.array(max_r)
+    stat = np.maximum(max_q, max_r)
+    assert out["exceed_q"] == [int((max_q >= lam).sum()) / trials for lam in grid]
+    assert out["exceed_r"] == [int((max_r >= lam).sum()) / trials for lam in grid]
+    assert out["exceed"] == [int((stat >= lam).sum()) / trials for lam in grid]
+    assert 0.0 < out["exceed"][0] and out["exceed"][-1] < 1.0
+
+
+def test_evaluate_security_raises_on_disagreeing_paths(monkeypatch):
+    model = ClassicalLeakSim(2, 0.25)
+    field = BinaryField(2)
+    otm = IdealBitOtm(HashFunction(field, (0, 1)), HashFunction(field, (1, 1)), model)
+    params = ReductionParams(k=2, ell=2, theta=1.0, delta0=0.5, alpha=1.5,
+                             eps0=0.5, gamma=1.0)
+    evaluate_security(otm, params.delta, params)
+    exact = otm_module.compute_Q_R
+
+    def perturbed(*args):
+        out = exact(*args)
+        out["Q"] = [q + 1e-6 for q in out["Q"]]
+        return out
+
+    monkeypatch.setattr(otm_module, "compute_Q_R", perturbed)
+    with pytest.raises(NumericalConsistencyError, match="Fourier coefficients"):
+        evaluate_security(otm, params.delta, params)
 
 
 def test_hash_bias_tail_degenerate_model():

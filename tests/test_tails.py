@@ -4,8 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import bdtr
+from scipy.stats import beta
 
-from otmlab.hashfam import hash_from_seed_bits
+from otmlab.hashfam import BinaryField, HashFunction
 from otmlab.tails import (
     LinearInstance,
     QuadraticInstance,
@@ -153,6 +155,17 @@ def test_clopper_pearson_values():
         clopper_pearson_upper(5, 4)
 
 
+def test_clopper_pearson_matches_beta_quantile_and_binomial_tail():
+    # the limit is the 0.99 quantile of Beta(k+1, n-k), and the binomial
+    # lower tail Pr(X <= k) at that proportion is exactly the 1% left over
+    for n in (10 ** 3, 10 ** 4, 5 * 10 ** 4, 10 ** 5):
+        ks = sorted({0, 1, 2, 5, 10, 50, n // 100, n // 10, n // 2, n - 2, n - 1})
+        for k in ks:
+            upper = clopper_pearson_upper(k, n)
+            assert upper == float(beta.ppf(0.99, k + 1, n - k))
+            assert bdtr(k, n, upper) == pytest.approx(0.01, rel=1e-9)
+
+
 def test_default_lambda_grid():
     g = default_lambda_grid(2.0)
     assert g.size == 16
@@ -171,7 +184,9 @@ def test_sign_chunks_match_direct_hash_eval():
     chunk = next(_sign_chunks(ell, r, npts, 64, np.random.default_rng(seed)))
     bits = np.random.default_rng(seed).integers(0, 2, size=(64, r * ell), dtype=np.uint8)
     for row in range(64):
-        h = hash_from_seed_bits(ell, bits[row])
+        # seed bit i*ell + b is bit b of coefficient i
+        coeffs = [sum(int(bits[row, i * ell + b]) << b for b in range(ell)) for i in range(r)]
+        h = HashFunction(BinaryField(ell), coeffs)
         expect = np.array([1.0 - 2.0 * h(x) for x in range(npts)])
         assert np.array_equal(chunk[row], expect)
 
