@@ -35,7 +35,6 @@ from . import nets as nets_mod
 from . import otm as otm_mod
 from . import tails as tails_mod
 from .hashfam import sample_hash
-from .quantum import assemble_two_local, SeparableOutcome
 
 ENV_OUTPUT_DIR = "OTMLAB_OUTPUT_DIR"
 
@@ -158,9 +157,34 @@ def _float_list(cfg, key):
     if isinstance(raw, str):
         raw = [piece for piece in raw.replace(",", " ").split() if piece]
     try:
-        return [float(v) for v in raw]
+        values = [float(v) for v in raw]
     except (TypeError, ValueError):
         _fail("parameter %r must be a list of numbers" % key)
+    if not all(math.isfinite(v) for v in values):
+        _fail("parameter %r must hold finite numbers, got %r" % (key, values))
+    return values
+
+
+def _int_param(cfg, key):
+    """A config integer, checked to be a positive int before any work."""
+    value = cfg[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        _fail("parameter %r must be a positive integer, got %r" % (key, value))
+    return value
+
+
+def _number_param(cfg, key):
+    """A config number, checked to be a finite int or float before any work."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        _fail("parameter %r must be a finite number, got %r" % (key, value))
+    return value
+
+
+def _choice_param(cfg, key, choices):
+    if cfg[key] not in choices:
+        _fail("parameter %r must be one of %s, got %r" % (key, ", ".join(choices), cfg[key]))
+    return cfg[key]
 
 
 def _require_seed(cfg):
@@ -215,31 +239,35 @@ def tails(config_path, output_dir, out, kind, ell, r_, n, trials, lambda_grid,
     _check_keys(cfg, required=["kind", "ell", "r", "n", "trials",
                                "lambda_grid", "seed"], optional=["mode"])
     seed = _require_seed(cfg)
+    kind = _choice_param(cfg, "kind", ("linear", "quadratic"))
+    ell, r, n, trials = (_int_param(cfg, key) for key in ("ell", "r", "n", "trials"))
+    if "mode" in cfg:
+        _choice_param(cfg, "mode", ("hash", "rademacher"))
     grid = _float_list(cfg, "lambda_grid")
     rng = np.random.default_rng(seed)
     outdir = _outdir(output_dir)
     prefix = out or "tails"
+    # the closed-form bounds come before the Monte Carlo run, so parameters
+    # they reject (such as an odd t = r/2) fail before any trial is drawn
     try:
-        if cfg["kind"] == "linear":
-            weights = rng.normal(size=cfg["n"])
+        if kind == "linear":
+            weights = rng.normal(size=n)
             inst = tails_mod.LinearInstance(weights / np.linalg.norm(weights))
-            result = tails_mod.empirical_tail_linear(
-                inst, cfg["ell"], cfg["r"], grid, cfg["trials"], rng)
-            bounds = [tails_mod.kite_bound(cfg["r"], inst.v, lam) for lam in grid]
-            rows = tails_mod.tail_csv_rows(result, bounds, "kite", cfg["r"], seed)
+            bounds = [tails_mod.kite_bound(r, inst.v, lam) for lam in grid]
+            result = tails_mod.empirical_tail_linear(inst, ell, r, grid, trials, rng)
+            rows = tails_mod.tail_csv_rows(result, bounds, "kite", r, seed)
         else:
-            a = rng.normal(size=(cfg["n"], cfg["n"]))
+            a = rng.normal(size=(n, n))
             a = (a + a.T) / 2.0
             np.fill_diagonal(a, 0.0)
             a /= np.linalg.norm(a)
             inst = tails_mod.QuadraticInstance(a)
-            result = tails_mod.empirical_tail_quadratic(
-                inst, cfg["ell"], cfg["r"], grid, cfg["trials"], rng,
-                mode=cfg.get("mode", "hash"))
-            t = cfg["r"] // 2
+            t = r // 2
             bounds = [tails_mod.crayfish_bound(t, inst.abs_frobenius,
                                                inst.abs_operator, lam)
                       for lam in grid]
+            result = tails_mod.empirical_tail_quadratic(
+                inst, ell, r, grid, trials, rng, mode=cfg.get("mode", "hash"))
             rows = tails_mod.tail_csv_rows(result, bounds, "crayfish", t, seed)
     except ValueError as exc:
         _fail(str(exc))
@@ -266,58 +294,46 @@ def nets(config_path, output_dir, out, family, m, mu, d, samples, seed):
     _check_keys(cfg, required=["family", "m", "mu", "samples", "seed"],
                 optional=["d"])
     seed = _require_seed(cfg)
-    if not isinstance(cfg["samples"], int) or cfg["samples"] < 1:
-        _fail("samples must be a positive integer")
+    family = _choice_param(cfg, "family", ("separable", "two-local"))
+    m, samples = _int_param(cfg, "m"), _int_param(cfg, "samples")
+    mu = _number_param(cfg, "mu")
+    if family == "separable" and cfg.get("d") is not None:
+        _fail("d applies only to the two-local family")
+    if family == "two-local":
+        if cfg.get("d") is None:
+            _fail("the two-local family requires d")
+        d = _int_param(cfg, "d")
     rng = np.random.default_rng(seed)
     outdir = _outdir(output_dir)
     prefix = out or "nets"
-    m, mu = cfg["m"], cfg["mu"]
     try:
-        if cfg["family"] == "separable":
-            if cfg.get("d") is not None:
-                _fail("d applies only to the two-local family")
+        if family == "separable":
             spec = nets_mod.separable_net(m, mu)
             bounds = nets_mod.cardinality_bounds(m, mu)
             log2_bound = bounds["separable_log2"]
-            delta = spec.qubit_net.delta
-            dists = []
-            for _ in range(cfg["samples"]):
-                factors = [nets_mod.sample_qubit_element(rng) for _ in range(m)]
-                target = SeparableOutcome(factors).assemble()
-                snapped = spec.point(spec.covering_index(factors))
-                dists.append(float(np.linalg.norm(
-                    target.matrix - snapped.matrix, 2)))
+            delta = spec.delta
             d_out = ""
         else:
-            if cfg.get("d") is None:
-                _fail("the two-local family requires d")
-            spec = nets_mod.two_local_net(m, cfg["d"], mu)
-            bounds = nets_mod.cardinality_bounds(m, mu, d=cfg["d"])
+            spec = nets_mod.two_local_net(m, d, mu)
+            bounds = nets_mod.cardinality_bounds(m, mu, d=d)
             log2_bound = bounds["two_local_log2"]
             delta = spec.kraus_net.delta
-            dists = []
-            for _ in range(cfg["samples"]):
-                outcome = nets_mod.sample_two_local_outcome(m, cfg["d"], rng)
-                target = assemble_two_local(outcome)
-                snapped = assemble_two_local(spec.covering_map(outcome))
-                dists.append(float(np.linalg.norm(
-                    target.matrix - snapped.matrix, 2)))
-            d_out = str(cfg["d"])
+            d_out = str(d)
+        dists = spec.covering_distances(samples, rng)
     except ValueError as exc:
         _fail(str(exc))
-    dists = np.asarray(dists)
     row = {
         "m": str(m), "d": d_out, "mu": "%.17g" % mu, "delta": "%.17g" % delta,
         "log2_bound": "%.17g" % log2_bound,
         "log2_enumerated": "%.17g" % spec.log2_size,
         "covering_radius_p99": "%.17g" % float(np.quantile(dists, 0.99)),
-        "samples": str(cfg["samples"]), "seed": str(seed),
+        "samples": str(samples), "seed": str(seed),
     }
     csv_path = outdir / ("%s.csv" % prefix)
     nets_mod.write_net_csv(csv_path, [row])
     json_path = outdir / ("%s.json" % prefix)
     _write_json(json_path, {
-        "family": cfg["family"],
+        "family": family,
         "cardinality_bounds": bounds,
         "log2_enumerated": spec.log2_size,
         "covering_radius_max": float(dists.max()),

@@ -23,15 +23,36 @@ of the index space, membership queries go through the constructive
 snap-to-grid map (O(1), lands on a net member by construction), and
 experiments that want concrete far-apart points draw a flagged random
 subsample of the index space.
+
+The single-qubit net is built on first use and held as one read-only
+(P, 2, 2) array of members, made with one clamp, one `np.unique` over the
+rounded entries and one batched POVM check; `QubitNet.points` hands out
+`PovmElement`s on access.  Covering is batched, one path per family:
+`SeparableNetSpec.covering_indices` snaps a (K, m, 2, 2) stack by index
+arithmetic, `KrausNet.snap_batch` snaps a (K, 4, 4) stack in one array
+operation; the one-matrix methods are batch-of-one calls into them.
+`covering_distances` samples random outcomes in stacks, in the same draw
+order as the one-at-a-time samplers, and measures their distance to the
+net cover; every number equals the one-at-a-time computation bit for bit.
 """
 
+import collections.abc
 import csv
-import itertools
+import functools
 import math
+import operator
 
 import numpy as np
 
-from .quantum import PovmElement, SeparableOutcome, KrausLayer, TwoLocalOutcome
+from .quantum import (
+    KrausLayer,
+    PovmElement,
+    SeparableOutcome,
+    TwoLocalOutcome,
+    assemble_two_local_stack,
+    tensor_stack,
+    validate_povm_stack,
+)
 
 MAX_GRID_POINTS = 10 ** 7
 QUBIT_BOX = math.sqrt(2.0)  # |X|_linf bound on the Hermitian ambient box
@@ -47,10 +68,15 @@ def _axis_values(half_width, spacing):
 
 
 def _snap(values, x):
-    """Nearest grid value (values ascending, uniformly spaced)."""
-    i = int(np.clip(np.round((x - values[0]) / (values[1] - values[0])), 0, values.size - 1)) \
-        if values.size > 1 else 0
-    return i
+    """Indices of the nearest grid values (values ascending, uniformly
+    spaced) for an array x of finite reals."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("cannot snap non-finite parameters to the grid")
+    if values.size == 1:
+        return np.zeros(x.shape, dtype=np.int64)
+    i = np.clip(np.round((x - values[0]) / (values[1] - values[0])), 0, values.size - 1)
+    return i.astype(np.int64)
 
 
 def _herm2(a, d, b):
@@ -112,34 +138,57 @@ def round_into_U(x):
     return PovmElement(out)
 
 
+class _Members(collections.abc.Sequence):
+    """Read-only sequence over a validated (P, 2, 2) member array; each item
+    is a PovmElement made on access, without repeating the check."""
+
+    def __init__(self, stack):
+        self._stack = stack
+
+    def __len__(self):
+        return len(self._stack)
+
+    def __getitem__(self, i):
+        return PovmElement.from_validated(self._stack[operator.index(i)])
+
+
 class QubitNet:
     """Grid-plus-clamp net over single-qubit POVM elements.
 
-    points are the deduplicated net members (all in U); grid_params and
+    members is the read-only (P, 2, 2) array of deduplicated net members
+    (all in U), and points the same members as PovmElements; grid_params and
     point_index record the construction trace (which grid point rounded to
     which member).  Covering radius in operator norm: 4*delta.
     """
 
-    def __init__(self, delta, points, grid_params, point_index, axis):
+    def __init__(self, delta, members, grid_params, point_index, axis):
         self.delta = delta
-        self.points = points
+        self.members = members
+        self.points = _Members(members)
         self.grid_params = grid_params
         self.point_index = point_index
         self.axis = axis
 
     def __len__(self):
-        return len(self.points)
+        return len(self.members)
+
+    def snap_indices(self, xs):
+        """Member indices for a (..., 2, 2) stack: snap each matrix's four
+        real parameters to the grid and clamp.  Each member is within
+        4*delta of its matrix whenever that matrix is in U."""
+        x = np.asarray(xs, dtype=complex)
+        if x.ndim < 2 or x.shape[-2:] != (2, 2):
+            raise ValueError("expected a stack of 2x2 matrices, got shape %r" % (x.shape,))
+        n = self.axis.size
+        flat = np.zeros(x.shape[:-2], dtype=np.int64)
+        # mixed-radix grid index, in the (a, d, Re b, Im b) order of the build
+        for param in (x[..., 0, 0].real, x[..., 1, 1].real, x[..., 0, 1].real, x[..., 0, 1].imag):
+            flat = flat * n + _snap(self.axis, param)
+        return self.point_index[flat]
 
     def snap_index(self, x):
-        """Index of the net member obtained by snapping x's four real
-        parameters to the grid and clamping; O(1), and within 4*delta of x
-        whenever x is in U."""
-        x = np.asarray(x, dtype=complex)
-        key = (self.axis[_snap(self.axis, x[0, 0].real)],
-               self.axis[_snap(self.axis, x[1, 1].real)],
-               self.axis[_snap(self.axis, x[0, 1].real)],
-               self.axis[_snap(self.axis, x[0, 1].imag)])
-        return self._param_lookup[key]
+        """Index of the net member snapped from one 2x2 matrix x."""
+        return int(self.snap_indices(np.asarray(x, dtype=complex)[None])[0])
 
     def nearest_index(self, x, method="snap"):
         """Net index near x: "snap" is the constructive O(1) map, "brute"
@@ -148,16 +197,30 @@ class QubitNet:
             return self.snap_index(x)
         if method != "brute":
             raise ValueError("unknown method %r" % (method,))
-        stack = np.stack([p.matrix for p in self.points])
-        dists = _opnorm2_batch(stack - np.asarray(x, dtype=complex)[None])
+        dists = _opnorm2_batch(self.members - np.asarray(x, dtype=complex)[None])
         return int(np.argmin(dists))
 
     def __repr__(self):
         return "QubitNet(delta=%g, points=%d)" % (self.delta, len(self))
 
 
+def _qubit_axis(delta):
+    """Grid axis of the delta-resolution qubit net, after the argument and
+    size checks; cheap, so the checks can run before any grid exists."""
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta=%r outside (0, 1]" % (delta,))
+    axis = _axis_values(QUBIT_BOX, delta * math.sqrt(2.0))
+    if axis.size ** 4 > MAX_GRID_POINTS:
+        raise ValueError("grid of %d points exceeds the 10^7 cap; increase delta" % axis.size ** 4)
+    return axis
+
+
 def build_qubit_net(delta):
     """Construct the delta-resolution single-qubit net.
+
+    Every grid point is clamped into U; grid points whose clamped entries
+    agree to 12 decimals share one member, numbered by first occurrence in
+    grid order, and all members pass one batched POVM check.
 
     Parameters
     ----------
@@ -168,43 +231,34 @@ def build_qubit_net(delta):
     QubitNet with at most (2/delta + 1)^4 members, each a valid POVM
     element; rejected if the raw grid would exceed 10^7 points.
     """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta=%r outside (0, 1]" % (delta,))
-    axis = _axis_values(QUBIT_BOX, delta * math.sqrt(2.0))
-    n = axis.size
-    if n ** 4 > MAX_GRID_POINTS:
-        raise ValueError("grid of %d points exceeds the 10^7 cap; increase delta" % n ** 4)
+    axis = _qubit_axis(delta)
     aa, dd, rb, ib = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
     clamped = _clamp01_herm2_batch(aa, dd, rb + 1j * ib)
-    points = []
-    point_index = np.empty(n ** 4, dtype=np.int64)
-    seen = {}
-    for i in range(n ** 4):
-        key = np.round(clamped[i], 12).tobytes()
-        j = seen.get(key)
-        if j is None:
-            j = len(points)
-            seen[key] = j
-            points.append(PovmElement(clamped[i]))
-        point_index[i] = j
+    # members are told apart by the bytes of their rounded entries (so -0.0
+    # and 0.0 differ), each matrix viewed as one 64-byte key
+    keys = np.round(clamped, 12).reshape(len(clamped), 4).view(np.dtype((np.void, 64)))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    members = validate_povm_stack(clamped[first[order]])
     grid_params = np.column_stack([aa, dd, rb, ib])
-    net = QubitNet(delta, points, grid_params, point_index, axis)
-    # snap lookup: grid parameter tuple -> deduplicated member index
-    lookup = {}
-    for i in range(n ** 4):
-        lookup[(aa[i], dd[i], rb[i], ib[i])] = int(point_index[i])
-    net._param_lookup = lookup
-    return net
+    return QubitNet(delta, members, grid_params, rank[inverse], axis)
 
 
 class SeparableNetSpec:
     """Lazy mu-net over m-qubit separable outcomes: the m-fold product of a
-    per-qubit net at delta = mu/(4m)."""
+    per-qubit net at delta = mu/(4m), built on first use."""
 
-    def __init__(self, m, mu, qubit_net):
+    def __init__(self, m, mu):
         self.m = m
         self.mu = mu
-        self.qubit_net = qubit_net
+        self.delta = mu / (4.0 * m)
+        _qubit_axis(self.delta)
+
+    @functools.cached_property
+    def qubit_net(self):
+        return build_qubit_net(self.delta)
 
     @property
     def size(self):
@@ -228,18 +282,51 @@ class SeparableNetSpec:
     def point(self, index):
         return SeparableOutcome(self.factors_at(index)).assemble()
 
+    def _snap_factors(self, factors):
+        f = np.asarray(factors, dtype=complex)
+        if f.ndim != 4 or f.shape[1:] != (self.m, 2, 2):
+            raise ValueError("expected a (K, %d, 2, 2) stack, got shape %r" % (self.m, f.shape))
+        return self.qubit_net.snap_indices(f)
+
+    def covering_indices(self, factors):
+        """Net indices for a (K, m, 2, 2) stack of single-qubit factors, one
+        per row: each factor snaps to its nearest-by-construction member,
+        and the telescoping bound keeps each row's assembled operator
+        distance at or below mu."""
+        digits = self._snap_factors(factors)
+        base = len(self.qubit_net)
+        dtype = np.int64 if self.size <= np.iinfo(np.int64).max else object
+        idx = np.zeros(len(digits), dtype=dtype)
+        for j in reversed(range(self.m)):
+            idx = idx * base + digits[:, j].astype(dtype)
+        return idx
+
     def covering_index(self, factors, method="snap"):
-        """Net index for the member nearest (per factor) to the given
-        single-qubit factors; the telescoping bound keeps the assembled
-        operator distance at or below mu."""
+        """Net index for the member nearest (per factor) to the given m
+        single-qubit factors; "brute" scans every member per factor."""
         if len(factors) != self.m:
             raise ValueError("expected %d factors, got %d" % (self.m, len(factors)))
+        mats = np.stack([f.matrix if isinstance(f, PovmElement) else np.asarray(f, dtype=complex)
+                         for f in factors])
+        if method == "snap":
+            return int(self.covering_indices(mats[None])[0])
         base = len(self.qubit_net)
         idx = 0
-        for f in reversed(factors):
-            mat = f.matrix if isinstance(f, PovmElement) else np.asarray(f, dtype=complex)
-            idx = idx * base + self.qubit_net.nearest_index(mat, method=method)
+        for f in mats[::-1]:
+            idx = idx * base + self.qubit_net.nearest_index(f, method=method)
         return idx
+
+    def covering_distances(self, samples, rng):
+        """Operator distances between `samples` random separable outcomes
+        (factors drawn as by `sample_qubit_element`, sample by sample) and
+        their covering net members."""
+        out = []
+        for count in _chunk_counts(samples, 2 ** self.m):
+            factors = sample_qubit_elements(rng, count, self.m)
+            near = self.qubit_net.members[self._snap_factors(factors)]
+            out.append(_opnorms(validate_povm_stack(tensor_stack(factors))
+                                - validate_povm_stack(tensor_stack(near))))
+        return np.concatenate(out)
 
     def materialize(self, limit=MAX_GRID_POINTS):
         """All net members as PovmElements; desk-scale only (m <= 3)."""
@@ -250,11 +337,14 @@ class SeparableNetSpec:
         return [self.point(i) for i in range(self.size)]
 
     def __repr__(self):
-        return "SeparableNetSpec(m=%d, mu=%g, size=%d)" % (self.m, self.mu, self.size)
+        return "SeparableNetSpec(m=%d, mu=%g)" % (self.m, self.mu)
 
 
 def separable_net(m, mu):
     """Lazy mu-net for m-qubit separable outcomes (per-qubit delta = mu/(4m)).
+
+    The per-qubit grid size is checked here; the grid itself is built on
+    first use.
 
     Parameters
     ----------
@@ -269,17 +359,23 @@ def separable_net(m, mu):
         raise ValueError("m=%d must be >= 1" % m)
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu=%r outside (0, 1]" % (mu,))
-    return SeparableNetSpec(m, mu, build_qubit_net(mu / (4.0 * m)))
+    return SeparableNetSpec(m, mu)
 
 
 def svd_clamp(x):
-    """Round a 4x4 (or any) matrix into {|X| <= 1} by clamping singular
-    values; the operator-norm projection, and the identity on contractions."""
+    """Round a 4x4 (or any) matrix, or each matrix of a (..., n, n) stack,
+    into {|X| <= 1} by clamping singular values; the operator-norm
+    projection, and the identity on contractions (an input with nothing to
+    clamp is returned as is)."""
     x = np.asarray(x, dtype=complex)
-    u, s, vh = np.linalg.svd(x)
-    if s.size and s[0] <= 1.0:
+    stack = x.reshape((-1,) + x.shape[-2:])
+    u, s, vh = np.linalg.svd(stack)
+    big = s[:, 0] > 1.0
+    if not big.any():
         return x
-    return (u * np.clip(s, None, 1.0)) @ vh
+    out = stack.copy()
+    out[big] = (u[big] * np.clip(s[big], None, 1.0)[:, None, :]) @ vh[big]
+    return out.reshape(x.shape)
 
 
 class KrausNet:
@@ -287,9 +383,9 @@ class KrausNet:
 
     The 32-real-parameter grid has axis_count^32 points, which is beyond
     materialization for every axis_count >= 2; log2_size is the exact index
-    space size and `snap` is the constructive membership map.  `points` is
-    either the full tiny net (axis_count = 1) or a flagged random subsample
-    for statistics.
+    space size and `snap_batch` is the constructive membership map.
+    `points` is either the full one-point net (axis_count = 1) or a flagged
+    random subsample for statistics.
     """
 
     def __init__(self, delta, axis, points, subsampled):
@@ -302,19 +398,22 @@ class KrausNet:
     def log2_size(self):
         return 32.0 * math.log2(self.axis.size)
 
+    def snap_batch(self, xs):
+        """Snap all 32 real parameters of each matrix of a (K, 4, 4) stack
+        to the grid, then clamp; each result is a net member within 8*delta
+        of its matrix whenever that matrix is a contraction."""
+        x = np.asarray(xs, dtype=complex)
+        if x.ndim != 3 or x.shape[1:] != (4, 4):
+            raise ValueError("expected a (K, 4, 4) stack, got shape %r" % (x.shape,))
+        vals = self.axis[_snap(self.axis, np.stack([x.real, x.imag]))]
+        return svd_clamp(vals[0] + 1j * vals[1])
+
     def snap(self, x):
-        """Snap each of the 32 real parameters to the grid, then clamp; the
-        result is a net member within 8*delta of any contraction x."""
+        """`snap_batch` for one 4x4 matrix."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix, got shape %r" % (x.shape,))
-        re = np.empty((4, 4))
-        im = np.empty((4, 4))
-        for i in range(4):
-            for j in range(4):
-                re[i, j] = self.axis[_snap(self.axis, x[i, j].real)]
-                im[i, j] = self.axis[_snap(self.axis, x[i, j].imag)]
-        return svd_clamp(re + 1j * im)
+        return self.snap_batch(x[None])[0]
 
     def __repr__(self):
         return "KrausNet(delta=%g, axis=%d, log2_size=%g%s)" % (
@@ -325,10 +424,12 @@ class KrausNet:
 def build_kraus_net(delta, subsample=None, rng=None):
     """Net over 4x4 operators of norm <= 1 at grid resolution delta.
 
-    The raw grid has (floor(2*sqrt(2)/delta) + 1)^32 points; anything beyond
-    10^7 is rejected unless `subsample` asks for that many randomly drawn
-    members instead (the returned net is then flagged `subsampled`, and the
-    lazy snap map still covers the whole index space).
+    The raw grid has (floor(2*sqrt(2)/delta) + 1)^32 points, so it is within
+    the 10^7 cap only with one point per axis: that net is the single
+    clamped zero matrix.  Any larger grid is rejected unless `subsample`
+    asks for that many randomly drawn members instead (the returned net is
+    then flagged `subsampled`, and the lazy snap map still covers the whole
+    index space).
 
     Parameters
     ----------
@@ -344,17 +445,12 @@ def build_kraus_net(delta, subsample=None, rng=None):
         raise ValueError("delta=%r must be positive" % (delta,))
     axis = _axis_values(KRAUS_BOX, delta * math.sqrt(2.0))
     n = axis.size
-    total_log2 = 32.0 * math.log2(n)
-    if n ** 32 <= MAX_GRID_POINTS:
-        combos = itertools.product(range(n), repeat=32)
-        points = []
-        for c in combos:
-            vals = axis[np.array(c)]
-            points.append(svd_clamp((vals[0::2] + 1j * vals[1::2]).reshape(4, 4)))
-        return KrausNet(delta, axis, points, subsampled=False)
+    if n == 1:
+        return KrausNet(delta, axis, [svd_clamp(np.full((4, 4), complex(axis[0], axis[0])))],
+                        subsampled=False)
     if subsample is None:
         raise ValueError("grid of 2^%.1f points exceeds the 10^7 cap; pass "
-                         "subsample= for a flagged statistical sample" % total_log2)
+                         "subsample= for a flagged statistical sample" % (32.0 * math.log2(n)))
     if rng is None:
         raise ValueError("subsampling requires an rng")
     points = []
@@ -400,11 +496,22 @@ class TwoLocalNetSpec:
         if outcome.m != self.m or outcome.d != self.d:
             raise ValueError("outcome shape (m=%d, d=%d) does not match net (m=%d, d=%d)"
                              % (outcome.m, outcome.d, self.m, self.d))
-        layers = []
-        for layer in outcome.layers:
-            snapped = [self.kraus_net.snap(f) for f in layer.factors]
-            layers.append(KrausLayer(layer.pairing, snapped))
-        return TwoLocalOutcome(layers)
+        factors = np.array([layer.factors for layer in outcome.layers])
+        snapped = self.kraus_net.snap_batch(factors.reshape(-1, 4, 4)).reshape(factors.shape)
+        return TwoLocalOutcome([KrausLayer(layer.pairing, s)
+                                for layer, s in zip(outcome.layers, snapped)])
+
+    def covering_distances(self, samples, rng):
+        """Operator distances between `samples` random outcomes (drawn as by
+        `sample_two_local_outcome`, sample by sample) and their covers."""
+        out = []
+        for count in _chunk_counts(samples, 2 ** self.m):
+            choice, factors = _sample_two_local_stack(self.m, self.d, count, rng)
+            pairings = [[self.pairings[i] for i in row] for row in choice]
+            snapped = self.kraus_net.snap_batch(factors.reshape(-1, 4, 4)).reshape(factors.shape)
+            out.append(_opnorms(assemble_two_local_stack(pairings, factors)
+                                - assemble_two_local_stack(pairings, snapped)))
+        return np.concatenate(out)
 
     def sample_point(self, rng):
         """A uniformly indexed net member, materialized as a TwoLocalOutcome."""
@@ -448,8 +555,7 @@ def two_local_net(m, d, mu):
     delta = mu / (8.0 * d * m)
     axis = _axis_values(KRAUS_BOX, delta * math.sqrt(2.0))
     kraus = KrausNet(delta, axis, points=None, subsampled=False)
-    pairings = [tuple(p) for p in _perfect_matchings(list(range(m)))]
-    return TwoLocalNetSpec(m, d, mu, kraus, pairings)
+    return TwoLocalNetSpec(m, d, mu, kraus, _pairings(m))
 
 
 def cardinality_bounds(m, mu, d=None, envelope=None):
@@ -492,28 +598,84 @@ def cardinality_bounds(m, mu, d=None, envelope=None):
     return out
 
 
+# Covering experiments run in chunks of at most this many matrix entries.
+CHUNK_ENTRIES = 1 << 18
+
+
+def _chunk_counts(samples, dim):
+    size = max(1, CHUNK_ENTRIES // (dim * dim))
+    return [min(size, samples - start) for start in range(0, samples, size)]
+
+
+def _opnorms(x):
+    """Operator norms of a stack of matrices (as `np.linalg.norm(., 2)`)."""
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
+def _qubit_elements(g, lam):
+    """Q diag(lam) Q^dag with Q from the QR of g, for one matrix or a stack."""
+    q, _ = np.linalg.qr(g)
+    return (q * lam[..., None, :]) @ np.conj(np.swapaxes(q, -1, -2))
+
+
+def _contractions(g, sv):
+    """U diag(sv) V^dag from the SVD of g, for one matrix or a stack."""
+    u, _, vh = np.linalg.svd(g)
+    return (u * sv[..., None, :]) @ vh
+
+
 def sample_qubit_element(rng):
     """A random element of U: Haar-ish eigenbasis, eigenvalues uniform [0,1]."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(g)
-    return PovmElement((q * rng.random(2)) @ q.conj().T)
+    return PovmElement.from_validated(sample_qubit_elements(rng, 1, 1)[0, 0])
+
+
+def sample_qubit_elements(rng, count, m):
+    """count x m random elements of U, drawn in row order exactly as m calls
+    of `sample_qubit_element` per row would draw them.
+
+    Returns
+    -------
+    (count, m, 2, 2) read-only stack of validated POVM elements
+    """
+    g = np.empty((count * m, 2, 2), dtype=complex)
+    lam = np.empty((count * m, 2))
+    for i in range(count * m):
+        g[i] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        lam[i] = rng.random(2)
+    return validate_povm_stack(_qubit_elements(g, lam)).reshape(count, m, 2, 2)
 
 
 def sample_contraction(rng):
     """A random 4x4 operator of norm <= 1 (singular values uniform [0,1])."""
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    u, _, vh = np.linalg.svd(g)
-    return (u * rng.random(4)) @ vh
+    return _contractions(g, rng.random(4))
+
+
+def _pairings(m):
+    return [tuple(p) for p in _perfect_matchings(list(range(m)))]
+
+
+def _sample_two_local_stack(m, d, count, rng):
+    """count random outcomes as (pairing choices (count, d), factors
+    (count, d, m/2, 4, 4)), drawn as `sample_two_local_outcome` draws them."""
+    npairings = len(_pairings(m))
+    choice = np.empty((count, d), dtype=np.int64)
+    g = np.empty((count, d, m // 2, 4, 4), dtype=complex)
+    sv = np.empty((count, d, m // 2, 4))
+    for k in range(count):
+        for layer in range(d):
+            choice[k, layer] = rng.integers(0, npairings)
+            for j in range(m // 2):
+                g[k, layer, j] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                sv[k, layer, j] = rng.random(4)
+    return choice, _contractions(g, sv)
 
 
 def sample_two_local_outcome(m, d, rng):
     """A random TwoLocalOutcome: random pairings and random contractions."""
-    pairings = [tuple(p) for p in _perfect_matchings(list(range(m)))]
-    layers = []
-    for _ in range(d):
-        pairing = pairings[int(rng.integers(0, len(pairings)))]
-        layers.append(KrausLayer(pairing, [sample_contraction(rng) for _ in range(m // 2)]))
-    return TwoLocalOutcome(layers)
+    pairings = _pairings(m)
+    choice, factors = _sample_two_local_stack(m, d, 1, rng)
+    return TwoLocalOutcome([KrausLayer(pairings[i], f) for i, f in zip(choice[0], factors[0])])
 
 
 NET_CSV_COLUMNS = ["m", "d", "mu", "delta", "log2_bound", "log2_enumerated",

@@ -72,17 +72,18 @@ class PovmElement:
     """A measurement operator M with 0 <= M <= I (spectrum tolerance 1e-10)."""
 
     def __init__(self, matrix):
-        m = _as_matrix(matrix)
-        if np.abs(m - m.conj().T).max() > POVM_SPECTRUM_TOL:
-            raise ValueError("POVM element is not Hermitian to %g" % POVM_SPECTRUM_TOL)
-        m = _hermitize(m)
-        eig = np.linalg.eigvalsh(m)
-        if eig.min() < -POVM_SPECTRUM_TOL or eig.max() > 1.0 + POVM_SPECTRUM_TOL:
-            raise ValueError("POVM element spectrum [%g, %g] outside [0, 1] to %g"
-                             % (eig.min(), eig.max(), POVM_SPECTRUM_TOL))
-        self.matrix = m
+        self.matrix = validate_povm_stack(_as_matrix(matrix)[None])[0]
+        self.dim = self.matrix.shape[0]
+
+    @classmethod
+    def from_validated(cls, matrix):
+        """Wrap one member of a stack returned by `validate_povm_stack`
+        without repeating its checks; the matrix is held read-only."""
+        self = cls.__new__(cls)
+        self.matrix = matrix.view()
         self.matrix.setflags(write=False)
-        self.dim = m.shape[0]
+        self.dim = matrix.shape[0]
+        return self
 
     def __repr__(self):
         return "PovmElement(dim=%d)" % self.dim
@@ -102,10 +103,8 @@ class SeparableOutcome:
 
     def assemble(self):
         """Materialize the tensor product of the factors as a PovmElement."""
-        out = self.factors[0].matrix
-        for f in self.factors[1:]:
-            out = tensor(out, f.matrix)
-        return PovmElement(out)
+        stack = np.stack([f.matrix for f in self.factors])[None]
+        return PovmElement.from_validated(validate_povm_stack(tensor_stack(stack))[0])
 
     def __repr__(self):
         return "SeparableOutcome(m=%d)" % self.m
@@ -138,18 +137,7 @@ class KrausLayer:
 
     def operator(self):
         """The layer's 2^m x 2^m Kraus operator, qubits in natural order."""
-        op = self.factors[0]
-        for f in self.factors[1:]:
-            op = tensor(op, f)
-        perm = [q for p in self.pairing for q in p]
-        if perm == list(range(self.m)):
-            return op
-        # op's row multi-index i_j addresses qubit perm[j]; relabel to natural
-        # order by permuting both row and column axes of the 2x...x2 tensor.
-        axes = [perm.index(q) for q in range(self.m)]
-        t = op.reshape((2,) * (2 * self.m))
-        t = t.transpose(axes + [self.m + a for a in axes])
-        return np.ascontiguousarray(t.reshape(1 << self.m, 1 << self.m))
+        return _layer_operators(np.stack(self.factors)[None], self.pairing)[0]
 
     def __repr__(self):
         return "KrausLayer(m=%d, pairing=%r)" % (self.m, self.pairing)
@@ -191,6 +179,87 @@ def tensor(a, b):
     if a.shape[0] * b.shape[0] > MAX_TENSOR_DIM:
         raise ValueError("tensor dimension %d exceeds cap %d" % (a.shape[0] * b.shape[0], MAX_TENSOR_DIM))
     return np.kron(a, b)
+
+
+def tensor_stack(factors):
+    """Kronecker products of a stack of factor lists, one product per row.
+
+    Parameters
+    ----------
+    factors : (K, m, d, d) array; row k holds sample k's factors in order
+
+    Returns
+    -------
+    (K, d^m, d^m) ndarray whose row k is factors[k, 0] x ... x factors[k, m-1]
+    (bit for bit what chained `np.kron` calls give); rejected if d^m exceeds
+    2^12.
+    """
+    f = np.asarray(factors, dtype=complex)
+    if f.ndim != 4 or f.shape[1] == 0 or f.shape[2] != f.shape[3]:
+        raise ValueError("expected a (K, m, d, d) stack, got shape %r" % (f.shape,))
+    if f.shape[2] ** f.shape[1] > MAX_TENSOR_DIM:
+        raise ValueError("tensor dimension %d exceeds cap %d"
+                         % (f.shape[2] ** f.shape[1], MAX_TENSOR_DIM))
+    out = f[:, 0]
+    for j in range(1, f.shape[1]):
+        b = f[:, j]
+        # the broadcast product np.kron forms, per row
+        out = (out[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+            len(f), out.shape[1] * b.shape[1], out.shape[2] * b.shape[2])
+    return out
+
+
+def _dagger(x):
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def validate_povm_stack(mats):
+    """Check a stack of POVM elements at once: the checks of `PovmElement`.
+
+    Each matrix must be Hermitian to 1e-10 in entrywise l-inf and have its
+    spectrum in [0, 1] to 1e-10; it is then replaced by its Hermitian part.
+
+    Parameters
+    ----------
+    mats : (K, d, d) array
+
+    Returns
+    -------
+    (K, d, d) read-only ndarray of the Hermitized matrices; members can be
+    wrapped with `PovmElement.from_validated`.
+    """
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("expected a (K, d, d) stack, got shape %r" % (m.shape,))
+    if m.size:
+        mh = _dagger(m)
+        if np.abs(m - mh).max() > POVM_SPECTRUM_TOL:
+            raise ValueError("POVM element is not Hermitian to %g" % POVM_SPECTRUM_TOL)
+        m = (m + mh) / 2.0
+        eig = np.linalg.eigvalsh(m)
+        if eig.min() < -POVM_SPECTRUM_TOL or eig.max() > 1.0 + POVM_SPECTRUM_TOL:
+            raise ValueError("POVM element spectrum [%g, %g] outside [0, 1] to %g"
+                             % (eig.min(), eig.max(), POVM_SPECTRUM_TOL))
+    else:
+        m = m.copy()
+    m.setflags(write=False)
+    return m
+
+
+def _layer_operators(factors, pairing):
+    """Kraus operators of K layers sharing one pairing: factors is
+    (K, m/2, 4, 4); returns (K, 2^m, 2^m), qubits in natural order."""
+    op = tensor_stack(factors)
+    m = 2 * factors.shape[1]
+    perm = [q for p in pairing for q in p]
+    if perm == list(range(m)):
+        return op
+    # op's row multi-index i_j addresses qubit perm[j]; relabel to natural
+    # order by permuting both row and column axes of the 2x...x2 tensor.
+    axes = [1 + perm.index(q) for q in range(m)]
+    t = op.reshape((len(op),) + (2,) * (2 * m))
+    t = t.transpose([0] + axes + [m + a for a in axes])
+    return np.ascontiguousarray(t.reshape(len(op), 1 << m, 1 << m))
 
 
 def norms(x):
@@ -328,23 +397,58 @@ def assemble_two_local(t):
     """
     if not isinstance(t, TwoLocalOutcome):
         t = TwoLocalOutcome(t)
-    if t.m > 6:
-        raise ValueError("2-local assembly capped at m <= 6 qubits, got m=%d" % t.m)
-    if t.d > 8:
-        raise ValueError("2-local assembly capped at depth d <= 8, got d=%d" % t.d)
-    k = np.eye(1 << t.m, dtype=complex)
-    for layer in t.layers:
-        k = layer.operator() @ k
-    m = k.conj().T @ k
-    m = _hermitize(m)
+    factors = np.array([[layer.factors for layer in t.layers]])
+    stack = assemble_two_local_stack([[layer.pairing for layer in t.layers]], factors)
+    return PovmElement.from_validated(stack[0])
+
+
+def assemble_two_local_stack(pairings, factors):
+    """`assemble_two_local` for K outcomes at once, one per row.
+
+    Parameters
+    ----------
+    pairings : K sequences of d perfect matchings; pairings[k][l] is the
+        matching of sample k's layer l
+    factors : (K, d, m/2, 4, 4) array of operators of norm <= 1 (to 1e-10)
+
+    Returns
+    -------
+    (K, 2^m, 2^m) read-only stack of validated POVM elements, each bit for
+    bit the matrix `assemble_two_local` gives for its row
+    """
+    f = np.asarray(factors, dtype=complex)
+    if f.ndim != 5 or f.shape[2] == 0 or f.shape[3:] != (4, 4) or len(pairings) != len(f):
+        raise ValueError("expected K pairings and a (K, d, m/2, 4, 4) stack, got %d and %r"
+                         % (len(pairings), f.shape))
+    count, d, half = f.shape[:3]
+    if 2 * half > 6:
+        raise ValueError("2-local assembly capped at m <= 6 qubits, got m=%d" % (2 * half))
+    if d > 8:
+        raise ValueError("2-local assembly capped at depth d <= 8, got d=%d" % d)
+    if count:
+        s = np.linalg.svd(f, compute_uv=False)[..., 0].max()
+        if s > 1.0 + POVM_SPECTRUM_TOL:
+            raise ValueError("factor operator norm %g exceeds 1 + %g" % (s, POVM_SPECTRUM_TOL))
+    dim = 1 << (2 * half)
+    k = np.repeat(np.eye(dim, dtype=complex)[None], count, axis=0)
+    for layer in range(d):
+        rows_by_pairing = {}
+        for row, sample in enumerate(pairings):
+            key = tuple(tuple(int(q) for q in p) for p in sample[layer])
+            rows_by_pairing.setdefault(key, []).append(row)
+        ops = np.empty_like(k)
+        for pairing, rows in rows_by_pairing.items():
+            ops[rows] = _layer_operators(f[rows, layer], pairing)
+        k = ops @ k
+    m = _dagger(k) @ k
+    m = (m + _dagger(m)) / 2.0
     w, v = np.linalg.eigh(m)
-    if w.min() < -ASSEMBLY_SPECTRUM_TOL or w.max() > 1.0 + ASSEMBLY_SPECTRUM_TOL:
+    if count and (w.min() < -ASSEMBLY_SPECTRUM_TOL or w.max() > 1.0 + ASSEMBLY_SPECTRUM_TOL):
         raise NumericalConsistencyError("assembled spectrum [%g, %g] violates 0 <= M <= I"
                                         % (w.min(), w.max()))
     # within tolerance: snap rounding noise back onto [0, 1] so the result
-    # is a valid PovmElement under its own (tighter) spectrum check
-    m = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
-    return PovmElement(m)
+    # passes the (tighter) POVM spectrum check
+    return validate_povm_stack((v * np.clip(w, 0.0, 1.0)[..., None, :]) @ _dagger(v))
 
 
 def matrix_to_json(x):

@@ -3,10 +3,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from otmlab.cli import main
+from otmlab.nets import separable_net, two_local_net
 from otmlab.otm import ReductionParams, theorem_bound
 
 
@@ -193,6 +195,140 @@ def test_nets_separable_and_two_local(runner, tmp_path):
         "--m", "1", "--mu", "1.0", "--d", "1", "--samples", "10", "--seed", "3",
     ])
     assert result.exit_code == 2
+
+
+def _herm(x):
+    return (x + x.conj().T) / 2.0
+
+
+def _scalar_separable_distances(spec, samples, seed):
+    """One sample at a time, as the CLI computed before it batched: factors
+    drawn and assembled by hand, snapped through the grid-parameter trace."""
+    net = spec.qubit_net
+    axis = net.axis
+    lookup = {tuple(p): int(j) for p, j in zip(net.grid_params, net.point_index)}
+
+    def snap(v):
+        return axis[int(np.clip(np.round((v - axis[0]) / (axis[1] - axis[0])), 0, axis.size - 1))]
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        factors, members = [], []
+        for _ in range(spec.m):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            q, _ = np.linalg.qr(g)
+            f = _herm((q * rng.random(2)) @ q.conj().T)
+            key = (snap(f[0, 0].real), snap(f[1, 1].real), snap(f[0, 1].real), snap(f[0, 1].imag))
+            factors.append(f)
+            members.append(net.points[lookup[key]].matrix)
+        target, near = factors[0], members[0]
+        for f, s in zip(factors[1:], members[1:]):
+            target, near = np.kron(target, f), np.kron(near, s)
+        out.append(float(np.linalg.norm(_herm(target) - _herm(near), 2)))
+    return np.array(out)
+
+
+def _scalar_two_local_distances(spec, samples, seed):
+    """m = 2, d = 1, one sample at a time: M = K^dag K assembled by hand."""
+    axis = spec.kraus_net.axis
+
+    def snap(v):
+        return axis[np.clip(np.round((v - axis[0]) / (axis[1] - axis[0])), 0, axis.size - 1).astype(int)]
+
+    def clamp(x):
+        u, s, vh = np.linalg.svd(x)
+        return x if s[0] <= 1.0 else (u * np.clip(s, None, 1.0)) @ vh
+
+    def assemble(k):
+        k = k @ np.eye(4, dtype=complex)
+        w, v = np.linalg.eigh(_herm(k.conj().T @ k))
+        return _herm((v * np.clip(w, 0.0, 1.0)) @ v.conj().T)
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        rng.integers(0, 1)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u, _, vh = np.linalg.svd(g)
+        k = (u * rng.random(4)) @ vh
+        near = clamp(snap(k.real) + 1j * snap(k.imag))
+        out.append(float(np.linalg.norm(assemble(k) - assemble(near), 2)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family, flags, oracle", [
+    ("separable", ["--m", "2", "--mu", "0.8"], _scalar_separable_distances),
+    ("two-local", ["--m", "2", "--d", "1", "--mu", "1.0"], _scalar_two_local_distances),
+])
+def test_nets_reports_match_scalar_recomputation(runner, tmp_path, family, flags, oracle):
+    result = runner.invoke(main, [
+        "nets", "--output-dir", str(tmp_path), "--family", family, "--samples", "300",
+        "--seed", "12"] + flags)
+    assert result.exit_code == 0, result.output
+    mu = float(flags[flags.index("--mu") + 1])
+    spec = separable_net(2, mu) if family == "separable" else two_local_net(2, 1, mu)
+    dists = oracle(spec, 300, 12)
+    doc = json.loads((tmp_path / "nets.json").read_text())
+    assert doc["covering_radius_max"] == float(dists.max())
+    assert doc["covering_radius_p99"] == float(np.quantile(dists, 0.99))
+    assert doc["within_mu_fraction"] == float((dists <= mu + 1e-12).mean())
+    row = _rows(tmp_path / "nets.csv")[0]
+    assert row["covering_radius_p99"] == "%.17g" % float(np.quantile(dists, 0.99))
+
+
+def _rejected(result, *words):
+    assert result.exit_code == 2, result.output
+    err = json.loads(_stderr(result).strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    for word in words:
+        assert word in err["message"]
+
+
+def test_string_typed_config_integer_is_rejected(runner, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "linear", "ell": 6, "r": 4, "n": "64",
+                               "trials": 10000, "lambda_grid": [0.2], "seed": 7}))
+    _rejected(runner.invoke(main, ["tails", "--output-dir", str(tmp_path),
+                                   "--config", str(cfg)]), "'n'")
+    cfg.write_text(json.dumps({"family": "separable", "m": "2", "mu": 0.8,
+                               "samples": 10, "seed": 1}))
+    _rejected(runner.invoke(main, ["nets", "--output-dir", str(tmp_path),
+                                   "--config", str(cfg)]), "'m'")
+    assert not (tmp_path / "tails.csv").exists() and not (tmp_path / "nets.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["nan,0.4", "0.2,inf"])
+def test_non_finite_threshold_is_rejected(runner, tmp_path, grid):
+    _rejected(runner.invoke(main, [
+        "tails", "--output-dir", str(tmp_path), "--kind", "linear", "--ell", "6",
+        "--r", "4", "--n", "64", "--trials", "10000", "--lambda-grid", grid,
+        "--seed", "7"]), "lambda_grid")
+    assert not (tmp_path / "tails.csv").exists()
+
+
+def test_odd_chaos_order_is_rejected_before_monte_carlo(runner, tmp_path, monkeypatch):
+    from otmlab import tails as tails_mod
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran before validation")
+
+    monkeypatch.setattr(tails_mod, "empirical_tail_quadratic", no_monte_carlo)
+    _rejected(runner.invoke(main, [
+        "tails", "--output-dir", str(tmp_path), "--kind", "quadratic", "--ell", "6",
+        "--r", "6", "--n", "32", "--trials", "50000", "--lambda-grid", "0.1,0.3",
+        "--seed", "11"]), "even")
+
+
+def test_bad_nets_config_values_are_rejected(runner, tmp_path):
+    cfg = tmp_path / "c.json"
+    for doc, word in [({"family": "three-local"}, "family"), ({"mu": True}, "mu"),
+                      ({"mu": "0.8"}, "mu"), ({"samples": 0}, "samples"),
+                      ({"family": "two-local", "d": 1.5}, "'d'")]:
+        cfg.write_text(json.dumps(dict({"family": "separable", "m": 1, "mu": 0.8,
+                                        "samples": 10, "seed": 1}, **doc)))
+        _rejected(runner.invoke(main, ["nets", "--output-dir", str(tmp_path),
+                                       "--config", str(cfg)]), word)
 
 
 def test_entropy_certificates(runner, tmp_path):

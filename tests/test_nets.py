@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from otmlab.nets import (
     _axis_values,
@@ -18,7 +20,7 @@ from otmlab.nets import (
     two_local_net,
     write_net_csv,
 )
-from otmlab.quantum import assemble_two_local, PovmElement
+from otmlab.quantum import assemble_two_local, PovmElement, validate_povm_stack
 
 
 def _opnorm_herm(x):
@@ -331,3 +333,147 @@ def test_net_csv_round_trip(tmp_path):
         got = list(_csv.DictReader(fh))
     assert got[0]["m"] == "1" and got[0]["covering_radius_p99"] == "0.71"
     assert list(got[0]) == NET_CSV_COLUMNS
+
+
+def _old_build_qubit_net(delta):
+    """The per-point construction loop the array build replaced: dedup on
+    the bytes of the 12-digit rounded clamp, members by first occurrence."""
+    axis = _axis_values(math.sqrt(2.0), delta * math.sqrt(2.0))
+    n = axis.size
+    aa, dd, rb, ib = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
+    members, point_index, seen = [], np.empty(n ** 4, dtype=np.int64), {}
+    for i in range(n ** 4):
+        a, d, b = aa[i], dd[i], rb[i] + 1j * ib[i]
+        mean, half = (a + d) / 2.0, (a - d) / 2.0
+        rad = np.sqrt(half ** 2 + np.abs(b) ** 2)
+        hi, lo = np.clip(mean + rad, 0.0, 1.0), np.clip(mean - rad, 0.0, 1.0)
+        coef = (hi - lo) / (2.0 * rad) if rad > 1e-15 else 0.0
+        base = (hi + lo) / 2.0
+        c = np.array([[base + coef * half, coef * b], [coef * np.conj(b), base - coef * half]],
+                     dtype=complex)
+        key = np.round(c, 12).tobytes()
+        if key not in seen:
+            seen[key] = len(members)
+            members.append((c + c.conj().T) / 2.0)
+        point_index[i] = seen[key]
+    return members, point_index
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
+def test_build_qubit_net_matches_per_point_loop(delta):
+    members, point_index = _old_build_qubit_net(delta)
+    net = build_qubit_net(delta)
+    assert np.array_equal(net.point_index, point_index)
+    assert len(net.points) == len(members)
+    for got, want in zip(net.points, members):
+        assert got.matrix.tobytes() == want.tobytes()
+    assert net.members.tobytes() == np.stack(members).tobytes()
+    assert not net.members.flags.writeable
+
+
+def test_qubit_net_points_is_a_lazy_sequence():
+    net = build_qubit_net(1.0)
+    p = net.points[np.int64(3)]
+    assert isinstance(p, PovmElement) and p.dim == 2
+    assert not p.matrix.flags.writeable
+    assert net.points[-1].matrix.tobytes() == net.members[-1].tobytes()
+    assert sum(1 for _ in net.points) == len(net)
+    with pytest.raises(IndexError):
+        net.points[len(net)]
+    with pytest.raises(TypeError):
+        net.points[0:2]
+
+
+def test_separable_net_is_built_on_first_use():
+    spec = separable_net(4, 1.0)
+    with pytest.raises(ValueError, match="m <= 3"):
+        spec.materialize()
+    assert "qubit_net" not in vars(spec)
+    with pytest.raises(ValueError, match="10\\^7"):
+        separable_net(1, 0.1)  # the per-qubit grid cap fires before any grid exists
+    small = separable_net(1, 1.0)
+    assert small.qubit_net is small.qubit_net
+
+
+def _edge_values(axis, rng, size):
+    """Grid values, midpoints between them (rounding ties), the box ends,
+    points past the box, and uniform draws."""
+    step = axis[1] - axis[0]
+    pool = np.concatenate([axis, axis[:-1] + step / 2.0, [axis[0] - step, axis[-1] + step,
+                                                          -5.0, 5.0, 0.0]])
+    return np.where(rng.random(size) < 0.5, rng.choice(pool, size=size),
+                    rng.uniform(axis[0] - step, axis[-1] + step, size=size))
+
+
+@functools.lru_cache(maxsize=None)
+def _separable_net_cached(m, mu):
+    return separable_net(m, mu)
+
+
+@seed(5)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0), st.sampled_from([(1, 1.0), (2, 1.0), (3, 0.9)]))
+def test_covering_indices_equal_batch_of_one(entropy, shape):
+    spec = _separable_net_cached(*shape)
+    m = spec.m
+    rng = np.random.default_rng(entropy)
+    k = 12
+    stack = _edge_values(spec.qubit_net.axis, rng, (k, m, 2, 2)) \
+        + 1j * _edge_values(spec.qubit_net.axis, rng, (k, m, 2, 2))
+    stack[:k // 2] = [[_random_u_element(rng) for _ in range(m)] for _ in range(k // 2)]
+    got = spec.covering_indices(stack)
+    assert got.shape == (k,)
+    for row, idx in zip(stack, got):
+        assert idx == spec.covering_index(list(row))
+        net = spec.qubit_net
+        assert [f.matrix.tobytes() for f in spec.factors_at(int(idx))] == [
+            net.members[net.snap_index(f)].tobytes() for f in row]
+
+
+@seed(7)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0), st.sampled_from([0.1, 0.5, 3.0]))
+def test_snap_batch_equals_batch_of_one(entropy, delta):
+    net = build_kraus_net(delta, subsample=1, rng=np.random.default_rng(0)) \
+        if delta < 3.0 else build_kraus_net(delta)
+    rng = np.random.default_rng(entropy)
+    k = 10
+    axis = net.axis if net.axis.size > 1 else np.array([-1.0, 0.0, 1.0])
+    stack = _edge_values(axis, rng, (k, 4, 4)) + 1j * _edge_values(axis, rng, (k, 4, 4))
+    stack[:k // 2] = [sample_contraction(rng) for _ in range(k // 2)]
+    got = net.snap_batch(stack)
+    assert got.shape == (k, 4, 4)
+    for row, snapped in zip(stack, got):
+        assert snapped.tobytes() == net.snap(row).tobytes()
+        assert _opnorm(snapped) <= 1.0 + 1e-12
+
+
+def test_batched_snaps_reject_bad_stacks():
+    spec = separable_net(2, 1.0)
+    with pytest.raises(ValueError):
+        spec.covering_indices(np.zeros((3, 1, 2, 2)))
+    with pytest.raises(ValueError):
+        spec.covering_indices(np.full((1, 2, 2, 2), np.nan))
+    net = two_local_net(2, 1, 1.0).kraus_net
+    with pytest.raises(ValueError):
+        net.snap_batch(np.zeros((4, 4)))
+
+
+def test_covering_distances_match_one_at_a_time_path():
+    spec = separable_net(2, 1.0)
+    got = spec.covering_distances(40, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for dist in got:
+        factors = [sample_qubit_element(rng) for _ in range(2)]
+        target = np.kron(factors[0].matrix, factors[1].matrix)
+        snapped = spec.point(spec.covering_index(factors)).matrix
+        assert dist == np.linalg.norm(validate_povm_stack(target[None])[0] - snapped, 2)
+    spec = two_local_net(4, 2, 1.0)
+    got = spec.covering_distances(15, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    for dist in got:
+        t = sample_two_local_outcome(4, 2, rng)
+        a = assemble_two_local(t).matrix
+        b = assemble_two_local(spec.covering_map(t)).matrix
+        assert dist == np.linalg.norm(a - b, 2)
+        assert dist <= spec.mu + 1e-12
