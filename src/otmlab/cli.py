@@ -17,6 +17,7 @@ overridden by the OTMLAB_OUTPUT_DIR environment variable, overridden by
 --output-dir.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -38,8 +39,18 @@ from .hashfam import sample_hash
 
 ENV_OUTPUT_DIR = "OTMLAB_OUTPUT_DIR"
 
+TAIL_CSV_COLUMNS = ["lambda", "empirical_freq", "upper_cl_99", "closed_form_bound",
+                    "bound_name", "t", "trials", "seed"]
+
+NET_CSV_COLUMNS = ["m", "d", "mu", "delta", "log2_bound", "log2_enumerated",
+                   "covering_radius_p99", "samples", "seed"]
+
 ENTROPY_CSV_COLUMNS = ["instance", "joint_entropy", "alpha", "bound", "value",
                        "rule", "event_probability", "certified"]
+
+SECURITY_CSV_COLUMNS = ["outcome", "probability", "entropy", "pr_c0", "pr_c1",
+                        "Q0", "Q1", "R0", "R1", "l1_c0", "l1_c1", "l1_weighted",
+                        "smoothing_deficit", "flags"]
 
 THEOREM_CSV_COLUMNS = ["k", "ell", "theta", "delta0", "alpha", "eps0", "gamma",
                        "m", "phi", "d", "depth_mode", "r", "delta_term",
@@ -133,6 +144,20 @@ def _versions():
 
 def _write_json(path, doc):
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def write_csv(path, columns, rows):
+    """Write a header of `columns`, then one line per row mapping; the csv
+    module writes None as an empty cell and any other value as its str()."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _cells(values):
+    """A CSV row with every float written as "%.17g" (exact round trip)."""
+    return {k: "%.17g" % v if isinstance(v, float) else v for k, v in values.items()}
 
 
 def _finish(outdir, prefix, experiment, cfg, outputs, started):
@@ -253,26 +278,28 @@ def tails(config_path, output_dir, out, kind, ell, r_, n, trials, lambda_grid,
         if kind == "linear":
             weights = rng.normal(size=n)
             inst = tails_mod.LinearInstance(weights / np.linalg.norm(weights))
+            bound_name, t = "kite", r
             bounds = [tails_mod.kite_bound(r, inst.v, lam) for lam in grid]
             result = tails_mod.empirical_tail_linear(inst, ell, r, grid, trials, rng)
-            rows = tails_mod.tail_csv_rows(result, bounds, "kite", r, seed)
         else:
             a = rng.normal(size=(n, n))
             a = (a + a.T) / 2.0
             np.fill_diagonal(a, 0.0)
             a /= np.linalg.norm(a)
             inst = tails_mod.QuadraticInstance(a)
-            t = r // 2
+            bound_name, t = "crayfish", r // 2
             bounds = [tails_mod.crayfish_bound(t, inst.abs_frobenius,
                                                inst.abs_operator, lam)
                       for lam in grid]
             result = tails_mod.empirical_tail_quadratic(
                 inst, ell, r, grid, trials, rng, mode=cfg.get("mode", "hash"))
-            rows = tails_mod.tail_csv_rows(result, bounds, "crayfish", t, seed)
     except ValueError as exc:
         _fail(str(exc))
     csv_path = outdir / ("%s.csv" % prefix)
-    tails_mod.write_tail_csv(csv_path, rows)
+    write_csv(csv_path, TAIL_CSV_COLUMNS, [
+        _cells(dict(zip(TAIL_CSV_COLUMNS, (lam, freq, ucl, bound, bound_name, t, trials, seed))))
+        for lam, freq, ucl, bound in zip(result["lambdas"], result["freqs"],
+                                         result["upper_cl_99"], bounds)])
     _finish(outdir, prefix, "tails", cfg, [csv_path], started)
 
 
@@ -312,32 +339,28 @@ def nets(config_path, output_dir, out, family, m, mu, d, samples, seed):
             bounds = nets_mod.cardinality_bounds(m, mu)
             log2_bound = bounds["separable_log2"]
             delta = spec.delta
-            d_out = ""
         else:
             spec = nets_mod.two_local_net(m, d, mu)
             bounds = nets_mod.cardinality_bounds(m, mu, d=d)
             log2_bound = bounds["two_local_log2"]
             delta = spec.kraus_net.delta
-            d_out = str(d)
         dists = spec.covering_distances(samples, rng)
     except ValueError as exc:
         _fail(str(exc))
-    row = {
-        "m": str(m), "d": d_out, "mu": "%.17g" % mu, "delta": "%.17g" % delta,
-        "log2_bound": "%.17g" % log2_bound,
-        "log2_enumerated": "%.17g" % spec.log2_size,
-        "covering_radius_p99": "%.17g" % float(np.quantile(dists, 0.99)),
-        "samples": str(samples), "seed": str(seed),
-    }
+    p99 = float(np.quantile(dists, 0.99))
     csv_path = outdir / ("%s.csv" % prefix)
-    nets_mod.write_net_csv(csv_path, [row])
+    write_csv(csv_path, NET_CSV_COLUMNS, [_cells({
+        "m": m, "d": cfg.get("d"), "mu": mu, "delta": delta,
+        "log2_bound": log2_bound, "log2_enumerated": spec.log2_size,
+        "covering_radius_p99": p99, "samples": samples, "seed": seed,
+    })])
     json_path = outdir / ("%s.json" % prefix)
     _write_json(json_path, {
         "family": family,
         "cardinality_bounds": bounds,
         "log2_enumerated": spec.log2_size,
         "covering_radius_max": float(dists.max()),
-        "covering_radius_p99": float(np.quantile(dists, 0.99)),
+        "covering_radius_p99": p99,
         "within_mu_fraction": float((dists <= mu + 1e-12).mean()),
     })
     _finish(outdir, prefix, "nets", cfg, [csv_path, json_path], started)
@@ -365,24 +388,23 @@ def entropy(config_path, output_dir, out, count, n0, n1, nz, eps, eps_prime,
     _check_keys(cfg, required=["count", "n0", "n1", "nz", "eps", "eps_prime",
                                "seed"], optional=["alpha"])
     seed = _require_seed(cfg)
-    if not isinstance(cfg["count"], int) or cfg["count"] < 1:
-        _fail("count must be a positive integer")
+    count, n0, n1, nz = (_int_param(cfg, key) for key in ("count", "n0", "n1", "nz"))
+    eps, eps_prime = _number_param(cfg, "eps"), _number_param(cfg, "eps_prime")
+    alpha = None if cfg.get("alpha") is None else _number_param(cfg, "alpha")
     rng = np.random.default_rng(seed)
     outdir = _outdir(output_dir)
     prefix = out or "entropy"
     rows, records = [], []
     try:
-        for i in range(cfg["count"]):
-            table = rng.random((cfg["nz"], cfg["n0"], cfg["n1"])) + 0.01
+        for i in range(count):
+            table = rng.random((nz, n0, n1)) + 0.01
             table /= table.sum(axis=(1, 2), keepdims=True)
-            pz = rng.random(cfg["nz"]) + 0.1
+            pz = rng.random(nz) + 0.1
             pz /= pz.sum()
             p = entropy_mod.joint_cond_dist(table, pz)
-            joint = entropy_mod.smoothed_min_entropy(p, cfg["eps"])
-            level = cfg.get("alpha")
-            if level is None:
-                level = joint["value"]
-            res = entropy_mod.entropy_split(p, level, cfg["eps"], cfg["eps_prime"])
+            joint = entropy_mod.smoothed_min_entropy(p, eps)
+            level = joint["value"] if alpha is None else alpha
+            res = entropy_mod.entropy_split(p, level, eps, eps_prime)
             cert = res["certificate"]
             record = {
                 "instance": i,
@@ -395,17 +417,11 @@ def entropy(config_path, output_dir, out, count, n0, n1, nz, eps, eps_prime,
                 "certified": bool(cert["value"] >= cert["bound"] - 1e-9),
             }
             records.append(record)
-            rows.append({k: ("%.17g" % v if isinstance(v, float) else str(v))
-                         for k, v in record.items()})
+            rows.append(_cells(record))
     except ValueError as exc:
         _fail(str(exc))
     csv_path = outdir / ("%s.csv" % prefix)
-    import csv as _csv
-    with open(csv_path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=ENTROPY_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(csv_path, ENTROPY_CSV_COLUMNS, rows)
     json_path = outdir / ("%s.json" % prefix)
     _write_json(json_path, {"instances": records})
     _finish(outdir, prefix, "entropy", cfg, [csv_path, json_path], started)
@@ -440,6 +456,17 @@ def _build_model(block):
     _fail("unknown model name %r (expected classical-leak or wiesner)" % name)
 
 
+def _security_rows(report):
+    """The per-outcome CSV rows of a SecurityReport, floats in str() form."""
+    rows = []
+    for row in report.rows:
+        cells = dict(row, flags=";".join(row["flags"]))
+        for key, column in (("pr_c", "pr_c"), ("Q", "Q"), ("R", "R"), ("l1", "l1_c")):
+            cells[column + "0"], cells[column + "1"] = row[key]
+        rows.append({k: cells[k] for k in SECURITY_CSV_COLUMNS})
+    return rows
+
+
 def _build_params(block):
     if not isinstance(block, dict):
         _fail("params must be a mapping of reduction parameters")
@@ -467,23 +494,24 @@ def otm_security(config_path, output_dir, out, hash_r, delta, seed):
     _check_keys(cfg, required=["model", "params", "hash_r", "seed"],
                 optional=["delta"])
     seed = _require_seed(cfg)
+    hash_r = _int_param(cfg, "hash_r")
+    level = None if cfg.get("delta") is None else _number_param(cfg, "delta")
     rng = np.random.default_rng(seed)
     outdir = _outdir(output_dir)
     prefix = out or "otm_security"
     model = _build_model(cfg["model"])
     params = _build_params(cfg["params"])
-    level = cfg.get("delta")
     if level is None:
         level = params.delta
     try:
-        F = sample_hash(model.ell, cfg["hash_r"], rng)
-        G = sample_hash(model.ell, cfg["hash_r"], rng)
+        F = sample_hash(model.ell, hash_r, rng)
+        G = sample_hash(model.ell, hash_r, rng)
         otm = otm_mod.IdealBitOtm(F, G, model)
         report = otm_mod.evaluate_security(otm, level, params)
     except ValueError as exc:
         _fail(str(exc))
     csv_path = outdir / ("%s.csv" % prefix)
-    otm_mod.write_security_csv(csv_path, report)
+    write_csv(csv_path, SECURITY_CSV_COLUMNS, _security_rows(report))
     json_path = outdir / ("%s.json" % prefix)
     Path(json_path).write_text(report.to_json() + "\n")
     _finish(outdir, prefix, "otm-security", cfg, [csv_path, json_path], started)
@@ -507,37 +535,11 @@ def theorem_bounds(config_path, output_dir, out):
             result = otm_mod.theorem_bound(params)
         except ValueError as exc:
             _fail(str(exc))
-        records.append({"params": params.as_dict(), "bound": {
-            k: v for k, v in result.items() if k not in ("terms", "terms_log2")
-        } | {"terms": result["terms"], "terms_log2": result["terms_log2"]}})
-        row = {
-            "k": str(params.k), "ell": str(params.ell),
-            "theta": "%.17g" % params.theta,
-            "delta0": "%.17g" % params.delta0,
-            "alpha": "%.17g" % params.alpha,
-            "eps0": "%.17g" % params.eps0,
-            "gamma": "%.17g" % params.gamma,
-            "m": str(params.m),
-            "phi": "" if params.phi is None else "%.17g" % params.phi,
-            "d": "" if params.d is None else str(params.d),
-            "depth_mode": str(params.depth_mode),
-            "r": str(result["r"]),
-            "total": "%.17g" % result["total"],
-            "total_log2": "%.17g" % result["total_log2"],
-            "net_log2": "%.17g" % result["net_log2"],
-            "envelope_log2": "%.17g" % result["envelope_log2"],
-            "envelope_holds": str(result["envelope_holds"]),
-        }
-        for name in ("delta_term", "eps_term", "eta_term", "tail_term"):
-            row[name] = "%.17g" % result["terms"][name]
-        rows.append(row)
+        records.append({"params": params.as_dict(), "bound": result})
+        values = params.as_dict() | result | result["terms"]
+        rows.append(_cells({k: values[k] for k in THEOREM_CSV_COLUMNS}))
     csv_path = outdir / ("%s.csv" % prefix)
-    import csv as _csv
-    with open(csv_path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=THEOREM_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(csv_path, THEOREM_CSV_COLUMNS, rows)
     json_path = outdir / ("%s.json" % prefix)
     _write_json(json_path, {"points": records})
     _finish(outdir, prefix, "theorem-bounds", cfg, [csv_path, json_path], started)

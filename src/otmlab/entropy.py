@@ -31,7 +31,6 @@ deterministic assignments measurable in (x0, z) or (x1, z) runs before a
 split-not-certified error is raised.
 """
 
-import json
 import math
 
 import numpy as np
@@ -187,50 +186,18 @@ def smoothed_min_entropy(p, eps):
     }
 
 
-def selector(c, s, t):
-    """sigma_c(s, t): the first argument when c = 0, the second when c = 1."""
-    if c == 0:
-        return s
-    if c == 1:
-        return t
-    raise ValueError("selector bit must be 0 or 1, got %r" % (c,))
-
-
-def collision_bound(masses):
-    """Collision weight sum_s p_s^2 of a folded (sub-normalized) mass table.
-
-    Accepts a flat vector of masses or a CondDist (in which case the worst
-    slice with P(y) > 0 is reported).  Always <= max_s p_s when the masses
-    sum to at most one.
-    """
-    if isinstance(masses, CondDist):
-        live = masses.p_y > 0
-        return float(max((row ** 2).sum() for row in masses.p_x_given_y[live]))
-    v = np.asarray(masses, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("masses must be a nonempty vector")
-    if (v < 0).any():
-        raise ValueError("negative mass")
-    if v.sum() > 1.0 + SLICE_TOL:
-        raise ValueError("masses sum to %r > 1" % (v.sum(),))
-    return float((v ** 2).sum())
-
-
-def joint_cond_dist(table, p_z, x0_alphabet=None, x1_alphabet=None, z_alphabet=None):
+def joint_cond_dist(table, p_z):
     """Package P(x0, x1 | z) (shape (nz, n0, n1)) as a CondDist over pairs.
 
-    The x alphabet of the result is the row-major product of the two input
-    alphabets, which `entropy_split` knows how to take apart again.
+    The x alphabet of the result is the row-major product range(n0) x
+    range(n1), which `entropy_split` knows how to take apart again.
     """
     t = np.asarray(table, dtype=float)
     if t.ndim != 3:
         raise ValueError("joint table must have shape (nz, n0, n1)")
     nz, n0, n1 = t.shape
-    a0 = list(x0_alphabet) if x0_alphabet is not None else list(range(n0))
-    a1 = list(x1_alphabet) if x1_alphabet is not None else list(range(n1))
-    az = list(z_alphabet) if z_alphabet is not None else list(range(nz))
-    pairs = [(u, v) for u in a0 for v in a1]
-    return CondDist(t.reshape(nz, n0 * n1), p_z, x_alphabet=pairs, y_alphabet=az)
+    pairs = [(u, v) for u in range(n0) for v in range(n1)]
+    return CondDist(t.reshape(nz, n0 * n1), p_z, x_alphabet=pairs)
 
 
 class SplitNotCertifiedError(ValueError):
@@ -374,16 +341,11 @@ def entropy_split(p, alpha, eps, eps_prime):
                 "event_probability": pr_event}
         return cert
 
-    candidates = [("heaviness", q_heavy)]
     best_value = -math.inf
-    best = None
-    for rule, q in candidates:
-        cert = certify(q, rule)
-        value = cert["value"]
-        if value >= bound - CERT_TOL:
-            return {"C": q, "certificate": cert}
-        if value > best_value:
-            best_value, best = value, (rule, q)
+    cert = certify(q_heavy, "heaviness")
+    if cert["value"] >= bound - CERT_TOL:
+        return {"C": q_heavy, "certificate": cert}
+    best_value = max(best_value, cert["value"])
 
     # exhaustive fallback: deterministic C measurable in (x0, z), then (x1, z)
     for axis, size in (("x0", n0), ("x1", n1)):
@@ -401,32 +363,7 @@ def entropy_split(p, alpha, eps, eps_prime):
             cert = certify(q, "exhaustive-%s" % axis)
             if cert["value"] >= bound - CERT_TOL:
                 return {"C": q, "certificate": cert}
-            if cert["value"] > best_value:
-                best_value, best = cert["value"], ("exhaustive-%s" % axis, q)
+            best_value = max(best_value, cert["value"])
     raise SplitNotCertifiedError("split-not-certified: best value %g falls short of bound %g"
                                  % (best_value, bound), best_value)
 
-
-def cond_dist_to_json(p):
-    """Serialize a CondDist to JSON with decimal-string probabilities."""
-    return json.dumps({
-        "x_alphabet": p.x_alphabet,
-        "y_alphabet": p.y_alphabet,
-        "p_y": ["%.17g" % v for v in p.p_y],
-        "p_x_given_y": [["%.17g" % v for v in row] for row in p.p_x_given_y],
-    })
-
-
-def _tuplify(v):
-    return tuple(_tuplify(u) for u in v) if isinstance(v, list) else v
-
-
-def cond_dist_from_json(s):
-    """Inverse of `cond_dist_to_json` (alphabet lists come back as tuples)."""
-    obj = json.loads(s)
-    return CondDist(
-        [[float(v) for v in row] for row in obj["p_x_given_y"]],
-        [float(v) for v in obj["p_y"]],
-        x_alphabet=[_tuplify(v) for v in obj["x_alphabet"]],
-        y_alphabet=[_tuplify(v) for v in obj["y_alphabet"]],
-    )

@@ -19,10 +19,9 @@ cardinality at most (24 d m^{17/16} / mu)^{16md}.
 
 The 32-parameter grid is never materializable (even 2 points per axis is
 2^32 elements), so nets are lazily indexed: cardinalities are exact counts
-of the index space, membership queries go through the constructive
-snap-to-grid map (O(1), lands on a net member by construction), and
-experiments that want concrete far-apart points draw a flagged random
-subsample of the index space.
+of the index space, and membership queries go through the constructive
+snap-to-grid map (O(1), lands on a net member by construction).  No Kraus
+net member is ever stored.
 
 The single-qubit net is built on first use and held as one read-only
 (P, 2, 2) array of members, made with one clamp, one `np.unique` over the
@@ -30,14 +29,14 @@ rounded entries and one batched POVM check; `QubitNet.points` hands out
 `PovmElement`s on access.  Covering is batched, one path per family:
 `SeparableNetSpec.covering_indices` snaps a (K, m, 2, 2) stack by index
 arithmetic, `KrausNet.snap_batch` snaps a (K, 4, 4) stack in one array
-operation; the one-matrix methods are batch-of-one calls into them.
+operation, and `SeparableNetSpec.covering_index` and
+`TwoLocalNetSpec.covering_map` cover one outcome through them.
 `covering_distances` samples random outcomes in stacks, in the same draw
 order as the one-at-a-time samplers, and measures their distance to the
 net cover; every number equals the one-at-a-time computation bit for bit.
 """
 
 import collections.abc
-import csv
 import functools
 import math
 import operator
@@ -79,10 +78,6 @@ def _snap(values, x):
     return i.astype(np.int64)
 
 
-def _herm2(a, d, b):
-    return np.array([[a, b], [np.conj(b), d]], dtype=complex)
-
-
 def _clamp01_herm2_batch(a, d, b):
     """Eigenvalue clamp of Hermitian 2x2 [[a, b], [conj(b), d]] into [0, I],
     vectorized over flat parameter arrays.  Returns (N, 2, 2) complex."""
@@ -101,41 +96,6 @@ def _clamp01_herm2_batch(a, d, b):
     out[..., 0, 1] = coef * b
     out[..., 1, 0] = coef * np.conj(b)
     return out
-
-
-def _opnorm2_batch(delta_mats):
-    """Operator norms of a stack of Hermitian 2x2 matrices, analytically."""
-    a = delta_mats[..., 0, 0].real
-    d = delta_mats[..., 1, 1].real
-    b = delta_mats[..., 0, 1]
-    mean = (a + d) / 2.0
-    rad = np.sqrt(((a - d) / 2.0) ** 2 + np.abs(b) ** 2)
-    return np.maximum(np.abs(mean + rad), np.abs(mean - rad))
-
-
-def round_into_U(x):
-    """Round a Hermitian 2x2 matrix into U = {0 <= X <= I} by eigenvalue clamp.
-
-    Clamping is the operator-norm projection onto U, so for any X within
-    operator distance s of U the result stays within 2s of X -- the covering
-    property the net constructions rely on.  Points already in U are fixed.
-
-    Parameters
-    ----------
-    x : Hermitian 2x2 matrix (checked to 1e-10)
-
-    Returns
-    -------
-    PovmElement
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix, got shape %r" % (x.shape,))
-    if np.abs(x - x.conj().T).max() > 1e-10:
-        raise ValueError("matrix is not Hermitian to 1e-10")
-    out = _clamp01_herm2_batch(np.array(x[0, 0].real), np.array(x[1, 1].real),
-                               np.array(x[0, 1]))
-    return PovmElement(out)
 
 
 class _Members(collections.abc.Sequence):
@@ -185,20 +145,6 @@ class QubitNet:
         for param in (x[..., 0, 0].real, x[..., 1, 1].real, x[..., 0, 1].real, x[..., 0, 1].imag):
             flat = flat * n + _snap(self.axis, param)
         return self.point_index[flat]
-
-    def snap_index(self, x):
-        """Index of the net member snapped from one 2x2 matrix x."""
-        return int(self.snap_indices(np.asarray(x, dtype=complex)[None])[0])
-
-    def nearest_index(self, x, method="snap"):
-        """Net index near x: "snap" is the constructive O(1) map, "brute"
-        scans all members for the true operator-norm nearest."""
-        if method == "snap":
-            return self.snap_index(x)
-        if method != "brute":
-            raise ValueError("unknown method %r" % (method,))
-        dists = _opnorm2_batch(self.members - np.asarray(x, dtype=complex)[None])
-        return int(np.argmin(dists))
 
     def __repr__(self):
         return "QubitNet(delta=%g, points=%d)" % (self.delta, len(self))
@@ -301,20 +247,14 @@ class SeparableNetSpec:
             idx = idx * base + digits[:, j].astype(dtype)
         return idx
 
-    def covering_index(self, factors, method="snap"):
-        """Net index for the member nearest (per factor) to the given m
-        single-qubit factors; "brute" scans every member per factor."""
+    def covering_index(self, factors):
+        """`covering_indices` for one list of m single-qubit factors
+        (PovmElements or matrices)."""
         if len(factors) != self.m:
             raise ValueError("expected %d factors, got %d" % (self.m, len(factors)))
         mats = np.stack([f.matrix if isinstance(f, PovmElement) else np.asarray(f, dtype=complex)
                          for f in factors])
-        if method == "snap":
-            return int(self.covering_indices(mats[None])[0])
-        base = len(self.qubit_net)
-        idx = 0
-        for f in mats[::-1]:
-            idx = idx * base + self.qubit_net.nearest_index(f, method=method)
-        return idx
+        return int(self.covering_indices(mats[None])[0])
 
     def covering_distances(self, samples, rng):
         """Operator distances between `samples` random separable outcomes
@@ -327,14 +267,6 @@ class SeparableNetSpec:
             out.append(_opnorms(validate_povm_stack(tensor_stack(factors))
                                 - validate_povm_stack(tensor_stack(near))))
         return np.concatenate(out)
-
-    def materialize(self, limit=MAX_GRID_POINTS):
-        """All net members as PovmElements; desk-scale only (m <= 3)."""
-        if self.m > 3:
-            raise ValueError("full iteration supported only for m <= 3, got m=%d" % self.m)
-        if self.size > limit:
-            raise ValueError("materializing %d elements exceeds the cap %d" % (self.size, limit))
-        return [self.point(i) for i in range(self.size)]
 
     def __repr__(self):
         return "SeparableNetSpec(m=%d, mu=%g)" % (self.m, self.mu)
@@ -382,17 +314,14 @@ class KrausNet:
     """Grid-plus-clamp net over 4x4 contractions, lazily indexed.
 
     The 32-real-parameter grid has axis_count^32 points, which is beyond
-    materialization for every axis_count >= 2; log2_size is the exact index
-    space size and `snap_batch` is the constructive membership map.
-    `points` is either the full one-point net (axis_count = 1) or a flagged
-    random subsample for statistics.
+    materialization for every axis_count >= 2, so no member is ever stored:
+    log2_size is the exact index space size and `snap_batch` is the
+    constructive membership map.
     """
 
-    def __init__(self, delta, axis, points, subsampled):
+    def __init__(self, delta, axis):
         self.delta = delta
         self.axis = axis
-        self.points = points
-        self.subsampled = subsampled
 
     @property
     def log2_size(self):
@@ -408,56 +337,9 @@ class KrausNet:
         vals = self.axis[_snap(self.axis, np.stack([x.real, x.imag]))]
         return svd_clamp(vals[0] + 1j * vals[1])
 
-    def snap(self, x):
-        """`snap_batch` for one 4x4 matrix."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (4, 4):
-            raise ValueError("expected a 4x4 matrix, got shape %r" % (x.shape,))
-        return self.snap_batch(x[None])[0]
-
     def __repr__(self):
-        return "KrausNet(delta=%g, axis=%d, log2_size=%g%s)" % (
-            self.delta, self.axis.size, self.log2_size,
-            ", subsampled" if self.subsampled else "")
-
-
-def build_kraus_net(delta, subsample=None, rng=None):
-    """Net over 4x4 operators of norm <= 1 at grid resolution delta.
-
-    The raw grid has (floor(2*sqrt(2)/delta) + 1)^32 points, so it is within
-    the 10^7 cap only with one point per axis: that net is the single
-    clamped zero matrix.  Any larger grid is rejected unless `subsample`
-    asks for that many randomly drawn members instead (the returned net is
-    then flagged `subsampled`, and the lazy snap map still covers the whole
-    index space).
-
-    Parameters
-    ----------
-    delta : float > 0
-    subsample : optional int, number of random members to draw
-    rng : numpy.random.Generator, required with subsample
-
-    Returns
-    -------
-    KrausNet
-    """
-    if delta <= 0:
-        raise ValueError("delta=%r must be positive" % (delta,))
-    axis = _axis_values(KRAUS_BOX, delta * math.sqrt(2.0))
-    n = axis.size
-    if n == 1:
-        return KrausNet(delta, axis, [svd_clamp(np.full((4, 4), complex(axis[0], axis[0])))],
-                        subsampled=False)
-    if subsample is None:
-        raise ValueError("grid of 2^%.1f points exceeds the 10^7 cap; pass "
-                         "subsample= for a flagged statistical sample" % (32.0 * math.log2(n)))
-    if rng is None:
-        raise ValueError("subsampling requires an rng")
-    points = []
-    for _ in range(int(subsample)):
-        vals = axis[rng.integers(0, n, size=32)]
-        points.append(svd_clamp((vals[0::2] + 1j * vals[1::2]).reshape(4, 4)))
-    return KrausNet(delta, axis, points, subsampled=True)
+        return "KrausNet(delta=%g, axis=%d, log2_size=%g)" % (
+            self.delta, self.axis.size, self.log2_size)
 
 
 def _perfect_matchings(items):
@@ -513,20 +395,6 @@ class TwoLocalNetSpec:
                                 - assemble_two_local_stack(pairings, snapped)))
         return np.concatenate(out)
 
-    def sample_point(self, rng):
-        """A uniformly indexed net member, materialized as a TwoLocalOutcome."""
-        axis = self.kraus_net.axis
-        n = axis.size
-        layers = []
-        for _ in range(self.d):
-            pairing = self.pairings[int(rng.integers(0, len(self.pairings)))]
-            factors = []
-            for _ in range(self.m // 2):
-                vals = axis[rng.integers(0, n, size=32)]
-                factors.append(svd_clamp((vals[0::2] + 1j * vals[1::2]).reshape(4, 4)))
-            layers.append(KrausLayer(pairing, factors))
-        return TwoLocalOutcome(layers)
-
     def __repr__(self):
         return "TwoLocalNetSpec(m=%d, d=%d, mu=%g, log2_size=%g)" % (
             self.m, self.d, self.mu, self.log2_size)
@@ -554,8 +422,7 @@ def two_local_net(m, d, mu):
         raise ValueError("mu=%r outside (0, 1]" % (mu,))
     delta = mu / (8.0 * d * m)
     axis = _axis_values(KRAUS_BOX, delta * math.sqrt(2.0))
-    kraus = KrausNet(delta, axis, points=None, subsampled=False)
-    return TwoLocalNetSpec(m, d, mu, kraus, _pairings(m))
+    return TwoLocalNetSpec(m, d, mu, KrausNet(delta, axis), _pairings(m))
 
 
 def cardinality_bounds(m, mu, d=None, envelope=None):
@@ -645,12 +512,6 @@ def sample_qubit_elements(rng, count, m):
     return validate_povm_stack(_qubit_elements(g, lam)).reshape(count, m, 2, 2)
 
 
-def sample_contraction(rng):
-    """A random 4x4 operator of norm <= 1 (singular values uniform [0,1])."""
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return _contractions(g, rng.random(4))
-
-
 def _pairings(m):
     return [tuple(p) for p in _perfect_matchings(list(range(m)))]
 
@@ -677,15 +538,3 @@ def sample_two_local_outcome(m, d, rng):
     choice, factors = _sample_two_local_stack(m, d, 1, rng)
     return TwoLocalOutcome([KrausLayer(pairings[i], f) for i, f in zip(choice[0], factors[0])])
 
-
-NET_CSV_COLUMNS = ["m", "d", "mu", "delta", "log2_bound", "log2_enumerated",
-                   "covering_radius_p99", "samples", "seed"]
-
-
-def write_net_csv(path, rows):
-    """Write covering/cardinality experiment rows with the pinned columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=NET_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

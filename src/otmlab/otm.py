@@ -32,7 +32,6 @@ convention and flagged; outcomes failing the alpha*k entropy hypothesis
 are flagged and carry no security numbers.
 """
 
-import csv
 import json
 import math
 
@@ -43,6 +42,7 @@ from .entropy import entropy_split, joint_cond_dist
 from .hashfam import HashFunction, hash_bits, point_masks, sample_hash
 from .quantum import NumericalConsistencyError, PovmElement, is_delta_non_negligible, norms, tensor
 from .tails import (
+    BOUND_DPS,
     CHUNK,
     clopper_pearson_upper,
     crayfish_bound,
@@ -52,7 +52,6 @@ from .tails import (
 MAX_REJECTIONS = 10 ** 6
 PREIMAGE_SCAN_LIMIT = 1 << 20
 IDENTITY_TOL = 1e-9
-BOUND_DPS = 50
 
 
 class DegenerateHashError(ValueError):
@@ -152,7 +151,7 @@ def _log2_add(a, b):
     return hi + math.log2(1.0 + 2.0 ** (lo - hi))
 
 
-def theorem_bound(params, depth_mode=None):
+def theorem_bound(params):
     """The closed-form security bound and its four terms.
 
     Evaluates 4*2^{-delta0 k} + 2*2^{-eps0 k} + 2*2^{-(alpha/8) k} +
@@ -162,17 +161,13 @@ def theorem_bound(params, depth_mode=None):
 
     Parameters
     ----------
-    params : ReductionParams
-    depth_mode : optional bool; must agree with params.depth_mode if given
+    params : ReductionParams (its depth_mode selects the depth variant)
 
     Returns
     -------
     dict with terms, terms_log2, total, total_log2, r, lam, net_log2,
     envelope_log2, envelope_holds, depth_mode
     """
-    if depth_mode is not None and bool(depth_mode) != params.depth_mode:
-        raise ValueError("depth_mode=%r disagrees with params (depth_mode=%r); "
-                         "rebuild the parameters" % (depth_mode, params.depth_mode))
     k = params.k
     terms_log2 = {
         "delta_term": 2.0 - params.delta0 * k,
@@ -324,15 +319,6 @@ class ClassicalLeakSim(LeakyOtmModel):
         if which not in (0, 1):
             raise ValueError("which=%r must be 0 (read s) or 1 (read t)" % (which,))
         return self._stored[which]
-
-    def leak_value(self, s, t):
-        """The outcome token this (s, t) pair would produce."""
-        self._check_strings(s, t)
-        v = 0
-        for i, p in enumerate(self.positions):
-            bit = (s >> (p // 2)) & 1 if p % 2 == 0 else (t >> (p // 2)) & 1
-            v |= bit << i
-        return v
 
     def outcome_set(self, delta):
         if not (0.0 < delta <= 1.0):
@@ -691,37 +677,6 @@ class SecurityReport:
             "outcomes": self.rows,
         }
         return json.dumps(doc, indent=2, default=float)
-
-    def csv_rows(self):
-        out = []
-        for row in self.rows:
-            out.append({
-                "outcome": row["outcome"],
-                "probability": row["probability"],
-                "entropy": row["entropy"],
-                "pr_c0": row["pr_c"][0],
-                "pr_c1": row["pr_c"][1],
-                "Q0": row["Q"][0], "Q1": row["Q"][1],
-                "R0": row["R"][0], "R1": row["R"][1],
-                "l1_c0": row["l1"][0], "l1_c1": row["l1"][1],
-                "l1_weighted": row["l1_weighted"],
-                "smoothing_deficit": row["smoothing_deficit"],
-                "flags": ";".join(row["flags"]),
-            })
-        return out
-
-
-SECURITY_CSV_COLUMNS = ["outcome", "probability", "entropy", "pr_c0", "pr_c1",
-                        "Q0", "Q1", "R0", "R1", "l1_c0", "l1_c1", "l1_weighted",
-                        "smoothing_deficit", "flags"]
-
-
-def write_security_csv(path, report):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SECURITY_CSV_COLUMNS)
-        writer.writeheader()
-        for row in report.csv_rows():
-            writer.writerow(row)
 
 
 def evaluate_security(otm, delta, params):

@@ -11,7 +11,6 @@ wrapper types defined here; wrappers validate their defining constraints at
 construction and are immutable afterwards.
 """
 
-import json
 import warnings
 
 import numpy as np
@@ -450,26 +449,3 @@ def assemble_two_local_stack(pairings, factors):
     # passes the (tighter) POVM spectrum check
     return validate_povm_stack((v * np.clip(w, 0.0, 1.0)[..., None, :]) @ _dagger(v))
 
-
-def matrix_to_json(x):
-    """Serialize a square complex matrix to a JSON string.
-
-    Entries are row-major (re, im) pairs rendered as 17-significant-digit
-    decimal strings, which round-trips IEEE-754 doubles exactly.
-    """
-    m = _as_matrix(x)
-    return json.dumps({
-        "dim": m.shape[0],
-        "entries": [["%.17g" % v.real, "%.17g" % v.imag] for v in m.ravel()],
-    })
-
-
-def matrix_from_json(s):
-    """Inverse of `matrix_to_json`."""
-    obj = json.loads(s)
-    d = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != d * d:
-        raise ValueError("matrix JSON has %d entries for dim %d" % (len(entries), d))
-    flat = np.array([complex(float(re), float(im)) for re, im in entries])
-    return flat.reshape(d, d)

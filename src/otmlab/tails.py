@@ -37,7 +37,6 @@ Clopper-Pearson upper confidence limits: Monte Carlo cannot prove an
 inequality, so domination is asserted against the confidence limit.
 """
 
-import csv
 import math
 
 import mpmath
@@ -105,55 +104,12 @@ def _check_t(t):
     return int(t)
 
 
-def _exp_float(log_value):
-    # mpmath exponential of an mpf log, saturating to inf instead of raising
-    val = mpmath.e ** log_value
+def _to_float(val):
+    # an mpf as a float, saturating to inf instead of raising
     try:
         return float(val)
     except OverflowError:
         return math.inf
-
-
-def _kite_log(t, v, lam):
-    # natural log of the linear-sum bound; caller holds the workdps context
-    lt = mpmath.mpf(t)
-    return (mpmath.log(2) + 1 / (6 * lt) + mpmath.log(mpmath.pi * lt) / 2
-            + (lt / 2) * (mpmath.log(v) + mpmath.log(lt) - 1 - 2 * mpmath.log(lam)))
-
-
-def _crayfish_logs(t, frob, op, lam):
-    # natural logs of the two chaos-bound terms; second is None when op = 0
-    lt = mpmath.mpf(t)
-    log1 = (mpmath.log(4) + 1 / (6 * lt) + mpmath.log(mpmath.pi * lt) / 2
-            + (lt / 2) * (mpmath.log(4) + 2 * mpmath.log(frob) + mpmath.log(lt)
-                          - 1 - 2 * mpmath.log(lam)))
-    if op == 0:
-        return log1, None
-    log2 = (mpmath.log(4) + 1 / (12 * lt) + mpmath.log(2 * mpmath.pi * lt) / 2
-            + lt * (mpmath.log(8) + mpmath.log(op) + mpmath.log(lt)
-                    - 1 - mpmath.log(lam)))
-    return log1, log2
-
-
-def _check_kite_args(t, v, lam):
-    t = _check_t(t)
-    if lam < 0:
-        raise ValueError("lam=%r must be nonnegative" % (lam,))
-    if v < 0:
-        raise ValueError("v=%r must be nonnegative" % (v,))
-    return t
-
-
-def _check_crayfish_args(t, frob, op, lam):
-    t = _check_t(t)
-    if lam < 0:
-        raise ValueError("lam=%r must be nonnegative" % (lam,))
-    if frob < 0 or op < 0:
-        raise ValueError("norms must be nonnegative")
-    if op > frob:
-        raise ValueError("operator norm %r exceeds Frobenius norm %r (impossible "
-                         "for an entrywise-absolute matrix)" % (op, frob))
-    return t
 
 
 def kite_bound(t, v, lam):
@@ -172,28 +128,20 @@ def kite_bound(t, v, lam):
     -------
     float (may exceed 1, in which case the bound is vacuous)
     """
-    t = _check_kite_args(t, v, lam)
+    t = _check_t(t)
+    if lam < 0:
+        raise ValueError("lam=%r must be nonnegative" % (lam,))
+    if v < 0:
+        raise ValueError("v=%r must be nonnegative" % (v,))
     if lam == 0:
         return math.inf
     if v == 0:
         return 0.0
     with mpmath.workdps(BOUND_DPS):
-        return _exp_float(_kite_log(t, v, lam))
-
-
-def kite_bound_log2(t, v, lam):
-    """log2 of `kite_bound`, exact in log space (-inf for v = 0).
-
-    Magnitudes like 2^(+-10^4) arise in the theorem arithmetic; this variant
-    never under- or overflows.
-    """
-    t = _check_kite_args(t, v, lam)
-    if lam == 0:
-        return math.inf
-    if v == 0:
-        return -math.inf
-    with mpmath.workdps(BOUND_DPS):
-        return float(_kite_log(t, v, lam) / mpmath.log(2))
+        lt = mpmath.mpf(t)
+        return _to_float(mpmath.e ** (mpmath.log(2) + 1 / (6 * lt) + mpmath.log(mpmath.pi * lt) / 2
+                                      + (lt / 2) * (mpmath.log(v) + mpmath.log(lt) - 1
+                                                    - 2 * mpmath.log(lam))))
 
 
 def crayfish_bound(t, frob, op, lam):
@@ -214,37 +162,28 @@ def crayfish_bound(t, frob, op, lam):
     -------
     float
     """
-    t = _check_crayfish_args(t, frob, op, lam)
+    t = _check_t(t)
+    if lam < 0:
+        raise ValueError("lam=%r must be nonnegative" % (lam,))
+    if frob < 0 or op < 0:
+        raise ValueError("norms must be nonnegative")
+    if op > frob:
+        raise ValueError("operator norm %r exceeds Frobenius norm %r (impossible "
+                         "for an entrywise-absolute matrix)" % (op, frob))
     if lam == 0:
         return math.inf
     if frob == 0:
         return 0.0
     with mpmath.workdps(BOUND_DPS):
-        log1, log2 = _crayfish_logs(t, frob, op, lam)
-        total = mpmath.e ** log1
-        if log2 is not None:
-            total += mpmath.e ** log2
-        try:
-            return float(total)
-        except OverflowError:
-            return math.inf
-
-
-def crayfish_bound_log2(t, frob, op, lam):
-    """log2 of `crayfish_bound`, exact in log space (-inf for frob = 0)."""
-    t = _check_crayfish_args(t, frob, op, lam)
-    if lam == 0:
-        return math.inf
-    if frob == 0:
-        return -math.inf
-    with mpmath.workdps(BOUND_DPS):
-        log1, log2 = _crayfish_logs(t, frob, op, lam)
-        if log2 is None:
-            total_log = log1
-        else:
-            hi, lo = (log1, log2) if log1 >= log2 else (log2, log1)
-            total_log = hi + mpmath.log(1 + mpmath.e ** (lo - hi))
-        return float(total_log / mpmath.log(2))
+        lt = mpmath.mpf(t)
+        total = mpmath.e ** (mpmath.log(4) + 1 / (6 * lt) + mpmath.log(mpmath.pi * lt) / 2
+                             + (lt / 2) * (mpmath.log(4) + 2 * mpmath.log(frob) + mpmath.log(lt)
+                                           - 1 - 2 * mpmath.log(lam)))
+        if op != 0:
+            total += mpmath.e ** (mpmath.log(4) + 1 / (12 * lt) + mpmath.log(2 * mpmath.pi * lt) / 2
+                                  + lt * (mpmath.log(8) + mpmath.log(op) + mpmath.log(lt)
+                                          - 1 - mpmath.log(lam)))
+        return _to_float(total)
 
 
 def hanson_wright_bound(lam, frob, op):
@@ -276,13 +215,6 @@ def clopper_pearson_upper(k, n, confidence=0.99):
     if k >= n:
         return 1.0
     return float(betaincinv(k + 1, n - k, confidence))
-
-
-def default_lambda_grid(scale, points=16):
-    """16 log-spaced thresholds spanning [0.1*scale, 10*scale]."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return np.geomspace(0.1 * scale, 10.0 * scale, points)
 
 
 def _sign_chunks(ell, r, npoints, trials, rng, split=None):
@@ -423,36 +355,3 @@ def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"
 
     return _tally(gen(), lambda_grid, trials)
 
-
-def tail_csv_rows(result, bounds, bound_name, t, seed):
-    """Pair a Monte Carlo result with closed-form bounds as CSV-ready rows."""
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != result["lambdas"].shape:
-        raise ValueError("bounds shape %r does not match grid %r"
-                         % (bounds.shape, result["lambdas"].shape))
-    rows = []
-    for i, lam in enumerate(result["lambdas"]):
-        rows.append({
-            "lambda": "%.17g" % lam,
-            "empirical_freq": "%.17g" % result["freqs"][i],
-            "upper_cl_99": "%.17g" % result["upper_cl_99"][i],
-            "closed_form_bound": "%.17g" % bounds[i],
-            "bound_name": bound_name,
-            "t": str(t),
-            "trials": str(result["trials"]),
-            "seed": str(seed),
-        })
-    return rows
-
-
-TAIL_CSV_COLUMNS = ["lambda", "empirical_freq", "upper_cl_99", "closed_form_bound",
-                    "bound_name", "t", "trials", "seed"]
-
-
-def write_tail_csv(path, rows):
-    """Write rows from `tail_csv_rows` to a CSV file with the pinned columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TAIL_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

@@ -365,3 +365,106 @@ def test_verify_all_runs_given_suite(runner, tmp_path):
     assert result.exit_code == 0, result.output
     result = runner.invoke(main, ["verify-all", "--suite", str(tmp_path / "missing.py")])
     assert result.exit_code == 2
+
+
+_ENTROPY_CONFIG = {"count": 2, "n0": 3, "n1": 3, "nz": 1, "eps": 0.0,
+                   "eps_prime": 0.25, "seed": 1}
+
+
+@pytest.mark.parametrize("bad, word", [
+    ({"n0": "4"}, "'n0'"),
+    ({"eps": "nan"}, "'eps'"),
+    ({"eps": math.nan}, "'eps'"),
+    ({"count": True}, "'count'"),
+    ({"nz": 0}, "'nz'"),
+    ({"eps_prime": "0.25"}, "'eps_prime'"),
+    ({"alpha": "3"}, "'alpha'"),
+], ids=["string-n0", "string-eps", "nan-eps", "bool-count", "zero-nz",
+        "string-eps-prime", "string-alpha"])
+def test_bad_entropy_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
+    from otmlab import entropy as entropy_mod
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("entropy ran before validation")
+
+    monkeypatch.setattr(entropy_mod, "joint_cond_dist", no_compute)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_ENTROPY_CONFIG, **bad)))
+    _rejected(runner.invoke(main, ["entropy", "--output-dir", str(tmp_path / "out"),
+                                   "--config", str(cfg)]), word)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad, word", [
+    ({"hash_r": "4"}, "'hash_r'"),
+    ({"hash_r": True}, "'hash_r'"),
+    ({"hash_r": 0}, "'hash_r'"),
+    ({"delta": "0.1"}, "'delta'"),
+    ({"delta": math.inf}, "'delta'"),
+], ids=["string-hash-r", "bool-hash-r", "zero-hash-r", "string-delta", "inf-delta"])
+def test_bad_otm_security_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
+    from otmlab import cli
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("hashes were sampled before validation")
+
+    monkeypatch.setattr(cli, "sample_hash", no_compute)
+    cfg = _security_config(tmp_path)
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **bad)))
+    _rejected(runner.invoke(main, ["otm-security", "--output-dir", str(tmp_path / "out"),
+                                   "--config", str(cfg), "--seed", "1"]), word)
+    assert not (tmp_path / "out").exists()
+
+
+_CSV_JOBS = [
+    ("tails", ["--kind", "linear", "--ell", "4", "--r", "4", "--n", "8", "--trials", "10000",
+               "--lambda-grid", "0,0.5", "--seed", "3"], None,
+     ["lambda", "empirical_freq", "upper_cl_99", "closed_form_bound", "bound_name", "t",
+      "trials", "seed"]),
+    ("nets", ["--family", "two-local", "--m", "2", "--d", "1", "--mu", "1.0",
+              "--samples", "10", "--seed", "3"], None,
+     ["m", "d", "mu", "delta", "log2_bound", "log2_enumerated", "covering_radius_p99",
+      "samples", "seed"]),
+    ("entropy", ["--count", "2", "--n0", "3", "--n1", "3", "--nz", "2", "--eps", "0.0",
+                 "--eps-prime", "0.25", "--seed", "4"], None,
+     ["instance", "joint_entropy", "alpha", "bound", "value", "rule", "event_probability",
+      "certified"]),
+    ("otm-security", ["--seed", "21"], {
+        "model": {"name": "classical-leak", "ell": 4, "beta": 0.25},
+        "params": {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.5, "alpha": 1.5,
+                   "eps0": 0.5, "gamma": 1.0},
+        "hash_r": 4},
+     ["outcome", "probability", "entropy", "pr_c0", "pr_c1", "Q0", "Q1", "R0", "R1",
+      "l1_c0", "l1_c1", "l1_weighted", "smoothing_deficit", "flags"]),
+    ("theorem-bounds", [], {"points": [
+        {"k": 16, "ell": 16, "theta": 1.0, "delta0": 0.25, "alpha": 1.0, "eps0": 0.25,
+         "gamma": 16.0, "m": 16},
+        {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.25, "alpha": 2.0, "eps0": 0.25,
+         "gamma": 64.0, "m": 4, "phi": 1.0, "d": 2, "depth_mode": True}]},
+     ["k", "ell", "theta", "delta0", "alpha", "eps0", "gamma", "m", "phi", "d", "depth_mode",
+      "r", "delta_term", "eps_term", "eta_term", "tail_term", "total", "total_log2",
+      "net_log2", "envelope_log2", "envelope_holds"]),
+]
+
+
+@pytest.mark.parametrize("command, args, config, columns", _CSV_JOBS,
+                         ids=[job[0] for job in _CSV_JOBS])
+def test_csv_header_is_pinned_and_rerun_is_byte_identical(runner, tmp_path, command, args,
+                                                          config, columns):
+    if config is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    files = {}
+    for run in ("a", "b"):
+        result = runner.invoke(main, [command, "--output-dir", str(tmp_path / run),
+                                      "--out", "job"] + args)
+        assert result.exit_code == 0, result.output
+        files[run] = {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()
+                      if p.name != "job_manifest.json"}
+    assert set(files["a"]) == ({"job.csv"} if command == "tails" else {"job.csv", "job.json"})
+    assert files["a"] == files["b"]
+    with open(tmp_path / "a" / "job.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == columns
+    assert len(lines) > 1 and all(len(line) == len(columns) for line in lines)

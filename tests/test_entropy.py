@@ -9,13 +9,9 @@ from otmlab.entropy import (
     CondDist,
     SmoothingEvent,
     SplitNotCertifiedError,
-    collision_bound,
-    cond_dist_from_json,
-    cond_dist_to_json,
     entropy_split,
     joint_cond_dist,
     min_entropy,
-    selector,
     smoothed_min_entropy,
 )
 
@@ -157,38 +153,6 @@ def test_smoothed_rejects_bad_eps():
 
 
 # ---------------------------------------------------------------------------
-# selector and collision weight
-# ---------------------------------------------------------------------------
-
-def test_selector():
-    assert selector(0, "s", "t") == "s"
-    assert selector(1, "s", "t") == "t"
-    for c in (0, 1):
-        assert selector(c, selector(0, 3, 7), selector(1, 3, 7)) == selector(c, 3, 7)
-    with pytest.raises(ValueError):
-        selector(2, "s", "t")
-
-
-def test_collision_bound_values():
-    assert collision_bound(np.full(8, 1 / 8)) == pytest.approx(2.0 ** -3, abs=1e-15)
-    assert collision_bound([0.3]) == pytest.approx(0.09)
-    rng = np.random.default_rng(16)
-    for _ in range(25):
-        v = rng.random(10)
-        v *= rng.random() / v.sum()  # sub-normalized
-        assert collision_bound(v) <= v.max() + 1e-15
-    with pytest.raises(ValueError):
-        collision_bound([0.8, 0.8])
-    with pytest.raises(ValueError):
-        collision_bound([-0.1])
-
-
-def test_collision_bound_cond_dist_worst_slice():
-    p = CondDist([[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
-    assert collision_bound(p) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
 # entropy splitting
 # ---------------------------------------------------------------------------
 
@@ -287,21 +251,3 @@ def test_split_not_certified_error(monkeypatch):
         entropy_split(p, 4.0, 0.0, 0.9)
     assert exc.value.best_value < -90.0
 
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-def test_cond_dist_json_round_trip():
-    rng = np.random.default_rng(18)
-    p = _random_cond_dist(rng, 4, 3)
-    back = cond_dist_from_json(cond_dist_to_json(p))
-    assert np.array_equal(back.p_x_given_y, p.p_x_given_y)
-    assert np.array_equal(back.p_y, p.p_y)
-    assert back.x_alphabet == p.x_alphabet
-
-
-def test_cond_dist_json_tuple_alphabets():
-    p = joint_cond_dist(np.full((1, 2, 2), 0.25), [1.0], x0_alphabet=["a", "b"])
-    back = cond_dist_from_json(cond_dist_to_json(p))
-    assert back.x_alphabet == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]

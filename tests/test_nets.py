@@ -1,24 +1,26 @@
+import csv
 import functools
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, seed, settings, strategies as st
 
+from otmlab.cli import main
 from otmlab.nets import (
     _axis_values,
-    build_kraus_net,
+    _clamp01_herm2_batch,
     build_qubit_net,
     cardinality_bounds,
-    NET_CSV_COLUMNS,
-    round_into_U,
-    sample_contraction,
+    KRAUS_BOX,
+    KrausNet,
     sample_qubit_element,
     sample_two_local_outcome,
     separable_net,
     svd_clamp,
     two_local_net,
-    write_net_csv,
 )
 from otmlab.quantum import assemble_two_local, PovmElement, validate_povm_stack
 
@@ -35,6 +37,30 @@ def _random_u_element(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(g)
     return (q * rng.random(2)) @ q.conj().T
+
+
+def _random_contraction(rng):
+    """A random 4x4 operator of norm <= 1 (singular values uniform [0,1])."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, _, vh = np.linalg.svd(g)
+    return (u * rng.random(4)) @ vh
+
+
+def _clamp_oracle(x):
+    """Eigenvalue clamp of a Hermitian matrix into [0, I], the operator-norm
+    projection onto U: v diag(clip(w, 0, 1)) v^dag."""
+    w, v = np.linalg.eigh(x)
+    return (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
+
+
+def _clamp(x):
+    """`_clamp01_herm2_batch` on one Hermitian 2x2 matrix."""
+    return _clamp01_herm2_batch(np.array(x[0, 0].real), np.array(x[1, 1].real),
+                                np.array(x[0, 1]))
+
+
+def _kraus_net(delta):
+    return KrausNet(delta, _axis_values(KRAUS_BOX, delta * math.sqrt(2.0)))
 
 
 def test_axis_values_spacing_and_coverage():
@@ -57,27 +83,23 @@ def test_round_into_U_fixed_points():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = _random_u_element(rng)
-        assert np.abs(round_into_U(x).matrix - x).max() < 1e-12
-    assert np.allclose(round_into_U(2.0 * np.eye(2)).matrix, np.eye(2))
-    assert np.allclose(round_into_U(-np.eye(2)).matrix, np.zeros((2, 2)))
+        assert np.abs(_clamp(x) - x).max() < 1e-12
+    assert np.allclose(_clamp(2.0 * np.eye(2)), np.eye(2))
+    assert np.allclose(_clamp(-np.eye(2)), np.zeros((2, 2)))
 
 
 def test_round_into_U_is_operator_norm_projection():
-    # clamping beats any sampled element of U, up to numerical slack
+    # the batched clamp equals the eigh oracle, which beats any sampled
+    # element of U, up to numerical slack
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        y = rng.normal(size=(2, 2)) * 2.0
-        y = y + y.T
-        best = _opnorm_herm(round_into_U(y).matrix - y)
+    ys = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
+    ys = ys + ys.conj().transpose(0, 2, 1)
+    clamped = _clamp01_herm2_batch(ys[:, 0, 0].real, ys[:, 1, 1].real, ys[:, 0, 1])
+    for y, got in zip(ys, clamped):
+        assert np.abs(got - _clamp_oracle(y)).max() < 1e-12
+        best = _opnorm_herm(got - y)
         for _ in range(50):
             assert best <= _opnorm_herm(_random_u_element(rng) - y) + 1e-9
-
-
-def test_round_into_U_rejects_bad_input():
-    with pytest.raises(ValueError):
-        round_into_U(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        round_into_U(np.eye(3))
 
 
 def test_build_qubit_net_delta_one():
@@ -91,7 +113,7 @@ def test_build_qubit_net_delta_one():
     # the trace maps every grid point to the member it rounded to
     for i in range(81):
         a, d, rb, ib = net.grid_params[i]
-        rounded = round_into_U(np.array([[a, rb + 1j * ib], [rb - 1j * ib, d]])).matrix
+        rounded = _clamp_oracle(np.array([[a, rb + 1j * ib], [rb - 1j * ib, d]]))
         assert np.abs(net.points[net.point_index[i]].matrix - rounded).max() < 1e-12
 
 
@@ -113,19 +135,13 @@ def test_build_qubit_net_grid_cap():
 def test_qubit_net_snap_covering_radius():
     net = build_qubit_net(0.25)
     rng = np.random.default_rng(7)
-    for _ in range(300):
-        x = _random_u_element(rng)
-        i = net.snap_index(x)
+    xs = np.stack([_random_u_element(rng) for _ in range(300)])
+    for x, i in zip(xs, net.snap_indices(xs)):
         d_snap = _opnorm_herm(net.points[i].matrix - x)
         assert d_snap <= 4.0 * 0.25 + 1e-12
-        j = net.nearest_index(x, method="brute")
-        assert _opnorm_herm(net.points[j].matrix - x) <= d_snap + 1e-12
-
-
-def test_qubit_net_nearest_rejects_unknown_method():
-    net = build_qubit_net(1.0)
-    with pytest.raises(ValueError):
-        net.nearest_index(np.eye(2), method="fancy")
+        # brute operator-norm scan over every member: snapping is near-optimal
+        d_brute = np.abs(np.linalg.eigvalsh(net.members - x)).max(axis=1).min()
+        assert d_brute <= d_snap + 1e-12
 
 
 def test_separable_net_index_space():
@@ -142,17 +158,6 @@ def test_separable_net_index_space():
     assert np.abs(assembled.matrix - oracle).max() < 1e-12
     with pytest.raises(ValueError):
         spec.factors_at(spec.size)
-
-
-def test_separable_net_materialize_guards():
-    with pytest.raises(ValueError):
-        separable_net(2, 1.0).materialize()  # 17^8 elements
-    with pytest.raises(ValueError):
-        separable_net(4, 1.0).materialize()  # m > 3
-    small = separable_net(1, 1.0)
-    pts = small.materialize()
-    assert len(pts) == small.size
-    assert all(isinstance(p, PovmElement) for p in pts)
 
 
 def test_separable_net_covering_telescopes():
@@ -179,7 +184,7 @@ def test_separable_net_argument_guards():
 
 def test_svd_clamp_behaviour():
     rng = np.random.default_rng(4)
-    x = sample_contraction(rng)
+    x = _random_contraction(rng)
     assert svd_clamp(x) is x  # identity on contractions, bit for bit
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     assert np.abs(svd_clamp(2.0 * q) - q).max() < 1e-12
@@ -187,47 +192,23 @@ def test_svd_clamp_behaviour():
     assert _opnorm(svd_clamp(big)) <= 1.0 + 1e-12
     # projection optimality against sampled contractions
     for _ in range(50):
-        assert _opnorm(svd_clamp(big) - big) <= _opnorm(sample_contraction(rng) - big) + 1e-9
-
-
-def test_build_kraus_net_overflow_contract():
-    with pytest.raises(ValueError, match="subsample"):
-        build_kraus_net(1.0)
-    with pytest.raises(ValueError):
-        build_kraus_net(1.0, subsample=10)  # rng required
-    with pytest.raises(ValueError):
-        build_kraus_net(0.0)
-    rng = np.random.default_rng(9)
-    net = build_kraus_net(1.0, subsample=40, rng=rng)
-    assert net.subsampled
-    assert len(net.points) == 40
-    for p in net.points:
-        assert _opnorm(p) <= 1.0 + 1e-12
-
-
-def test_build_kraus_net_tiny_grid_materializes():
-    net = build_kraus_net(3.0)
-    assert not net.subsampled
-    assert len(net.points) == 1
-    assert np.allclose(net.points[0], np.zeros((4, 4)))
-    assert net.log2_size == 0.0
+        assert _opnorm(svd_clamp(big) - big) <= _opnorm(_random_contraction(rng) - big) + 1e-9
 
 
 def test_kraus_net_snap_covering_radius():
     rng = np.random.default_rng(13)
-    net = build_kraus_net(0.1, subsample=5, rng=rng)
+    net = _kraus_net(0.1)
     axis = net.axis
-    for _ in range(100):
-        x = sample_contraction(rng)
-        y = net.snap(x)
+    xs = np.stack([_random_contraction(rng) for _ in range(100)])
+    for x, y in zip(xs, net.snap_batch(xs)):
         assert _opnorm(y - x) <= 8.0 * 0.1 + 1e-12
         assert _opnorm(y) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
-        net.snap(np.eye(2))
+        net.snap_batch(np.eye(2)[None])
     # snapping a grid-aligned contraction leaves its parameters on the grid
     vals = axis[np.abs(axis) <= 0.2]
     aligned = np.diag(vals[:1].repeat(4) if vals.size else np.zeros(4))
-    snapped = net.snap(aligned)
+    snapped = net.snap_batch(aligned[None])[0]
     for entry in snapped.ravel():
         assert np.abs(axis - entry.real).min() < 1e-9 or _opnorm(snapped) <= 1.0
 
@@ -274,17 +255,6 @@ def test_two_local_covering_map():
         spec.covering_map(sample_two_local_outcome(4, 1, rng))
 
 
-def test_two_local_sample_point_is_valid_member():
-    rng = np.random.default_rng(19)
-    spec = two_local_net(4, 2, 0.5)
-    t = spec.sample_point(rng)
-    assert t.m == 4 and t.d == 2
-    for layer in t.layers:
-        assert tuple(layer.pairing) in [tuple(p) for p in spec.pairings]
-        for f in layer.factors:
-            assert _opnorm(f) <= 1.0 + 1e-12
-
-
 def test_cardinality_bounds_values():
     out = cardinality_bounds(1, 1.0)
     assert out["separable_log2"] == pytest.approx(4.0 * math.log2(9.0))
@@ -321,18 +291,23 @@ def test_sample_helpers_land_in_their_sets():
         x = sample_qubit_element(rng)
         eig = np.linalg.eigvalsh(x.matrix)
         assert eig.min() >= -1e-12 and eig.max() <= 1.0 + 1e-12
-        assert _opnorm(sample_contraction(rng)) <= 1.0 + 1e-12
+        for layer in sample_two_local_outcome(4, 2, rng).layers:
+            for f in layer.factors:
+                assert _opnorm(f) <= 1.0 + 1e-12
 
 
 def test_net_csv_round_trip(tmp_path):
-    rows = [dict(zip(NET_CSV_COLUMNS, [1, "", 1.0, 0.25, 12.68, 11.2, 0.71, 1000, 42]))]
-    path = tmp_path / "net.csv"
-    write_net_csv(path, rows)
-    import csv as _csv
-    with open(path) as fh:
-        got = list(_csv.DictReader(fh))
-    assert got[0]["m"] == "1" and got[0]["covering_radius_p99"] == "0.71"
-    assert list(got[0]) == NET_CSV_COLUMNS
+    result = CliRunner().invoke(main, [
+        "nets", "--output-dir", str(tmp_path), "--family", "separable", "--m", "1",
+        "--mu", "1.0", "--samples", "100", "--seed", "42"])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "nets.csv", newline="") as fh:
+        got = list(csv.DictReader(fh))
+    doc = json.loads((tmp_path / "nets.json").read_text())
+    assert len(got) == 1
+    assert got[0]["m"] == "1" and got[0]["d"] == "" and got[0]["seed"] == "42"
+    assert float(got[0]["covering_radius_p99"]) == doc["covering_radius_p99"]
+    assert float(got[0]["log2_enumerated"]) == doc["log2_enumerated"]
 
 
 def _old_build_qubit_net(delta):
@@ -386,8 +361,6 @@ def test_qubit_net_points_is_a_lazy_sequence():
 
 def test_separable_net_is_built_on_first_use():
     spec = separable_net(4, 1.0)
-    with pytest.raises(ValueError, match="m <= 3"):
-        spec.materialize()
     assert "qubit_net" not in vars(spec)
     with pytest.raises(ValueError, match="10\\^7"):
         separable_net(1, 0.1)  # the per-qubit grid cap fires before any grid exists
@@ -427,24 +400,34 @@ def test_covering_indices_equal_batch_of_one(entropy, shape):
         assert idx == spec.covering_index(list(row))
         net = spec.qubit_net
         assert [f.matrix.tobytes() for f in spec.factors_at(int(idx))] == [
-            net.members[net.snap_index(f)].tobytes() for f in row]
+            net.members[net.snap_indices(f[None])[0]].tobytes() for f in row]
+
+
+def test_build_kraus_net_tiny_grid_materializes():
+    # delta = 3 spaces the axis wider than the Kraus box: one point, zero
+    net = _kraus_net(3.0)
+    assert net.axis.size == 1
+    assert net.axis[0] == 0.0
+    assert net.log2_size == 0.0
+    rng = np.random.default_rng(4)
+    stack = np.stack([_random_contraction(rng) for _ in range(3)] + [np.eye(4)])
+    assert np.allclose(net.snap_batch(stack), np.zeros((4, 4, 4)))
 
 
 @seed(7)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0), st.sampled_from([0.1, 0.5, 3.0]))
 def test_snap_batch_equals_batch_of_one(entropy, delta):
-    net = build_kraus_net(delta, subsample=1, rng=np.random.default_rng(0)) \
-        if delta < 3.0 else build_kraus_net(delta)
+    net = _kraus_net(delta)
     rng = np.random.default_rng(entropy)
     k = 10
     axis = net.axis if net.axis.size > 1 else np.array([-1.0, 0.0, 1.0])
     stack = _edge_values(axis, rng, (k, 4, 4)) + 1j * _edge_values(axis, rng, (k, 4, 4))
-    stack[:k // 2] = [sample_contraction(rng) for _ in range(k // 2)]
+    stack[:k // 2] = [_random_contraction(rng) for _ in range(k // 2)]
     got = net.snap_batch(stack)
     assert got.shape == (k, 4, 4)
-    for row, snapped in zip(stack, got):
-        assert snapped.tobytes() == net.snap(row).tobytes()
+    for i, snapped in enumerate(got):
+        assert snapped.tobytes() == net.snap_batch(stack[i:i + 1])[0].tobytes()
         assert _opnorm(snapped) <= 1.0 + 1e-12
 
 

@@ -21,15 +21,23 @@ from otmlab.otm import (
     q_tail_bound,
     r_tail_bound,
     ReductionParams,
-    SECURITY_CSV_COLUMNS,
     theorem_bound,
     WiesnerToyOtm,
-    write_security_csv,
 )
 from otmlab.quantum import NumericalConsistencyError, PovmElement
 from otmlab.tails import kite_bound
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
+def _leak_value(model, s, t):
+    """The outcome token a ClassicalLeakSim produces for the pair (s, t):
+    bit i is the value at interleaved position positions[i]."""
+    v = 0
+    for i, p in enumerate(model.positions):
+        bit = (s >> (p // 2)) & 1 if p % 2 == 0 else (t >> (p // 2)) & 1
+        v |= bit << i
+    return v
 
 
 def _params(**kw):
@@ -121,8 +129,6 @@ def test_theorem_bound_envelope_and_depth_flag():
     assert out["envelope_log2"] == pytest.approx(16.0 * 16 ** 2)
     assert out["net_log2"] == pytest.approx(4 * 16 * (math.log2(9 * 16) - p.mu_log2))
     assert out["envelope_holds"]
-    with pytest.raises(ValueError):
-        theorem_bound(p, depth_mode=True)
     deep = ReductionParams(k=4, ell=4, theta=1.0, delta0=0.25, alpha=1.0,
                            eps0=0.25, gamma=16.0, phi=1.0, d=2, depth_mode=True)
     dout = theorem_bound(deep)
@@ -150,7 +156,7 @@ def test_classical_leak_construction_and_reads():
     model.program(0b0011, 0b0101)
     assert model.honest_read(0) == 0b0011
     assert model.honest_read(1) == 0b0101
-    assert model.leak_value(0b0011, 0b0101) == 0b11  # s_0 = 1, t_0 = 1
+    assert _leak_value(model, 0b0011, 0b0101) == 0b11  # s_0 = 1, t_0 = 1
     with pytest.raises(ValueError):
         model.honest_read(2)
     with pytest.raises(ValueError):
@@ -170,7 +176,7 @@ def test_classical_leak_posteriors_exact():
         live = np.argwhere(P > 0)
         assert len(live) == 64  # 2^(2*4-2) consistent completions
         for s, t in live:
-            assert model.leak_value(int(s), int(t)) == v
+            assert _leak_value(model, int(s), int(t)) == v
         assert np.unique(P[P > 0]).size == 1  # uniform over completions
         assert model.certified_entropy(v) == pytest.approx(-math.log2(P.max()))
     with pytest.raises(ValueError):
@@ -418,7 +424,7 @@ def test_evaluate_security_hypothesis_gating():
         evaluate_security(otm, 0.6, params)  # 2*delta > 1
 
 
-def test_security_report_serialization(tmp_path):
+def test_security_report_serialization():
     model = ClassicalLeakSim(2, 0.25)
     field = BinaryField(2)
     otm = IdealBitOtm(HashFunction(field, (0, 1)), HashFunction(field, (0, 1)), model)
@@ -429,13 +435,6 @@ def test_security_report_serialization(tmp_path):
     assert doc["negligible_convention"] == "C=0"
     assert len(doc["outcomes"]) == 2
     assert doc["bound"]["r"] == params.r
-    path = tmp_path / "report.csv"
-    write_security_csv(path, report)
-    import csv as _csv
-    with open(path) as fh:
-        rows = list(_csv.DictReader(fh))
-    assert list(rows[0]) == SECURITY_CSV_COLUMNS
-    assert len(rows) == 2
 
 
 def test_hash_bias_tail_matches_scalar_oracle():

@@ -11,8 +11,6 @@ from otmlab.quantum import (
     assemble_two_local,
     born_probability,
     is_delta_non_negligible,
-    matrix_from_json,
-    matrix_to_json,
     negligible_mass,
     norms,
     tensor,
@@ -340,18 +338,3 @@ def test_two_local_inconsistent_layers_rejected():
     with pytest.raises(ValueError):
         TwoLocalOutcome([l2, l4])
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_matrix_json_round_trip_exact():
-    rng = np.random.default_rng(43)
-    m = rng.normal(size=(3, 3)) * 1e-7 + 1j * rng.normal(size=(3, 3)) * 1e3
-    back = matrix_from_json(matrix_to_json(m))
-    assert np.array_equal(back, m)  # bit-exact via 17 significant digits
-
-
-def test_matrix_json_rejects_bad_payload():
-    with pytest.raises(ValueError):
-        matrix_from_json('{"dim": 2, "entries": [["0", "0"]]}')

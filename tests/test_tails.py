@@ -4,9 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.special import bdtr
 from scipy.stats import beta
 
+from otmlab.cli import main
 from otmlab.hashfam import BinaryField, HashFunction
 from otmlab.tails import (
     LinearInstance,
@@ -14,15 +16,10 @@ from otmlab.tails import (
     _sign_chunks,
     clopper_pearson_upper,
     crayfish_bound,
-    crayfish_bound_log2,
-    default_lambda_grid,
     empirical_tail_linear,
     empirical_tail_quadratic,
     hanson_wright_bound,
     kite_bound,
-    kite_bound_log2,
-    tail_csv_rows,
-    write_tail_csv,
 )
 
 
@@ -77,6 +74,24 @@ def test_kite_zero_variance_and_monotone():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def _kite_log2(t, v, lam):
+    # log2 of 2 e^{1/(6t)} sqrt(pi t) (v t / (e lam^2))^{t/2}, in plain floats
+    return (1.0 + 1.0 / (6 * t * math.log(2)) + 0.5 * math.log2(math.pi * t)
+            + (t / 2) * (math.log2(v * t / lam ** 2) - 1.0 / math.log(2)))
+
+
+def test_kite_log2_consistent_and_extreme():
+    b = kite_bound(8, 2.5, 3.0)
+    assert math.log2(b) == pytest.approx(_kite_log2(8, 2.5, 3.0), rel=1e-13)
+    # t in the thousands: the log stays finite while the value saturates
+    assert _kite_log2(2048, 1.0, 1e-3) > 1e4 and math.isinf(kite_bound(2048, 1.0, 1e-3))
+    assert _kite_log2(2048, 1.0, 1e6) < -1e4 and kite_bound(2048, 1.0, 1e6) == 0.0
+    # inside the float range the 2048-wise value still matches its log
+    lam = math.sqrt(2048 / math.e) * 1.1
+    assert math.log2(kite_bound(2048, 1.0, lam)) == pytest.approx(
+        _kite_log2(2048, 1.0, lam), rel=1e-9)
+
+
 def test_kite_rejects_bad_args():
     with pytest.raises(ValueError):
         kite_bound(3, 1.0, 1.0)
@@ -89,16 +104,6 @@ def test_kite_rejects_bad_args():
     # lam = 0 is the vacuous boundary, not an error
     assert kite_bound(2, 1.0, 0.0) == math.inf
     assert crayfish_bound(2, 1.0, 0.5, 0.0) == math.inf
-
-
-def test_kite_log2_consistent_and_extreme():
-    b = kite_bound(8, 2.5, 3.0)
-    assert kite_bound_log2(8, 2.5, 3.0) == pytest.approx(math.log2(b), rel=1e-13)
-    # t in the thousands: the plain value saturates, the log stays finite
-    big = kite_bound_log2(2048, 1.0, 1e-3)
-    assert big > 1e4 and math.isinf(kite_bound(2048, 1.0, 1e-3))
-    tiny = kite_bound_log2(2048, 1.0, 1e6)
-    assert tiny < -1e4 and kite_bound(2048, 1.0, 1e6) == 0.0
 
 
 def test_crayfish_value_t2():
@@ -118,16 +123,13 @@ def test_crayfish_zero_and_scaling():
     # doubling lam at t=2 reduces both terms at least 2x (each is ~lam^-2)
     for lam in (1.0, 5.0, 20.0):
         assert crayfish_bound(2, 1.0, 0.5, 2 * lam) <= crayfish_bound(2, 1.0, 0.5, lam) / 2
+    assert math.isinf(crayfish_bound(2048, 1.0, 0.5, 1e-3))
+    assert crayfish_bound(2048, 1.0, 0.5, 1e6) == 0.0
 
 
 def test_crayfish_rejects_op_above_frob():
     with pytest.raises(ValueError):
         crayfish_bound(2, 1.0, 1.5, 1.0)
-
-
-def test_crayfish_log2_consistent():
-    b = crayfish_bound(4, 2.0, 0.5, 7.0)
-    assert crayfish_bound_log2(4, 2.0, 0.5, 7.0) == pytest.approx(math.log2(b), rel=1e-13)
 
 
 def test_hanson_wright_branches():
@@ -164,14 +166,6 @@ def test_clopper_pearson_matches_beta_quantile_and_binomial_tail():
             upper = clopper_pearson_upper(k, n)
             assert upper == float(beta.ppf(0.99, k + 1, n - k))
             assert bdtr(k, n, upper) == pytest.approx(0.01, rel=1e-9)
-
-
-def test_default_lambda_grid():
-    g = default_lambda_grid(2.0)
-    assert g.size == 16
-    assert g[0] == pytest.approx(0.2) and g[-1] == pytest.approx(20.0)
-    with pytest.raises(ValueError):
-        default_lambda_grid(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,30 +286,25 @@ def test_rademacher_domination_light():
             assert ucl <= bound, (lam, ucl, bound)
 
 
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
 def test_tail_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    inst = LinearInstance([0.6, 0.8])
-    grid = [0.5, 1.0, 2.0]
-    res = empirical_tail_linear(inst, 3, 2, grid, 10 ** 4, rng)
-    bounds = [kite_bound(2, inst.v, lam) for lam in grid]
-    rows = tail_csv_rows(res, bounds, "kite", 2, seed=9)
-    path = tmp_path / "tails.csv"
-    write_tail_csv(path, rows)
-    with open(path, newline="") as fh:
+    result = CliRunner().invoke(main, [
+        "tails", "--output-dir", str(tmp_path), "--kind", "linear", "--ell", "3",
+        "--r", "2", "--n", "2", "--trials", "10000", "--lambda-grid", "0.5,1,2",
+        "--seed", "9"])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "tails.csv", newline="") as fh:
         back = list(csv.DictReader(fh))
+    # the instance's weights are the run's first draw
+    w = np.random.default_rng(9).normal(size=2)
+    inst = LinearInstance(w / np.linalg.norm(w))
     assert len(back) == 3
-    assert back[0]["bound_name"] == "kite"
+    assert back[0]["bound_name"] == "kite" and back[0]["t"] == "2"
     assert float(back[1]["lambda"]) == 1.0
-    assert float(back[2]["closed_form_bound"]) == pytest.approx(bounds[2], rel=1e-15)
+    # "%.17g" cells round-trip the closed form exactly
+    assert float(back[2]["closed_form_bound"]) == kite_bound(2, inst.v, 2.0)
     assert back[0]["trials"] == str(10 ** 4) and back[0]["seed"] == "9"
-
-
-def test_tail_csv_rows_shape_guard():
-    rng = np.random.default_rng(10)
-    res = empirical_tail_linear(LinearInstance([1.0]), 3, 2, [1.0], 10 ** 4, rng)
-    with pytest.raises(ValueError):
-        tail_csv_rows(res, [0.1, 0.2], "kite", 2, seed=0)
