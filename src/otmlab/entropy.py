@@ -50,6 +50,8 @@ class CondDist:
     def __init__(self, p_x_given_y, p_y, x_alphabet=None, y_alphabet=None):
         t = np.asarray(p_x_given_y, dtype=float)
         py = np.asarray(p_y, dtype=float)
+        if not (np.isfinite(t).all() and np.isfinite(py).all()):
+            raise ValueError("probabilities must be finite (no NaN or inf)")
         if t.ndim != 2 or py.ndim != 1 or t.shape[0] != py.size:
             raise ValueError("table must be (ny, nx) with matching p_y of length ny")
         if t.size == 0:

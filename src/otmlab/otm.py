@@ -18,11 +18,14 @@ c = 0, t when c = 1) is the hidden, high-entropy string,
     R_c(M) = E(1_E (-1)^{A_0 + A_1} | C=c, Z=M),
 
 and the distance of (A_C, given the revealed bit) from uniform obeys the
-exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.  Over the hash
-family, Q_c is a linear form and R_c a bilinear form in r-wise independent
-signs, so the moment tail bounds from `tails` control both; aggregating
-over outcomes and adding the smoothing and negligible-outcome losses gives
-the closed-form bound
+exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.  Every
+per-outcome computation (`compute_Q_R`, the direct scan of
+`evaluate_security`, the instances of `hash_bias_tail`, `continuity_check`)
+takes Pr(C=c | Z=M) and the weights P(s,t|M) Pr(C=c|s,t) E_c(s,t) from one
+step, `_weights`.  Over the hash family, Q_c is a linear form and R_c a
+bilinear form in r-wise independent signs, so the moment tail bounds from
+`tails` control both; aggregating over outcomes and adding the smoothing
+and negligible-outcome losses gives the closed-form bound
 
     4*2^{-delta0 k} + 2*2^{-eps0 k} + 2*2^{-(alpha/8) k}
         + 4 (r+1) * 2^{-(alpha/6) k}.
@@ -40,7 +43,8 @@ import numpy as np
 
 from .entropy import entropy_split, joint_cond_dist
 from .hashfam import HashFunction, hash_bits, point_masks, sample_hash
-from .quantum import NumericalConsistencyError, PovmElement, is_delta_non_negligible, norms, tensor
+from .quantum import (NumericalConsistencyError, PovmElement, is_delta_non_negligible, norms,
+                      tensor_stack)
 from .tails import (
     BOUND_DPS,
     CHUNK,
@@ -51,7 +55,6 @@ from .tails import (
 
 MAX_REJECTIONS = 10 ** 6
 PREIMAGE_SCAN_LIMIT = 1 << 20
-IDENTITY_TOL = 1e-9
 
 
 class DegenerateHashError(ValueError):
@@ -202,16 +205,6 @@ def theorem_bound(params):
     }
 
 
-def q_tail_bound(r, collision, lam):
-    """Hash-averaged tail of the linear form: Pr(|Q_c(M)| >= lam) when the
-    smoothed conditional masses square-sum to at most `collision`.
-
-    This is the r-th-moment bound 2 e^{1/(6r)} sqrt(pi r)
-    (collision * r / (e lam^2))^{r/2}.
-    """
-    return kite_bound(r, collision, lam)
-
-
 def r_tail_bound(r, collision, lam):
     """Hash-averaged tail of the bilinear form: Pr(|R_c(M)| >= lam) <=
     8 e^{1/(3r)} sqrt(pi r) (8 * collision * r^2 / (e^2 lam^2))^{r/4}."""
@@ -236,17 +229,24 @@ class LeakyOtmModel:
     """Interface for a leaky string OTM storing ell-bit strings (s, t).
 
     Implementations expose a finite advertised outcome set with exact
-    posteriors and a self-certified min-entropy per outcome.
+    posteriors and a self-certified min-entropy per outcome; the device
+    state (`program`, `honest_read`) is shared.
     """
 
     ell = None
+    _stored = None
 
     def program(self, s, t):
-        raise NotImplementedError
+        self._check_strings(s, t)
+        self._stored = (int(s), int(t))
 
     def honest_read(self, which):
         """The stored string: which=0 reads s, which=1 reads t."""
-        raise NotImplementedError
+        if self._stored is None:
+            raise ValueError("device is not programmed")
+        if which not in (0, 1):
+            raise ValueError("which=%r must be 0 (read s) or 1 (read t)" % (which,))
+        return self._stored[which]
 
     def outcome_set(self, delta):
         """Tokens of every advertised delta-non-negligible outcome."""
@@ -303,22 +303,10 @@ class ClassicalLeakSim(LeakyOtmModel):
         self.positions = positions
         self._s_bits = [p // 2 for p in positions if p % 2 == 0]
         self._t_bits = [p // 2 for p in positions if p % 2 == 1]
-        self._stored = None
 
     @property
     def leak_count(self):
         return len(self.positions)
-
-    def program(self, s, t):
-        self._check_strings(s, t)
-        self._stored = (int(s), int(t))
-
-    def honest_read(self, which):
-        if self._stored is None:
-            raise ValueError("device is not programmed")
-        if which not in (0, 1):
-            raise ValueError("which=%r must be 0 (read s) or 1 (read t)" % (which,))
-        return self._stored[which]
 
     def outcome_set(self, delta):
         if not (0.0 < delta <= 1.0):
@@ -366,56 +354,31 @@ class WiesnerToyOtm(LeakyOtmModel):
 
     Qubit i carries bit s_i in the computational basis and bit t_i in the
     Hadamard basis as the even mixture rho_i = (|s_i><s_i| + H|t_i><t_i|H)/2,
-    so the average state is maximally mixed.  The adversary measures the
-    supplied POVM (default: all computational-basis projectors); posteriors
-    come from the Born rule with the uniform 4^{-ell} prior, and the
-    per-outcome min-entropy is computed, not assumed.
+    so the average state is maximally mixed.  The advertised POVM is the
+    2^m computational-basis projectors; posteriors come from the Born rule
+    with the uniform 4^{-ell} prior, and the per-outcome min-entropy is
+    computed, not assumed.  The 4^m states are held as one read-only
+    (4^m, 2^m, 2^m) stack, row s * 2^m + t holding rho(s, t).
     """
 
-    def __init__(self, m, povm=None):
+    def __init__(self, m):
         if int(m) != m or not (1 <= m <= 3):
             raise ValueError("m=%r outside the desk-scale range 1..3" % (m,))
         self.m = int(m)
         self.ell = int(m)
-        dim = 1 << self.m
-        if povm is None:
-            povm = [PovmElement(np.diag(np.eye(dim)[x])) for x in range(dim)]
-        else:
-            povm = [p if isinstance(p, PovmElement) else PovmElement(p) for p in povm]
-            total = sum(p.matrix for p in povm)
-            if np.abs(total - np.eye(dim)).max() > IDENTITY_TOL:
-                raise ValueError("POVM elements do not sum to the identity")
-        self.povm = povm
-        self._states = {}
-        n = 1 << self.ell
-        for s in range(n):
-            for t in range(n):
-                factors = []
-                for i in range(self.m):
-                    si, ti = (s >> i) & 1, (t >> i) & 1
-                    comp = np.outer(_KET[si], _KET[si])
-                    had = _HAD @ np.outer(_KET[ti], _KET[ti]) @ _HAD
-                    factors.append(0.5 * (comp + had))
-                rho = factors[0]
-                for f in factors[1:]:
-                    rho = tensor(rho, f)
-                self._states[(s, t)] = rho
-        self._stored = None
+        n = 1 << self.m
+        self.povm = [PovmElement(np.diag(np.eye(n)[x])) for x in range(n)]
+        # qubit i of rho(s, t) is qubit[s_i, t_i] = (|s_i><s_i| + H|t_i><t_i|H) / 2
+        proj = [np.outer(k, k) for k in _KET]
+        qubit = np.array([[0.5 * (proj[a] + _HAD @ proj[b] @ _HAD) for b in (0, 1)] for a in (0, 1)])
+        s, t = np.divmod(np.arange(n * n), n)
+        bit = np.arange(self.m)
+        self._stack = tensor_stack(qubit[(s[:, None] >> bit) & 1, (t[:, None] >> bit) & 1])
+        self._stack.setflags(write=False)
 
     def average_state(self):
         dim = 1 << self.m
         return np.eye(dim) / dim
-
-    def program(self, s, t):
-        self._check_strings(s, t)
-        self._stored = (int(s), int(t))
-
-    def honest_read(self, which):
-        if self._stored is None:
-            raise ValueError("device is not programmed")
-        if which not in (0, 1):
-            raise ValueError("which=%r must be 0 (read s) or 1 (read t)" % (which,))
-        return self._stored[which]
 
     def born_joint(self, element):
         """Posterior P(s, t | outcome `element`) and the outcome probability.
@@ -425,9 +388,8 @@ class WiesnerToyOtm(LeakyOtmModel):
         """
         mat = element.matrix if isinstance(element, PovmElement) else np.asarray(element)
         n = 1 << self.ell
-        table = np.empty((n, n))
-        for (s, t), rho in self._states.items():
-            table[s, t] = max(float(np.trace(mat @ rho).real), 0.0)
+        born = np.trace(mat @ self._stack, axis1=1, axis2=2).real.reshape(n, n)
+        table = np.where(born < 0.0, 0.0, born)
         prior = 4.0 ** (-self.ell)
         prob = table.sum() * prior
         if prob <= 0.0:
@@ -549,6 +511,12 @@ def hash_signs(h, npoints):
     return arr
 
 
+def _weights(P, C, E):
+    """Pr(C=c | Z=M) for c = 0, 1, and the two tables P * Pr(C=c | s, t) * E[c]."""
+    q = (1.0 - C, C)
+    return [float((P * q[c]).sum()) for c in (0, 1)], [P * q[c] * E[c] for c in (0, 1)]
+
+
 def compute_Q_R(P, F, G, C, E):
     """The exact security functionals for one outcome.
 
@@ -583,16 +551,15 @@ def compute_Q_R(P, F, G, C, E):
         raise ValueError("event weights must lie in [0, 1]")
     sF = hash_signs(F, n)
     sG = hash_signs(G, n)
-    pc = [float((P * (1.0 - C)).sum()), float((P * C).sum())]
+    pc, weights = _weights(P, C, E)
     q_out = [0.0, 0.0]
     r_out = [0.0, 0.0]
     for c in (0, 1):
-        weight = P * (C if c == 1 else (1.0 - C)) * E[c]
         if pc[c] <= 0.0:
             continue
         sign_hidden = sF[:, None] if c == 0 else sG[None, :]
-        q_out[c] = float((weight * sign_hidden).sum()) / pc[c]
-        r_out[c] = float((weight * sF[:, None] * sG[None, :]).sum()) / pc[c]
+        q_out[c] = float((weights[c] * sign_hidden).sum()) / pc[c]
+        r_out[c] = float((weights[c] * sF[:, None] * sG[None, :]).sum()) / pc[c]
     return {"pr_c": pc, "Q": q_out, "R": r_out}
 
 
@@ -708,8 +675,10 @@ def evaluate_security(otm, delta, params):
     n = 1 << model.ell
     sF = hash_signs(otm.F, n)
     sG = hash_signs(otm.G, n)
-    bitsF = ((1.0 - sF) / 2.0).astype(int)
-    bitsG = ((1.0 - sG) / 2.0).astype(int)
+    bitsF = ((1.0 - sF) / 2.0).astype(np.uint8)[:, None]
+    bitsG = ((1.0 - sG) / 2.0).astype(np.uint8)[None, :]
+    # per c, the code 2 * (hidden bit) + (other bit) of every (s, t)
+    codes = (2 * bitsF + bitsG, 2 * bitsG + bitsF)
 
     rows = []
     violations = []
@@ -734,27 +703,22 @@ def evaluate_security(otm, delta, params):
         P = model.conditional_joint(token)
         art = _split_outcome(P, level, params.eta)
         qr = compute_Q_R(P, sF, sG, art["C"], art["E"])
+        pc, weights = _weights(P, art["C"], art["E"])
         flags = []
         l1 = [0.0, 0.0]
         for c in (0, 1):
-            if qr["pr_c"][c] <= 0.0:
+            if pc[c] <= 0.0:
                 flags.append("bad-c%d" % c)
                 continue
             # path one: the Fourier identity on the sign-weighted sums
             l1[c] = 0.5 * (abs(qr["Q"][c] + qr["R"][c]) + abs(qr["Q"][c] - qr["R"][c]))
-            # path two: partition the joint into the 2x2 bit table and scan it
-            table = np.zeros((2, 2))
-            weight = P * (art["C"] if c == 1 else (1.0 - art["C"])) * art["E"][c]
-            hidden_bits = bitsF[:, None] if c == 0 else bitsG[None, :]
-            other_bits = bitsG[None, :] if c == 0 else bitsF[:, None]
-            for a in (0, 1):
-                for b in (0, 1):
-                    table[a, b] = weight[(hidden_bits == a) & (other_bits == b)].sum()
-            table /= qr["pr_c"][c]
+            # path two: the 2x2 bit table, one masked sum of the weights per code
+            table = np.array([weights[c][codes[c] == k].sum() for k in range(4)]).reshape(2, 2)
+            table /= pc[c]
             hb = hummingbird_distance(table)
             if abs(hb["Q"] - qr["Q"][c]) > 1e-9 or abs(hb["R"] - qr["R"][c]) > 1e-9:
                 raise NumericalConsistencyError("Fourier coefficients disagree with direct sums")
-            direct_abs.append(prob * np.abs(table[0] - table[1]).sum() * qr["pr_c"][c])
+            direct_abs.append(prob * np.abs(table[0] - table[1]).sum() * pc[c])
         l1_weighted = sum(qr["pr_c"][c] * l1[c] for c in (0, 1))
         weighted_l1.append((prob, l1_weighted))
         rows.append({"outcome": repr(token), "probability": prob,
@@ -817,8 +781,8 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     if lambda_grid is None:
         lambda_grid = np.geomspace(1.0 / 16.0, 2.0, 6)
     lambdas = np.asarray(lambda_grid, dtype=float)
-    if (lambdas <= 0).any():
-        raise ValueError("lambda grid must be positive")
+    if not np.isfinite(lambdas).all() or (lambdas <= 0).any():
+        raise ValueError("lambda grid must be finite and positive")
 
     q_instances = []   # (weights vector, which hash) for linear forms
     r_instances = []   # V matrices for bilinear forms
@@ -829,12 +793,11 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
         P = model.conditional_joint(token)
         art = _split_outcome(P, alpha_k, eta)
         collision_log2s.append(art["collision_log2"])
+        pc, weights = _weights(P, art["C"], art["E"])
         for c in (0, 1):
-            q_c = art["C"] if c == 1 else (1.0 - art["C"])
-            pc = float((P * q_c).sum())
-            if pc <= 0.0:
+            if pc[c] <= 0.0:
                 continue
-            weight = P * q_c * art["E"][c] / pc
+            weight = weights[c] / pc[c]
             u = weight.sum(axis=1) if c == 0 else weight.sum(axis=0)
             q_instances.append((u, c))
             r_instances.append(weight)
@@ -887,7 +850,7 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
         sharp += math.fsum(crayfish_bound(r // 2, f, o, lam)
                            for f, o in zip(frob_half, op_half))
         out["union_bound_sharp"].append(min(1.0, sharp))
-        theorem = len(q_instances) * q_tail_bound(r, coll, lam) \
+        theorem = len(q_instances) * kite_bound(r, coll, lam) \
             + len(r_instances) * r_tail_bound(r, coll, lam)
         out["union_bound_theorem"].append(min(1.0, theorem))
     return out
@@ -948,18 +911,13 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
     qr_t = compute_Q_R(P_t, F, G, art["C"], art["E"])
 
     P_m, prob_m = model.born_joint(mat)
-    pc_m = [float((P_m * (1.0 - art["C"])).sum()), float((P_m * art["C"]).sum())]
+    pc_m, weights_m = _weights(P_m, art["C"], art["E"])
     bad = [pc_m[c] < tau for c in (0, 1)]
-    E_m = art["E"].copy()
-    for c in (0, 1):
-        if bad[c]:
-            E_m[c] = 0.0
+    E_m = np.where(np.array(bad)[:, None, None], 0.0, art["E"])
     qr_m = compute_Q_R(P_m, F, G, art["C"], E_m)
 
-    pr_e_t = float(sum((P_t * (art["C"] if c == 1 else 1.0 - art["C"]) * art["E"][c]).sum()
-                       for c in (0, 1)))
-    pr_e_m = float(sum((P_m * (art["C"] if c == 1 else 1.0 - art["C"]) * E_m[c]).sum()
-                       for c in (0, 1)))
+    pr_e_t = float(sum(w.sum() for w in _weights(P_t, art["C"], art["E"])[1]))
+    pr_e_m = float(sum(w.sum() for w, b in zip(weights_m, bad) if not b))
     qr_bound = 2.0 * mu * (2.0 ** m / (tau * delta)) ** 2
     per_c = []
     for c in (0, 1):

@@ -217,32 +217,18 @@ def clopper_pearson_upper(k, n, confidence=0.99):
     return float(betaincinv(k + 1, n - k, confidence))
 
 
-def _sign_chunks(ell, r, npoints, trials, rng, split=None):
-    """Yield chunks of (-1)^{H(x)} sign matrices, shape (chunk, npoints).
-
-    With split=None one hash drives all points; with split=k the first k
-    columns come from one freshly sampled hash and the rest from a second,
-    independent one (both r-wise, domains indexed from 0 within each block).
-    """
-    if split is None:
-        blocks = [npoints]
-    else:
-        if not (0 < split < npoints):
-            raise ValueError("split=%r must cut the index range (0, %d)" % (split, npoints))
-        blocks = [split, npoints - split]
-    for width in blocks:
-        if width > (1 << ell):
-            raise ValueError("instance needs %d domain points but 2^%d available" % (width, ell))
+def _sign_chunks(ell, r, npoints, trials, rng):
+    """Yield chunks of (-1)^{H(x)} sign matrices, shape (chunk, npoints):
+    row i holds one freshly sampled r-wise hash at the points 0..npoints-1."""
+    if npoints > (1 << ell):
+        raise ValueError("instance needs %d domain points but 2^%d available" % (npoints, ell))
     nbits = r * ell
-    masks = [hashfam.point_masks(ell, r, np.arange(w)) for w in blocks]
+    masks = hashfam.point_masks(ell, r, np.arange(npoints))
     done = 0
     while done < trials:
         c = min(CHUNK, trials - done)
-        parts = []
-        for m in masks:
-            bits = rng.integers(0, 2, size=(c, nbits), dtype=np.uint8)
-            parts.append(1.0 - 2.0 * hashfam.hash_bits(hashfam.coeffs_from_seed_bits(bits, ell), m))
-        yield np.hstack(parts) if len(parts) > 1 else parts[0]
+        bits = rng.integers(0, 2, size=(c, nbits), dtype=np.uint8)
+        yield 1.0 - 2.0 * hashfam.hash_bits(hashfam.coeffs_from_seed_bits(bits, ell), masks)
         done += c
 
 
@@ -258,8 +244,8 @@ def _tally(values_iter, lambda_grid, trials):
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("lambda grid must be a nonempty 1-d array")
-    if (grid < 0).any():
-        raise ValueError("lambda grid must be nonnegative")
+    if not np.isfinite(grid).all() or (grid < 0).any():
+        raise ValueError("lambda grid must be finite and nonnegative")
     counts = np.zeros(grid.size, dtype=np.int64)
     signed_counts = np.zeros(grid.size, dtype=np.int64)
     total = 0.0
@@ -315,19 +301,16 @@ def empirical_tail_linear(inst, ell, r, lambda_grid, trials, rng):
     return _tally(gen(), lambda_grid, trials)
 
 
-def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash", split=None):
+def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"):
     """Monte Carlo tail of |S|, S = sum_{x,y} A_{xy}(xi_x xi_y - delta_{xy}).
 
     Parameters
     ----------
-    inst : QuadraticInstance, at most 2^ell rows (per block when split)
+    inst : QuadraticInstance, at most 2^ell rows in "hash" mode
     ell, r : hash family parameters (ignored in "rademacher" mode)
     lambda_grid, trials, rng : as in empirical_tail_linear
-    mode : "hash" draws xi = (-1)^{H(x)} from one r-wise hash;
+    mode : "hash" draws xi = (-1)^{H(x)} from one r-wise hash for all rows;
         "rademacher" draws fully independent signs (for the exp-form bound)
-    split : optional index k; in "hash" mode, signs for columns [0, k) and
-        [k, n) come from two independently sampled hashes (the bilinear
-        block structure used by the security reduction)
 
     Returns
     -------
@@ -341,10 +324,8 @@ def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"
     a = inst.a
     tr = float(np.trace(a))
     if mode == "hash":
-        chunks = _sign_chunks(ell, r, inst.n, trials, rng, split=split)
+        chunks = _sign_chunks(ell, r, inst.n, trials, rng)
     elif mode == "rademacher":
-        if split is not None:
-            raise ValueError("split only applies to hash mode")
         chunks = _rademacher_chunks(inst.n, trials, rng)
     else:
         raise ValueError("unknown mode %r" % (mode,))

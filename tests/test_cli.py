@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -130,6 +131,26 @@ def test_otm_security_rerun_is_byte_identical(runner, tmp_path):
     manifest_b = json.loads((tmp_path / "b_manifest.json").read_text())
     assert manifest_a["config_sha256"] == manifest_b["config_sha256"]
     assert manifest_a["outputs"]["a.csv"] == manifest_b["outputs"]["b.csv"]
+
+
+def test_otm_security_readme_artifacts_are_pinned(runner, tmp_path):
+    # the README's classical-leak example; its posteriors are dyadic, so the
+    # report's numbers do not depend on the BLAS or LAPACK build
+    cfg = tmp_path / "leak.json"
+    cfg.write_text(json.dumps({
+        "model": {"name": "classical-leak", "ell": 8, "beta": 0.25},
+        "params": {"k": 8, "ell": 8, "theta": 2, "delta0": 0.25, "alpha": 1.5,
+                   "eps0": 0.25, "gamma": 1, "m": 16},
+    }))
+    result = runner.invoke(main, ["otm-security", "--config", str(cfg), "--hash-r", "4",
+                                  "--seed", "13", "--output-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("otm_security.csv", "otm_security.json")}
+    assert digests == {
+        "otm_security.csv": "0e1ea46e8df5df8bbde22c8f01ff004d7a114d4247c336b6ed7193585fdccae9",
+        "otm_security.json": "9040929f3113c931192a322900caa1075ca614ad657af6853e7a0ee976878d47",
+    }
 
 
 def test_otm_security_bad_model_rejected(runner, tmp_path):

@@ -51,6 +51,18 @@ def _lp_smoothed(p, eps):
 # CondDist
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("table, marginal", [
+    ([[math.nan, 0.5]], [1.0]),
+    ([[0.5, 0.5]], [math.nan]),
+    ([[math.inf, 0.5]], [1.0]),
+    ([[0.5, 0.5]], [-math.inf]),
+    ([[math.nan]], [0.5, 0.5]),  # the finiteness check comes before the shape check
+])
+def test_cond_dist_rejects_non_finite(table, marginal):
+    with pytest.raises(ValueError, match="finite"):
+        CondDist(table, marginal)
+
+
 def test_cond_dist_validation():
     with pytest.raises(ValueError):
         CondDist([[0.5, 0.6]], [1.0])  # slice sums to 1.1

@@ -18,14 +18,12 @@ from otmlab.otm import (
     hummingbird_distance,
     IdealBitOtm,
     program_ideal,
-    q_tail_bound,
     r_tail_bound,
     ReductionParams,
     theorem_bound,
     WiesnerToyOtm,
 )
 from otmlab.quantum import NumericalConsistencyError, PovmElement
-from otmlab.tails import kite_bound
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -137,7 +135,6 @@ def test_theorem_bound_envelope_and_depth_flag():
 
 
 def test_tail_bound_closed_forms():
-    assert q_tail_bound(8, 0.01, 0.5) == pytest.approx(kite_bound(8, 0.01, 0.5), rel=1e-12)
     with mpmath.workdps(40):
         oracle = (mpmath.mpf(8) * mpmath.e ** (mpmath.mpf(1) / 12)
                   * mpmath.sqrt(4 * mpmath.pi)
@@ -209,7 +206,8 @@ def test_wiesner_posterior_hand_values():
     assert model.outcome_probability(0) == pytest.approx(0.5)
     assert model.certified_entropy(0) == pytest.approx(math.log2(8 / 3))
     # Hadamard-basis projector pins down t the same way
-    had = WiesnerToyOtm(1, povm=[_H @ np.diag([1.0, 0.0]) @ _H, _H @ np.diag([0.0, 1.0]) @ _H])
+    had = WiesnerToyOtm(1)
+    had.povm = [PovmElement(_H @ np.diag([1.0, 0.0]) @ _H), PovmElement(_H @ np.diag([0.0, 1.0]) @ _H)]
     Ph = had.conditional_joint(0)
     assert Ph[0, 0] == pytest.approx(3 / 8, abs=1e-12)
     assert Ph[1, 0] == pytest.approx(3 / 8, abs=1e-12)
@@ -220,13 +218,56 @@ def test_wiesner_validation_and_reads():
     with pytest.raises(ValueError):
         WiesnerToyOtm(4)
     with pytest.raises(ValueError):
-        WiesnerToyOtm(1, povm=[np.diag([1.0, 0.0])])  # incomplete
-    with pytest.raises(ValueError):
         WiesnerToyOtm(1).born_joint(np.zeros((2, 2)))
     model = WiesnerToyOtm(2)
     model.program(2, 1)
     assert model.honest_read(0) == 2 and model.honest_read(1) == 1
     assert model.outcome_set(1.0) == [0, 1, 2, 3]
+
+
+def _random_elements(dim, rng):
+    """A random separable element (a product of single-qubit elements, as a
+    PovmElement) and a random Hermitian matrix, both on log2(dim) qubits."""
+    prod = np.eye(1)
+    for _ in range(dim.bit_length() - 1):
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a = x @ x.conj().T
+        prod = np.kron(prod, a / np.linalg.eigvalsh(a).max())
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return PovmElement(prod), x + x.conj().T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_born_joint_matches_per_state_loop(m):
+    # oracle: one density matrix per (s, t) from chained np.kron, one trace each
+    ket = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    model = WiesnerToyOtm(m)
+    n = 1 << m
+    states = {}
+    for s in range(n):
+        for t in range(n):
+            rho = None
+            for i in range(m):
+                si, ti = (s >> i) & 1, (t >> i) & 1
+                f = 0.5 * (np.outer(ket[si], ket[si]) + _H @ np.outer(ket[ti], ket[ti]) @ _H)
+                rho = f if rho is None else np.kron(np.asarray(rho, dtype=complex), np.asarray(f, dtype=complex))
+            states[(s, t)] = rho
+    rng = np.random.default_rng(30 + m)
+    elements = list(model.povm)
+    for _ in range(100):
+        elements.extend(_random_elements(n, rng))
+    for element in elements:
+        mat = element.matrix if isinstance(element, PovmElement) else element
+        born = np.empty((n, n))
+        for (s, t), rho in states.items():
+            born[s, t] = max(float(np.trace(mat @ rho).real), 0.0)
+        if born.sum() <= 0.0:
+            with pytest.raises(ValueError):
+                model.born_joint(element)
+            continue
+        P, prob = model.born_joint(element)
+        assert P.tobytes() == (born / born.sum()).tobytes()
+        assert prob == born.sum() * 4.0 ** (-m)
 
 
 def test_ideal_bit_otm_programs_and_reads_back():
@@ -405,8 +446,8 @@ def test_evaluate_security_full_s_leak_driven_by_G_bias():
 
 
 def test_evaluate_security_hypothesis_gating():
-    povm = [np.diag([1.0, 0.2]), np.diag([0.0, 0.8])]
-    model = WiesnerToyOtm(1, povm=povm)
+    model = WiesnerToyOtm(1)
+    model.povm = [PovmElement(np.diag([1.0, 0.2])), PovmElement(np.diag([0.0, 0.8]))]
     ent = [model.certified_entropy(i) for i in (0, 1)]
     assert ent[0] > 1.5 > ent[1]
     field = BinaryField(1)
@@ -476,6 +517,57 @@ def test_hash_bias_tail_matches_scalar_oracle():
     assert 0.0 < out["exceed"][0] and out["exceed"][-1] < 1.0
 
 
+@pytest.mark.parametrize("model, params", [
+    (ClassicalLeakSim(4, 0.25), dict(k=4, ell=4, theta=1.0, delta0=0.5, alpha=1.5,
+                                     eps0=0.5, gamma=1.0)),
+    (WiesnerToyOtm(2), dict(k=2, ell=2, theta=1.0, delta0=1.0, alpha=1.0,
+                            eps0=1.0, gamma=1.0)),
+    (WiesnerToyOtm(3), dict(k=3, ell=3, theta=1.0, delta0=1.0, alpha=1.0,
+                            eps0=1.0, gamma=1.0)),
+])
+def test_direct_scan_tables_match_nested_loop(monkeypatch, model, params):
+    # oracle: the per-c 2x2 tables from two bit arrays and a nested a, b loop
+    params = ReductionParams(**params)
+    rng = np.random.default_rng(31)
+    otm = IdealBitOtm(sample_hash(model.ell, 2, rng), sample_hash(model.ell, 2, rng), model)
+    seen = []
+    exact = otm_module.hummingbird_distance
+
+    def recording(table):
+        seen.append(table.copy())
+        return exact(table)
+
+    monkeypatch.setattr(otm_module, "hummingbird_distance", recording)
+    report = evaluate_security(otm, params.delta, params)
+    n = 1 << model.ell
+    bitsF = np.array([otm.F(x) for x in range(n)])
+    bitsG = np.array([otm.G(x) for x in range(n)])
+    level = params.alpha * params.k
+    expected = []
+    for token in model.outcome_set(2.0 * params.delta):
+        if model.certified_entropy(token) < level - 1e-9:
+            continue
+        P = model.conditional_joint(token)
+        art = otm_module._split_outcome(P, level, params.eta)
+        for c in (0, 1):
+            q = art["C"] if c == 1 else 1.0 - art["C"]
+            pr_c = float((P * q).sum())
+            if pr_c <= 0.0:
+                continue
+            weight = P * q * art["E"][c]
+            hidden = bitsF[:, None] if c == 0 else bitsG[None, :]
+            other = bitsG[None, :] if c == 0 else bitsF[:, None]
+            table = np.zeros((2, 2))
+            for a in (0, 1):
+                for b in (0, 1):
+                    table[a, b] = weight[(hidden == a) & (other == b)].sum()
+            expected.append(table / pr_c)
+    assert len(seen) == len(expected) > 0
+    for got, want in zip(seen, expected):
+        assert got.tobytes() == want.tobytes()
+    assert abs(report.direct_l1 - report.aggregated_l1) <= 1e-9
+
+
 def test_evaluate_security_raises_on_disagreeing_paths(monkeypatch):
     model = ClassicalLeakSim(2, 0.25)
     field = BinaryField(2)
@@ -515,6 +607,17 @@ def test_hash_bias_tail_degenerate_model():
     with pytest.raises(ValueError):
         hash_bias_tail(model, 0.5, 4, 1000, rng, alpha_k=4.0, eta=0.5,
                        lambda_grid=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hash_bias_tail_rejects_non_finite_thresholds(bad, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the grid was checked")
+
+    monkeypatch.setattr(otm_module, "sample_hash", no_trials)
+    with pytest.raises(ValueError, match="finite"):
+        hash_bias_tail(ClassicalLeakSim(4, 0.0), 0.5, 4, 1000, np.random.default_rng(11),
+                       alpha_k=4.0, eta=0.5, lambda_grid=[bad, 0.5])
 
 
 def test_continuity_check_identical_outcomes():

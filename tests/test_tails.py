@@ -185,19 +185,6 @@ def test_sign_chunks_match_direct_hash_eval():
         assert np.array_equal(chunk[row], expect)
 
 
-def test_sign_chunks_split_uses_independent_hashes():
-    ell, r = 3, 2
-    seed = 5
-    chunk = next(_sign_chunks(ell, r, 6, 32, np.random.default_rng(seed), split=4))
-    assert chunk.shape == (32, 6)
-    assert set(np.unique(chunk)) <= {-1.0, 1.0}
-    with pytest.raises(ValueError):
-        next(_sign_chunks(ell, r, 6, 32, np.random.default_rng(seed), split=0))
-    with pytest.raises(ValueError):
-        # second block needs 9 points but the domain only has 8
-        next(_sign_chunks(3, 2, 12, 32, np.random.default_rng(seed), split=3))
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo harnesses
 # ---------------------------------------------------------------------------
@@ -250,24 +237,25 @@ def test_empirical_quadratic_rademacher_mean_zero():
     assert abs(res["sample_mean"]) <= 5 * se
 
 
-def test_empirical_quadratic_split_bilinear():
-    # A couples block {0} to block {1} with weight 1/2 each way:
-    # S = xi_F xi_G, so |S| = 1 always
-    a = np.array([[0.0, 0.5], [0.5, 0.0]])
-    res = empirical_tail_quadratic(QuadraticInstance(a), 3, 2, [0.5, 1.0, 1.5],
-                                   10 ** 4, np.random.default_rng(6), split=1)
-    assert res["freqs"][0] == 1.0
-    assert res["freqs"][1] == 1.0
-    assert res["freqs"][2] == 0.0
-
-
 def test_empirical_quadratic_mode_guards():
     rng = np.random.default_rng(0)
     inst = QuadraticInstance(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         empirical_tail_quadratic(inst, 3, 2, [1.0], 10 ** 4, rng, mode="bogus")
     with pytest.raises(ValueError):
-        empirical_tail_quadratic(inst, 3, 2, [1.0], 10 ** 4, rng, mode="rademacher", split=1)
+        # hash mode needs 9 domain points but 2^3 = 8 are available
+        empirical_tail_quadratic(QuadraticInstance(np.zeros((9, 9))), 3, 2, [1.0], 10 ** 4, rng)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_tails_reject_non_finite_thresholds(bad):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="finite"):
+        empirical_tail_linear(LinearInstance([1.0, 2.0]), 4, 2, [bad, 0.5], 10 ** 4, rng)
+    with pytest.raises(ValueError, match="finite"):
+        empirical_tail_quadratic(QuadraticInstance(np.eye(2)), 4, 2, [0.5, bad], 10 ** 4, rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
 
 
 def test_rademacher_domination_light():
