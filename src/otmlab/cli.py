@@ -35,7 +35,7 @@ from . import entropy as entropy_mod
 from . import nets as nets_mod
 from . import otm as otm_mod
 from . import tails as tails_mod
-from .hashfam import sample_hash
+from .hashfam import MAX_FIELD_BITS, sample_hash
 
 ENV_OUTPUT_DIR = "OTMLAB_OUTPUT_DIR"
 
@@ -266,8 +266,16 @@ def tails(config_path, output_dir, out, kind, ell, r_, n, trials, lambda_grid,
     seed = _require_seed(cfg)
     kind = _choice_param(cfg, "kind", ("linear", "quadratic"))
     ell, r, n, trials = (_int_param(cfg, key) for key in ("ell", "r", "n", "trials"))
-    if "mode" in cfg:
-        _choice_param(cfg, "mode", ("hash", "rademacher"))
+    mode = _choice_param(cfg, "mode", ("hash", "rademacher")) if "mode" in cfg else "hash"
+    if kind == "quadratic" and n < 2:
+        _fail("parameter 'n' must be >= 2 for the quadratic kind (a 1x1 zero-diagonal "
+              "matrix cannot be normalized), got %d" % n)
+    if kind == "linear" or mode == "hash":
+        if ell > MAX_FIELD_BITS:
+            _fail("parameter 'ell' must be at most %d, got %d" % (MAX_FIELD_BITS, ell))
+        if r > 1 << ell:
+            _fail("parameter 'r'=%d exceeds the domain size 2^ell=%d of the hash family"
+                  % (r, 1 << ell))
     grid = _float_list(cfg, "lambda_grid")
     rng = np.random.default_rng(seed)
     outdir = _outdir(output_dir)
@@ -292,7 +300,7 @@ def tails(config_path, output_dir, out, kind, ell, r_, n, trials, lambda_grid,
                                                inst.abs_operator, lam)
                       for lam in grid]
             result = tails_mod.empirical_tail_quadratic(
-                inst, ell, r, grid, trials, rng, mode=cfg.get("mode", "hash"))
+                inst, ell, r, grid, trials, rng, mode=mode)
     except ValueError as exc:
         _fail(str(exc))
     csv_path = outdir / ("%s.csv" % prefix)

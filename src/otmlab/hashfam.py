@@ -15,9 +15,11 @@ Whole output tables are computed by one vectorized path.  The output bit is
 GF(2)-linear in each coefficient, so lowbit(c * x^i) = parity(c & m_i(x))
 for an l-bit mask m_i(x) that depends only on the point and the degree.
 `point_masks` builds the masks for a set of points once; `hash_bits` then
-evaluates any number of hashes at those points with r AND/XOR passes and a
-popcount.  Scalar Horner evaluation (`HashFunction.__call__`) serves single
-lookups and is the reference oracle for the tables.
+evaluates any number of hashes at those points from byte lookup tables of
+the masks' bit rows, packed over the points into 64-bit words: one table
+row per coefficient byte, XORed together.  Scalar Horner evaluation
+(`HashFunction.__call__`) serves single lookups and is the reference oracle
+for the tables.
 """
 
 import functools
@@ -316,21 +318,41 @@ def hash_bits(coeffs, masks):
     """Output bits of K hashes at the n points of `masks` (see `point_masks`).
 
     coeffs is a (K, r) array of field elements, constant term first.
-    Returns the (K, n) uint8 array of lowbit(h_k(x)), computed with r
-    AND/XOR passes and one popcount.
+    Returns the (K, n) uint8 array of lowbit(h_k(x)).
+
+    Bit b of coefficient i contributes the row (bit b of m_i(x))_x, packed
+    over the n points into little-endian uint64 words.  For each
+    coefficient byte, the 256 XOR combinations of its 8 packed rows form a
+    lookup table, built with 8 doublings (four-Russians style).  A hash's
+    packed output row is then the XOR of r * ceil(ell/8) table rows, one
+    per coefficient byte, and one `np.unpackbits` turns the K packed rows
+    into bits.  Coefficient bits at or above ell meet all-zero rows.
     """
     masks = np.asarray(masks)
     coeffs = np.asarray(coeffs, dtype=np.uint64)
-    if coeffs.ndim != 2 or coeffs.shape[1] != masks.shape[0]:
+    r, n = masks.shape
+    if coeffs.ndim != 2 or coeffs.shape[1] != r:
         raise ValueError("coefficients of shape %r do not match %d mask rows"
-                         % (coeffs.shape, masks.shape[0]))
-    coeffs = coeffs.astype(masks.dtype)
-    acc = np.zeros((coeffs.shape[0], masks.shape[1]), dtype=masks.dtype)
-    term = np.empty_like(acc)
-    for i in range(masks.shape[0]):
-        np.bitwise_and(coeffs[:, i, None], masks[i], out=term)
-        acc ^= term
-    return np.bitwise_count(acc) & np.uint8(1)
+                         % (coeffs.shape, r))
+    masks = masks.astype("<u8")
+    nbytes = max(1, (int(np.bitwise_or.reduce(masks, axis=None, initial=0)).bit_length() + 7) // 8)
+    words = (n + 63) // 64
+    # rows[i, b] = bit b of the masks of degree i, packed over the points
+    bits = np.unpackbits(masks.view(np.uint8).reshape(r, n, 8)[:, :, :nbytes],
+                         axis=2, bitorder="little")
+    packed = np.zeros((r, 8 * nbytes, 8 * words), dtype=np.uint8)
+    packed[:, :, :(n + 7) // 8] = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
+    rows = packed.view("<u8").reshape(r * nbytes, 8, words)
+    tables = np.zeros((r * nbytes, 256, words), dtype="<u8")
+    for t in range(8):
+        np.bitwise_xor(tables[:, :1 << t], rows[:, t, None], out=tables[:, 1 << t:2 << t])
+    # byte j of coefficient i selects a row of table i * nbytes + j
+    index = coeffs.astype("<u8").view(np.uint8).reshape(-1, r, 8)[:, :, :nbytes]
+    index = np.ascontiguousarray(index.reshape(-1, r * nbytes).T, dtype=np.intp)
+    acc = np.zeros((index.shape[1], words), dtype="<u8")
+    for table, byte in zip(tables, index):
+        acc ^= table[byte]
+    return np.unpackbits(acc.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def coeffs_from_seed_bits(bits, ell):

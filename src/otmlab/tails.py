@@ -29,12 +29,13 @@ Monte Carlo
 The empirical harnesses draw hash functions as uniform seed bits, pack them
 into coefficients (`hashfam.coeffs_from_seed_bits`) and evaluate whole
 chunks of hashes at once against the family's per-point seed masks
-(`hashfam.point_masks`, `hashfam.hash_bits`): a hash's output bit at x is
-the parity of its coefficients ANDed with the masks of x, so millions of
-full hash evaluations reduce to a few integer AND/XOR passes and one
-popcount per chunk.  Frequencies come with one-sided 99%
-Clopper-Pearson upper confidence limits: Monte Carlo cannot prove an
-inequality, so domination is asserted against the confidence limit.
+(`hashfam.point_masks`, `hashfam.hash_bits`): a hash's output row is the
+XOR of one byte-table row per coefficient byte, so millions of full hash
+evaluations reduce to r * ceil(ell/8) row gathers per chunk.  The signs
+of every chunk are written into one reused float buffer.  Frequencies come
+with one-sided 99% Clopper-Pearson upper confidence limits: Monte Carlo
+cannot prove an inequality, so domination is asserted against the
+confidence limit.
 """
 
 import math
@@ -219,24 +220,34 @@ def clopper_pearson_upper(k, n, confidence=0.99):
 
 def _sign_chunks(ell, r, npoints, trials, rng):
     """Yield chunks of (-1)^{H(x)} sign matrices, shape (chunk, npoints):
-    row i holds one freshly sampled r-wise hash at the points 0..npoints-1."""
+    row i holds one freshly sampled r-wise hash at the points 0..npoints-1.
+
+    Every chunk is a view of one buffer that the next chunk overwrites."""
     if npoints > (1 << ell):
         raise ValueError("instance needs %d domain points but 2^%d available" % (npoints, ell))
+    if r > (1 << ell):
+        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, ell, 1 << ell))
     nbits = r * ell
     masks = hashfam.point_masks(ell, r, np.arange(npoints))
-    done = 0
-    while done < trials:
-        c = min(CHUNK, trials - done)
+
+    def draw(c):
         bits = rng.integers(0, 2, size=(c, nbits), dtype=np.uint8)
-        yield 1.0 - 2.0 * hashfam.hash_bits(hashfam.coeffs_from_seed_bits(bits, ell), masks)
-        done += c
+        return hashfam.hash_bits(hashfam.coeffs_from_seed_bits(bits, ell), masks)
+
+    yield from _fill_signs(draw, npoints, trials)
 
 
-def _rademacher_chunks(npoints, trials, rng):
+def _fill_signs(draw, npoints, trials):
+    # 1 - 2b for the 0/1 rows draw(c), written into one reused float buffer;
+    # b * -2 + 1 gives exactly the same doubles as 1.0 - 2.0 * b
+    buf = np.empty((min(CHUNK, trials), npoints))
     done = 0
     while done < trials:
         c = min(CHUNK, trials - done)
-        yield 1.0 - 2.0 * rng.integers(0, 2, size=(c, npoints)).astype(np.float64)
+        signs = buf[:c]
+        np.multiply(draw(c), -2.0, out=signs)
+        np.add(signs, 1.0, out=signs)
+        yield signs
         done += c
 
 
@@ -326,7 +337,7 @@ def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"
     if mode == "hash":
         chunks = _sign_chunks(ell, r, inst.n, trials, rng)
     elif mode == "rademacher":
-        chunks = _rademacher_chunks(inst.n, trials, rng)
+        chunks = _fill_signs(lambda c: rng.integers(0, 2, size=(c, inst.n)), inst.n, trials)
     else:
         raise ValueError("unknown mode %r" % (mode,))
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,41 @@ def test_odd_chaos_order_is_rejected_before_monte_carlo(runner, tmp_path, monkey
         "tails", "--output-dir", str(tmp_path), "--kind", "quadratic", "--ell", "6",
         "--r", "6", "--n", "32", "--trials", "50000", "--lambda-grid", "0.1,0.3",
         "--seed", "11"]), "even")
+
+
+def _no_draws(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a generator was made before validation")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+
+
+def test_single_point_quadratic_instance_is_rejected(runner, tmp_path, monkeypatch):
+    # a 1x1 zero-diagonal matrix has norm 0; dividing by it must not happen
+    _no_draws(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [
+            "tails", "--output-dir", str(tmp_path), "--kind", "quadratic", "--ell", "6",
+            "--r", "8", "--n", "1", "--trials", "10000", "--lambda-grid", "0.1",
+            "--seed", "11"])
+    _rejected(result, "'n'")
+    assert "Warning" not in result.output
+    assert not (tmp_path / "tails.csv").exists()
+
+
+@pytest.mark.parametrize("flags,word", [
+    (["--kind", "linear", "--ell", "6", "--r", "100", "--n", "8"], "'r'"),
+    (["--kind", "quadratic", "--ell", "2", "--r", "8", "--n", "4"], "'r'"),
+    (["--kind", "linear", "--ell", "65", "--r", "4", "--n", "8"], "'ell'"),
+])
+def test_hash_family_parameters_are_rejected_before_drawing(runner, tmp_path, monkeypatch,
+                                                            flags, word):
+    # sample_hash(ell, r) needs 1 <= ell <= 64 and r <= 2^ell
+    _no_draws(monkeypatch)
+    _rejected(runner.invoke(main, ["tails", "--output-dir", str(tmp_path)] + flags + [
+        "--trials", "10000", "--lambda-grid", "0.5", "--seed", "7"]), word)
+    assert not (tmp_path / "tails.csv").exists()
 
 
 def test_bad_nets_config_values_are_rejected(runner, tmp_path):

@@ -300,6 +300,38 @@ def test_hash_bits_match_scalar_evaluation(ell, r, entropy, extra):
         assert list(table[k]) == [h(x) for x in points]
 
 
+def _and_xor_popcount_bits(coeffs, masks):
+    # the word-per-point evaluator hash_bits replaced: r full-width AND/XOR
+    # passes over (K, n) words of the masks' dtype, then one popcount
+    masks = np.asarray(masks)
+    coeffs = np.asarray(coeffs, dtype=np.uint64).astype(masks.dtype)
+    acc = np.zeros((coeffs.shape[0], masks.shape[1]), dtype=masks.dtype)
+    for i in range(masks.shape[0]):
+        acc ^= coeffs[:, i, None] & masks[i]
+    return np.bitwise_count(acc) & np.uint8(1)
+
+
+@pytest.mark.parametrize("ell,r", [(1, 2), (8, 1), (9, 3), (16, 5), (17, 8), (33, 4), (64, 6)])
+def test_hash_bits_match_popcount_oracle_across_word_boundaries(ell, r):
+    # point counts straddle the 8-bit and 64-bit packing boundaries; the
+    # first coefficient row is all ones, so every table byte is exercised
+    rng = np.random.default_rng(ell)
+    top = (1 << ell) - 1
+    pool = [0, top] + rng.integers(0, top, size=1022, dtype=np.uint64, endpoint=True).tolist()
+    for npoints in (1, 7, 8, 63, 64, 65, 130, 1024):
+        points = pool[:npoints]
+        masks = point_masks(ell, r, points)
+        for nhashes in (0, 1, 3, 300):
+            coeffs = rng.integers(0, top, size=(nhashes, r), dtype=np.uint64, endpoint=True)
+            coeffs[:1] = top
+            table = hash_bits(coeffs, masks)
+            assert table.shape == (nhashes, npoints) and table.dtype == np.uint8
+            assert np.array_equal(table, _and_xor_popcount_bits(coeffs, masks))
+            for k in range(min(nhashes, 3)):
+                h = HashFunction(BinaryField(ell), coeffs[k].tolist())
+                assert table[k, :130].tolist() == [h(x) for x in points[:130]]
+
+
 def test_field_irreducibility_check_is_cached_and_still_rejects(monkeypatch):
     BinaryField(12)
     before = hashfam._has_nontrivial_factor.cache_info().hits

@@ -9,11 +9,13 @@ from scipy.special import bdtr
 from scipy.stats import beta
 
 from otmlab.cli import main
-from otmlab.hashfam import BinaryField, HashFunction
+from otmlab.hashfam import BinaryField, HashFunction, coeffs_from_seed_bits, hash_bits, point_masks
 from otmlab.tails import (
+    CHUNK,
     LinearInstance,
     QuadraticInstance,
     _sign_chunks,
+    _tally,
     clopper_pearson_upper,
     crayfish_bound,
     empirical_tail_linear,
@@ -216,6 +218,11 @@ def test_empirical_linear_guards():
         empirical_tail_linear(LinearInstance(np.ones(17)), 4, 2, [1.0], 10 ** 4, rng)
     with pytest.raises(ValueError):
         empirical_tail_linear(LinearInstance([1.0]), 4, 2, [-1.0], 10 ** 4, rng)
+    # sample_hash's contract r <= 2^ell holds for the sampled seed bits too
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="exceeds domain size"):
+        empirical_tail_linear(LinearInstance(np.ones(8)), 3, 9, [1.0], 10 ** 4, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_empirical_quadratic_identity_matrix_cancels():
@@ -273,6 +280,70 @@ def test_rademacher_domination_light():
         if 5e-3 <= bound <= 1.0:
             assert ucl <= bound, (lam, ucl, bound)
 
+
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with fresh sign arrays: the reused sign buffer must not move
+# a single bit of any result, sample_mean and sample_std included.
+# ---------------------------------------------------------------------------
+
+def _fresh_sign_chunks(draw, trials):
+    done = 0
+    while done < trials:
+        c = min(CHUNK, trials - done)
+        yield 1.0 - 2.0 * draw(c)
+        done += c
+
+
+def _fresh_hash_draw(ell, r, npoints, rng):
+    masks = point_masks(ell, r, np.arange(npoints))
+    return lambda c: hash_bits(coeffs_from_seed_bits(
+        rng.integers(0, 2, size=(c, r * ell), dtype=np.uint8), ell), masks)
+
+
+def _assert_same_result(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype and np.array_equal(got[key], value), key
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
+
+
+TRIALS = 2 * CHUNK + 37  # two full chunks and a ragged one
+
+
+@pytest.mark.parametrize("n", [37, 1024, 3001])
+def test_linear_results_equal_fresh_array_path(n):
+    ell, r, grid = 12, 4, [0.5, 1.0, 2.0, 3.0]
+    w = np.random.default_rng(n).normal(size=n)
+    inst = LinearInstance(w / np.linalg.norm(w))
+    got = empirical_tail_linear(inst, ell, r, grid, TRIALS, np.random.default_rng(40 + n))
+    draw = _fresh_hash_draw(ell, r, n, np.random.default_rng(40 + n))
+    want = _tally((signs @ inst.weights for signs in _fresh_sign_chunks(draw, TRIALS)),
+                  grid, TRIALS)
+    _assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("n,mode", [(32, "hash"), (300, "hash"), (32, "rademacher"),
+                                    (300, "rademacher")])
+def test_quadratic_results_equal_fresh_array_path(n, mode):
+    ell, r, grid = 9, 8, [1.0, 5.0, 20.0]
+    a = np.random.default_rng(n).normal(size=(n, n))
+    inst = QuadraticInstance(a + a.T)
+    got = empirical_tail_quadratic(inst, ell, r, grid, TRIALS, np.random.default_rng(50 + n),
+                                   mode=mode)
+    rng = np.random.default_rng(50 + n)
+    if mode == "hash":
+        draw = _fresh_hash_draw(ell, r, n, rng)
+    else:
+        def draw(c):
+            return rng.integers(0, 2, size=(c, n)).astype(np.float64)
+    tr = float(np.trace(inst.a))
+    want = _tally((((signs @ inst.a) * signs).sum(axis=1) - tr
+                   for signs in _fresh_sign_chunks(draw, TRIALS)), grid, TRIALS)
+    _assert_same_result(got, want)
 
 
 # ---------------------------------------------------------------------------
