@@ -44,10 +44,12 @@ class CondDist:
 
     The table has one row per y value; rows with P(y) > 0 must sum to one
     within 1e-12, rows with P(y) = 0 may sum to zero or one (they are
-    excluded from every min/max scan).
+    excluded from every min/max scan).  pair_shape = (n0, n1) marks X as a
+    pair (x0, x1) in row-major order, column x0 * n1 + x1; `entropy_split`
+    needs it.
     """
 
-    def __init__(self, p_x_given_y, p_y, x_alphabet=None, y_alphabet=None):
+    def __init__(self, p_x_given_y, p_y, pair_shape=None):
         t = np.asarray(p_x_given_y, dtype=float)
         py = np.asarray(p_y, dtype=float)
         if not (np.isfinite(t).all() and np.isfinite(py).all()):
@@ -61,19 +63,22 @@ class CondDist:
         if abs(py.sum() - 1.0) > SLICE_TOL:
             raise ValueError("marginal P(y) sums to %r, not 1" % (py.sum(),))
         sums = t.sum(axis=1)
-        for j in range(py.size):
-            if py[j] > 0 and abs(sums[j] - 1.0) > SLICE_TOL:
+        off = np.abs(sums - 1.0) > SLICE_TOL
+        bad = np.flatnonzero(off & ((py > 0) | (sums > SLICE_TOL)))
+        if bad.size:
+            j = bad[0]
+            if py[j] > 0:
                 raise ValueError("conditional slice y=%d sums to %r" % (j, sums[j]))
-            if py[j] == 0 and abs(sums[j] - 1.0) > SLICE_TOL and sums[j] > SLICE_TOL:
-                raise ValueError("zero-probability slice y=%d sums to %r (want 0 or 1)" % (j, sums[j]))
+            raise ValueError("zero-probability slice y=%d sums to %r (want 0 or 1)" % (j, sums[j]))
+        if pair_shape is not None:
+            pair_shape = tuple(int(n) for n in pair_shape)
+            if len(pair_shape) != 2 or pair_shape[0] * pair_shape[1] != t.shape[1]:
+                raise ValueError("pair shape %r does not match nx=%d" % (pair_shape, t.shape[1]))
         self.p_x_given_y = t.copy()
         self.p_x_given_y.setflags(write=False)
         self.p_y = py.copy()
         self.p_y.setflags(write=False)
-        self.x_alphabet = list(x_alphabet) if x_alphabet is not None else list(range(t.shape[1]))
-        self.y_alphabet = list(y_alphabet) if y_alphabet is not None else list(range(t.shape[0]))
-        if len(self.x_alphabet) != t.shape[1] or len(self.y_alphabet) != t.shape[0]:
-            raise ValueError("alphabet sizes do not match the table shape")
+        self.pair_shape = pair_shape
 
     @property
     def nx(self):
@@ -128,22 +133,19 @@ def _waterfill_level(masses, budgets, eps):
     cell's slice.  Removal is piecewise linear and decreasing in h, so the
     level solves one segment equation.
     """
+    if eps <= 0:
+        return float(masses.max())
     order = np.argsort(masses)[::-1]
     m = masses[order]
     b = budgets[order]
     # removal(h) = cum_bm[j] - h * cum_b[j] while h is in [m[j+1], m[j])
     cum_b = np.cumsum(b)
     cum_bm = np.cumsum(b * m)
-    if eps <= 0:
-        return float(m[0])
-    for j in range(m.size):
-        lower = m[j + 1] if j + 1 < m.size else 0.0
-        if cum_b[j] <= 0:
-            continue
-        h = (cum_bm[j] - eps) / cum_b[j]
-        if lower <= h <= m[j]:
-            return float(max(h, 0.0))
-    return 0.0
+    live = cum_b > 0
+    h = np.divide(cum_bm - eps, cum_b, out=np.zeros_like(cum_b), where=live)
+    lower = np.append(m[1:], 0.0)
+    hit = np.flatnonzero(live & (lower <= h) & (h <= m))
+    return float(max(h[hit[0]], 0.0)) if hit.size else 0.0
 
 
 def smoothed_min_entropy(p, eps):
@@ -191,15 +193,15 @@ def smoothed_min_entropy(p, eps):
 def joint_cond_dist(table, p_z):
     """Package P(x0, x1 | z) (shape (nz, n0, n1)) as a CondDist over pairs.
 
-    The x alphabet of the result is the row-major product range(n0) x
-    range(n1), which `entropy_split` knows how to take apart again.
+    The result's table is (nz, n0 * n1), flattened row-major, and it carries
+    pair_shape = (n0, n1), which `entropy_split` reads to take the pair
+    apart again.
     """
     t = np.asarray(table, dtype=float)
     if t.ndim != 3:
         raise ValueError("joint table must have shape (nz, n0, n1)")
     nz, n0, n1 = t.shape
-    pairs = [(u, v) for u in range(n0) for v in range(n1)]
-    return CondDist(t.reshape(nz, n0 * n1), p_z, x_alphabet=pairs)
+    return CondDist(t.reshape(nz, n0 * n1), p_z, pair_shape=(n0, n1))
 
 
 class SplitNotCertifiedError(ValueError):
@@ -212,54 +214,36 @@ class SplitNotCertifiedError(ValueError):
 
 
 def _split_sizes(p):
-    pairs = p.x_alphabet
-    a0, a1 = [], []
-    for u, v in pairs:
-        if u not in a0:
-            a0.append(u)
-        if v not in a1:
-            a1.append(v)
-    if len(a0) * len(a1) != len(pairs):
-        raise ValueError("x alphabet is not a product of two alphabets")
-    expect = [(u, v) for u in a0 for v in a1]
-    if expect != list(pairs):
-        raise ValueError("x alphabet is not in row-major product order")
-    return a0, a1
+    if p.pair_shape is None:
+        raise ValueError("entropy splitting needs a joint over pairs (x0, x1), "
+                         "as built by joint_cond_dist")
+    return p.pair_shape
 
 
 def _hidden_table(p, q_c1):
     """Conditional table of the hidden variable X_{1-C} given (Z, C).
 
-    q_c1[x0, x1, z] = Pr(C=1 | x0, x1, z).  The hidden alphabet is the
-    disjoint union of the X1 values (under C=0) and X0 values (under C=1);
-    the Y alphabet is Z x {0, 1}.  Returns a CondDist.
+    q_c1[x0, x1, z] = Pr(C=1 | x0, x1, z).  Columns are [x0 | x1]: the X0
+    values (hidden under C=1), then the X1 values (hidden under C=0).  Rows
+    are (z, C=0), (z, C=1) for each z in turn.  Returns a CondDist.
     """
-    a0, a1 = _split_sizes(p)
-    n0, n1, nz = len(a0), len(a1), p.ny
+    n0, n1 = _split_sizes(p)
+    nz = p.ny
     joint = p.p_x_given_y.reshape(nz, n0, n1)  # P(x0, x1 | z)
     q = np.asarray(q_c1, dtype=float)
     if q.shape != (n0, n1, nz):
         raise ValueError("C assignment must have shape (n0, n1, nz) = %r" % ((n0, n1, nz),))
     if (q < 0).any() or (q > 1).any():
         raise ValueError("C assignment entries must lie in [0, 1]")
-    qz = np.moveaxis(q, 2, 0)  # (nz, n0, n1)
-    nv = n0 + n1
-    table = np.zeros((2 * nz, nv))
-    p_yc = np.zeros(2 * nz)
-    for zi in range(nz):
-        w0 = joint[zi] * (1.0 - qz[zi])  # P(x0, x1, C=0 | z)
-        w1 = joint[zi] * qz[zi]
-        pc0 = w0.sum()
-        pc1 = w1.sum()
-        p_yc[2 * zi] = p.p_y[zi] * pc0
-        p_yc[2 * zi + 1] = p.p_y[zi] * pc1
-        if pc0 > 0:
-            table[2 * zi, n0:] = w0.sum(axis=0) / pc0  # hidden X1
-        if pc1 > 0:
-            table[2 * zi + 1, :n0] = w1.sum(axis=1) / pc1  # hidden X0
-    hidden_alphabet = [("x0", u) for u in a0] + [("x1", v) for v in a1]
-    y_alphabet = [(z, c) for z in p.y_alphabet for c in (0, 1)]
-    return CondDist(table, p_yc, x_alphabet=hidden_alphabet, y_alphabet=y_alphabet)
+    qz = np.ascontiguousarray(np.moveaxis(q, 2, 0))  # (nz, n0, n1), sums run row-major
+    w0 = joint * (1.0 - qz)  # P(x0, x1, C=0 | z)
+    w1 = joint * qz
+    pc = np.stack([w0.reshape(nz, -1).sum(axis=1), w1.reshape(nz, -1).sum(axis=1)], axis=1)
+    marg = np.zeros((nz, 2, n0 + n1))
+    marg[:, 0, n0:] = w0.sum(axis=1)  # hidden X1
+    marg[:, 1, :n0] = w1.sum(axis=2)  # hidden X0
+    table = np.divide(marg, pc[:, :, None], out=np.zeros_like(marg), where=pc[:, :, None] > 0)
+    return CondDist(table.reshape(2 * nz, n0 + n1), (p.p_y[:, None] * pc).ravel())
 
 
 def entropy_split(p, alpha, eps, eps_prime):
@@ -299,20 +283,18 @@ def entropy_split(p, alpha, eps, eps_prime):
     """
     if not (0.0 < eps_prime < 1.0):
         raise ValueError("eps_prime=%r outside (0, 1)" % (eps_prime,))
+    n0, n1 = _split_sizes(p)
+    nz = p.ny
     joint_h = smoothed_min_entropy(p, eps)
     if joint_h["value"] < alpha - CERT_TOL:
         raise ValueError("joint smoothed min-entropy %g is below alpha=%g"
                          % (joint_h["value"], alpha))
-    a0, a1 = _split_sizes(p)
-    n0, n1, nz = len(a0), len(a1), p.ny
     bound = alpha / 2.0 - 1.0 - math.log2(1.0 / eps_prime)
 
     smoothed = p.p_x_given_y * joint_h["event"].weights  # P(E, x0, x1 | z)
     marg0 = smoothed.reshape(nz, n0, n1).sum(axis=2)  # P(E, x0 | z)
     heavy = marg0 > 2.0 ** (-alpha / 2.0)  # (nz, n0)
-    q_heavy = np.zeros((n0, n1, nz))
-    for zi in range(nz):
-        q_heavy[:, :, zi] = np.where(heavy[zi][:, None], 0.0, 1.0)  # C=0 iff heavy
+    q_heavy = np.where(np.broadcast_to(heavy.T[:, None, :], (n0, n1, nz)), 0.0, 1.0)  # C=0 iff heavy
 
     eps_total = eps + eps_prime
     if eps_total >= 1.0:

@@ -804,22 +804,26 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     if not q_instances:
         raise ValueError("no certified outcome instances to sample")
 
-    v_linear = [float((u ** 2).sum()) for u, _ in q_instances]
-    frob_half = [math.sqrt(float((V ** 2).sum()) / 2.0) for V in r_instances]
-    op_half = [float(np.linalg.norm(V, 2)) / 2.0 for V in r_instances]
     V_stack = np.stack(r_instances)
+    del r_instances  # only the stack is kept through the trials
+    v_linear = [float((u ** 2).sum()) for u, _ in q_instances]
+    frob_half = [math.sqrt(float((V ** 2).sum()) / 2.0) for V in V_stack]
+    op_half = [float(np.linalg.norm(V, 2)) / 2.0 for V in V_stack]
 
     masks = point_masks(model.ell, r, np.arange(n))
     max_q = np.empty(trials)
     max_r = np.empty(trials)
     for lo in range(0, trials, CHUNK):
-        # draw order per trial stays F then G; each chunk is evaluated at once
+        # draw order per trial stays F then G; each chunk is evaluated at
+        # once, and its bits become signs one trial at a time
         pairs = [(sample_hash(model.ell, r, rng).coefficients,
                   sample_hash(model.ell, r, rng).coefficients)
                  for _ in range(min(CHUNK, trials - lo))]
-        signs_F = 1.0 - 2.0 * hash_bits([f for f, _ in pairs], masks)
-        signs_G = 1.0 - 2.0 * hash_bits([g for _, g in pairs], masks)
-        for i, sF, sG in zip(range(lo, trials), signs_F, signs_G):
+        bits_F = hash_bits([f for f, _ in pairs], masks)
+        bits_G = hash_bits([g for _, g in pairs], masks)
+        for i, bF, bG in zip(range(lo, trials), bits_F, bits_G):
+            sF = 1.0 - 2.0 * bF
+            sG = 1.0 - 2.0 * bG
             best = 0.0
             for (u, c) in q_instances:
                 val = abs(float(u @ (sF if c == 0 else sG)))
@@ -830,7 +834,7 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     stat = np.maximum(max_q, max_r)
 
     out = {"lambdas": lambdas, "trials": trials, "r": r,
-           "instances": len(r_instances),
+           "instances": len(V_stack),
            "collision_log2": max(collision_log2s),
            "exceed_q": [], "exceed_r": [], "exceed": [],
            "ucl_q": [], "ucl_r": [], "ucl": [],
@@ -851,7 +855,7 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
                            for f, o in zip(frob_half, op_half))
         out["union_bound_sharp"].append(min(1.0, sharp))
         theorem = len(q_instances) * kite_bound(r, coll, lam) \
-            + len(r_instances) * r_tail_bound(r, coll, lam)
+            + len(V_stack) * r_tail_bound(r, coll, lam)
         out["union_bound_theorem"].append(min(1.0, theorem))
     return out
 

@@ -154,6 +154,26 @@ def test_otm_security_readme_artifacts_are_pinned(runner, tmp_path):
     }
 
 
+@pytest.mark.parametrize("args, digests", [
+    (["--n0", "8", "--n1", "8", "--nz", "3", "--eps", "0.0", "--eps-prime", "0.25",
+      "--seed", "5"],
+     {"entropy.csv": "360aa878aa6bc15f63bd998c035cf3b55087a2edda26691673263d2b965c7c8f",
+      "entropy.json": "c9c40f9d065d8fd25999abab50cea9138d2309e007c797de6ff220f4f0142b29"}),
+    (["--n0", "3", "--n1", "5", "--nz", "2", "--eps", "0.1", "--eps-prime", "0.3",
+      "--seed", "9"],
+     {"entropy.csv": "efb1369c6874345e5cbd91f539150c19e566ba8c8b9af2c3f2a91bcf1320927a",
+      "entropy.json": "043f2ca5ef49c7ad922efa3342a1605e40b5ae2cb172e30107962beca354dc65"}),
+], ids=["readme", "uneven-smoothed"])
+def test_entropy_artifacts_are_pinned(runner, tmp_path, args, digests):
+    # 50 instances of the README joint shape, and of an n0 != n1 shape at
+    # eps > 0; the digests are those of the tuple-alphabet implementation
+    result = runner.invoke(main, ["entropy", "--count", "50", "--output-dir", str(tmp_path)]
+                           + args)
+    assert result.exit_code == 0, result.output
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_otm_security_bad_model_rejected(runner, tmp_path):
     cfg = tmp_path / "sec.json"
     cfg.write_text(json.dumps({

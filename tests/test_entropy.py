@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import otmlab.entropy as entropy_mod
@@ -70,13 +72,26 @@ def test_cond_dist_validation():
         CondDist([[0.5, -0.5]], [1.0])
     with pytest.raises(ValueError):
         CondDist([[1.0]], [0.5])  # marginal not normalized
-    with pytest.raises(ValueError):
-        CondDist([[1.0]], [1.0], x_alphabet=["a", "b"])
+    with pytest.raises(ValueError, match="pair shape"):
+        CondDist([[1.0]], [1.0], pair_shape=(1, 2))
+    with pytest.raises(ValueError, match="pair shape"):
+        CondDist([[0.5, 0.5]], [1.0], pair_shape=(2,))
+    assert CondDist([[0.5, 0.5]], [1.0], pair_shape=(1, 2)).pair_shape == (1, 2)
     # dead slice may sum to 0 or 1, anything else is rejected
     CondDist([[0.0, 0.0], [0.5, 0.5]], [0.0, 1.0])
     CondDist([[1.0, 0.0], [0.5, 0.5]], [0.0, 1.0])
     with pytest.raises(ValueError):
         CondDist([[0.3, 0.0], [0.5, 0.5]], [0.0, 1.0])
+
+
+def test_cond_dist_names_the_first_bad_slice():
+    # a live slice and a dead slice both fail; the message names the first
+    with pytest.raises(ValueError) as exc:
+        CondDist([[0.5, 0.5], [0.5, 0.6], [0.3, 0.0]], [0.5, 0.5, 0.0])
+    assert str(exc.value) == "conditional slice y=1 sums to np.float64(1.1)"
+    with pytest.raises(ValueError) as exc:
+        CondDist([[0.5, 0.5], [0.3, 0.0], [0.5, 0.6]], [0.5, 0.0, 0.5])
+    assert str(exc.value) == "zero-probability slice y=1 sums to np.float64(0.3) (want 0 or 1)"
 
 
 def test_smoothing_event_bounds():
@@ -108,6 +123,49 @@ def test_min_entropy_ignores_dead_slices():
 # ---------------------------------------------------------------------------
 # smoothed min-entropy
 # ---------------------------------------------------------------------------
+
+def _waterfill_segment_loop(masses, budgets, eps):
+    """The per-segment scan `_waterfill_level` replaced, kept as its oracle."""
+    order = np.argsort(masses)[::-1]
+    m = masses[order]
+    b = budgets[order]
+    cum_b = np.cumsum(b)
+    cum_bm = np.cumsum(b * m)
+    if eps <= 0:
+        return float(m[0])
+    for j in range(m.size):
+        lower = m[j + 1] if j + 1 < m.size else 0.0
+        if cum_b[j] <= 0:
+            continue
+        h = (cum_bm[j] - eps) / cum_b[j]
+        if lower <= h <= m[j]:
+            return float(max(h, 0.0))
+    return 0.0
+
+
+_unit = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_waterfill_level_matches_segment_loop(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    # a few shared values make ties likely; zero budgets switch segments off
+    pool = data.draw(st.lists(_unit, min_size=1, max_size=4), label="pool")
+    masses = np.array(data.draw(st.lists(st.one_of(st.sampled_from(pool), _unit),
+                                         min_size=n, max_size=n), label="masses"))
+    budgets = np.array(data.draw(st.lists(st.one_of(st.just(0.0), _unit),
+                                          min_size=n, max_size=n), label="budgets"))
+    total = float((budgets * masses).sum())
+    near_total = [total, np.nextafter(total, 0.0), np.nextafter(total, 2.0)]
+    # removal at a cell's own mass: the level sits on a segment boundary
+    at_cell = [float((budgets * np.maximum(masses - m, 0.0)).sum()) for m in masses]
+    eps = data.draw(st.one_of(st.just(0.0), st.sampled_from(near_total), st.sampled_from(at_cell),
+                              st.floats(0.0, max(total, 1e-300), allow_subnormal=False), _unit),
+                    label="eps")
+    got = entropy_mod._waterfill_level(masses, budgets, float(eps))
+    assert repr(got) == repr(_waterfill_segment_loop(masses, budgets, float(eps)))
+
 
 def test_smoothed_zero_eps_equals_min_entropy():
     rng = np.random.default_rng(12)
@@ -254,7 +312,7 @@ def test_split_not_certified_error(monkeypatch):
 
     def lowball(dist, eps):
         res = real(dist, eps)
-        if isinstance(dist.x_alphabet[0], tuple) and dist.x_alphabet[0][0] in ("x0", "x1"):
+        if dist.pair_shape is None:  # the hidden table, not the joint
             res = dict(res, value=res["value"] - 100.0)
         return res
 
@@ -263,3 +321,208 @@ def test_split_not_certified_error(monkeypatch):
         entropy_split(p, 4.0, 0.0, 0.9)
     assert exc.value.best_value < -90.0
 
+
+def test_split_needs_a_pair_shape(monkeypatch):
+    p = CondDist(np.full((1, 16), 1 / 16), [1.0])
+
+    def no_smoothing(dist, eps):
+        raise AssertionError("smoothing ran before the shape check")
+
+    monkeypatch.setattr(entropy_mod, "smoothed_min_entropy", no_smoothing)
+    with pytest.raises(ValueError, match="pairs"):
+        entropy_split(p, 4.0, 0.0, 0.25)
+    with pytest.raises(ValueError, match="pairs"):
+        entropy_mod._hidden_table(p, np.zeros((4, 4, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the split against the tuple-alphabet implementation it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_split_sizes(pairs):
+    a0, a1 = [], []
+    for u, v in pairs:
+        if u not in a0:
+            a0.append(u)
+        if v not in a1:
+            a1.append(v)
+    if len(a0) * len(a1) != len(pairs):
+        raise ValueError("x alphabet is not a product of two alphabets")
+    expect = [(u, v) for u in a0 for v in a1]
+    if expect != list(pairs):
+        raise ValueError("x alphabet is not in row-major product order")
+    return a0, a1
+
+
+def _oracle_hidden_table(p, pairs, q_c1):
+    a0, a1 = _oracle_split_sizes(pairs)
+    n0, n1, nz = len(a0), len(a1), p.ny
+    joint = p.p_x_given_y.reshape(nz, n0, n1)
+    qz = np.moveaxis(np.asarray(q_c1, dtype=float), 2, 0)
+    table = np.zeros((2 * nz, n0 + n1))
+    p_yc = np.zeros(2 * nz)
+    for zi in range(nz):
+        w0 = joint[zi] * (1.0 - qz[zi])
+        w1 = joint[zi] * qz[zi]
+        pc0 = w0.sum()
+        pc1 = w1.sum()
+        p_yc[2 * zi] = p.p_y[zi] * pc0
+        p_yc[2 * zi + 1] = p.p_y[zi] * pc1
+        if pc0 > 0:
+            table[2 * zi, n0:] = w0.sum(axis=0) / pc0
+        if pc1 > 0:
+            table[2 * zi + 1, :n0] = w1.sum(axis=1) / pc1
+    return CondDist(table, p_yc)
+
+
+def _oracle_split(p, alpha, eps, eps_prime):
+    """`entropy_split` as it was on tuple alphabets: the pair alphabet is
+    rebuilt and taken apart by scans, and the hidden table is filled one z at
+    a time.  Smoothing goes through the module, so a patched
+    `smoothed_min_entropy` reaches both implementations."""
+    smooth = entropy_mod.smoothed_min_entropy
+    joint_h = smooth(p, eps)
+    assert joint_h["value"] >= alpha - entropy_mod.CERT_TOL
+    n0, n1 = p.pair_shape
+    pairs = [(u, v) for u in range(n0) for v in range(n1)]
+    a0, a1 = _oracle_split_sizes(pairs)
+    n0, n1, nz = len(a0), len(a1), p.ny
+    bound = alpha / 2.0 - 1.0 - math.log2(1.0 / eps_prime)
+    smoothed = p.p_x_given_y * joint_h["event"].weights
+    heavy = smoothed.reshape(nz, n0, n1).sum(axis=2) > 2.0 ** (-alpha / 2.0)
+    q_heavy = np.zeros((n0, n1, nz))
+    for zi in range(nz):
+        q_heavy[:, :, zi] = np.where(heavy[zi][:, None], 0.0, 1.0)
+
+    def certify(q, rule):
+        hidden = _oracle_hidden_table(p, pairs, q)
+        res = smooth(hidden, eps + eps_prime)
+        value, weights, pr_event = res["value"], res["event"].weights, res["event_probability"]
+        if value >= bound - entropy_mod.CERT_TOL:
+            t = hidden.p_x_given_y
+            pos = t > 0
+            weights = np.ones_like(t)
+            np.minimum(1.0, np.divide(2.0 ** (-bound), t, out=np.full_like(t, np.inf),
+                                      where=pos), out=weights, where=pos)
+            retained = float((t * weights).max())
+            value = -math.log2(retained) if 0 < retained < 1 else max(bound, 0.0)
+            pr_event = float((hidden.p_y[:, None] * t * weights).sum())
+        return {"value": value, "bound": bound, "rule": rule,
+                "joint_entropy": joint_h["value"], "hidden": hidden,
+                "event": weights, "event_probability": pr_event}
+
+    cert = certify(q_heavy, "heaviness")
+    if cert["value"] >= bound - entropy_mod.CERT_TOL:
+        return q_heavy, cert
+    best_value = cert["value"]
+    for axis, size in (("x0", n0), ("x1", n1)):
+        if size * nz > 16:
+            continue
+        for code in range(1 << (size * nz)):
+            q = np.zeros((n0, n1, nz))
+            for zi in range(nz):
+                for i in range(size):
+                    bit = (code >> (zi * size + i)) & 1
+                    if axis == "x0":
+                        q[i, :, zi] = bit
+                    else:
+                        q[:, i, zi] = bit
+            cert = certify(q, "exhaustive-%s" % axis)
+            if cert["value"] >= bound - entropy_mod.CERT_TOL:
+                return q, cert
+            best_value = max(best_value, cert["value"])
+    raise SplitNotCertifiedError("split-not-certified", best_value)
+
+
+def _random_joint(rng, nz, n0, n1, sparse):
+    t = rng.random((nz, n0, n1)) + 0.01
+    pz = rng.random(nz) + 0.1
+    if sparse:  # zero cells, and a dead z slice when there is more than one
+        t[rng.random(t.shape) < 0.4] = 0.0
+        t[:, 0, 0] += 0.01
+        if nz > 1:
+            pz[-1] = 0.0
+    t /= t.sum(axis=(1, 2), keepdims=True)
+    return joint_cond_dist(t, pz / pz.sum())
+
+
+def _assert_splits_equal(got, want_q, want_cert):
+    cert = got["certificate"]
+    assert got["C"].dtype == want_q.dtype and np.array_equal(got["C"], want_q)
+    for key in ("value", "bound", "rule", "joint_entropy", "event_probability"):
+        assert repr(cert[key]) == repr(want_cert[key]), key
+    assert np.array_equal(cert["event"], want_cert["event"])
+    assert np.array_equal(cert["hidden"].p_x_given_y, want_cert["hidden"].p_x_given_y)
+    assert np.array_equal(cert["hidden"].p_y, want_cert["hidden"].p_y)
+
+
+@pytest.mark.parametrize("nz", [1, 2, 3])
+@pytest.mark.parametrize("n0, n1", [(1, 3), (2, 2), (3, 2), (4, 5)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_split_equals_tuple_alphabet_oracle(nz, n0, n1, sparse):
+    rng = np.random.default_rng([nz, n0, n1, int(sparse)])
+    for _ in range(6):
+        p = _random_joint(rng, nz, n0, n1, sparse)
+        eps = float(rng.choice([0.0, 0.05, 0.2]))
+        eps_prime = float(rng.choice([0.25, 0.5]))
+        alpha = smoothed_min_entropy(p, eps)["value"] * float(rng.choice([1.0, 0.5]))
+        want_q, want_cert = _oracle_split(p, alpha, eps, eps_prime)
+        _assert_splits_equal(entropy_split(p, alpha, eps, eps_prime), want_q, want_cert)
+
+
+@pytest.mark.parametrize("nz, n0, n1", [(1, 128, 192), (3, 37, 5), (2, 1, 300)])
+def test_hidden_table_equals_oracle(nz, n0, n1):
+    # fractional C on every cell, so every pair enters both marginals
+    rng = np.random.default_rng([nz, n0, n1])
+    p = _random_joint(rng, nz, n0, n1, sparse=True)
+    q = rng.random((n0, n1, nz))
+    q[rng.random(q.shape) < 0.2] = float(rng.integers(2))
+    pairs = [(u, v) for u in range(n0) for v in range(n1)]
+    want = _oracle_hidden_table(p, pairs, q)
+    got = entropy_mod._hidden_table(p, q)
+    assert np.array_equal(got.p_x_given_y, want.p_x_given_y)
+    assert np.array_equal(got.p_y, want.p_y)
+
+
+def test_split_equals_oracle_on_a_large_joint():
+    # 128 x 192 pairs: the pair sums span many pairwise-summation blocks
+    p = _random_joint(np.random.default_rng(31), 1, 128, 192, sparse=True)
+    alpha = smoothed_min_entropy(p, 0.0)["value"]
+    want_q, want_cert = _oracle_split(p, alpha, 0.0, 0.25)
+    _assert_splits_equal(entropy_split(p, alpha, 0.0, 0.25), want_q, want_cert)
+
+
+@pytest.mark.parametrize("nz, n0, n1", [(1, 2, 3), (2, 2, 2), (3, 2, 1), (2, 3, 2)])
+def test_exhaustive_fallback_equals_oracle(monkeypatch, nz, n0, n1):
+    # as in test_split_not_certified_error, sabotaged certificates force the
+    # fallback: the first `skip` hidden-table smoothings read 100 bits low
+    real = entropy_mod.smoothed_min_entropy
+    state = {"skip": 0, "calls": 0}
+
+    def lowball(dist, eps):
+        res = real(dist, eps)
+        if dist.pair_shape is None:  # the hidden table, not the joint
+            state["calls"] += 1
+            if state["calls"] <= state["skip"]:
+                res = dict(res, value=res["value"] - 100.0)
+        return res
+
+    def run(split, p, alpha):
+        state["calls"] = 0
+        try:
+            return split(p, alpha, 0.0, 0.25)
+        except SplitNotCertifiedError as exc:
+            return exc.best_value
+
+    monkeypatch.setattr(entropy_mod, "smoothed_min_entropy", lowball)
+    rng = np.random.default_rng([nz, n0, n1])
+    for skip in (1, 2, 5, math.inf):
+        state["skip"] = skip
+        p = _random_joint(rng, nz, n0, n1, sparse=False)
+        alpha = real(p, 0.0)["value"]
+        want, got = run(_oracle_split, p, alpha), run(entropy_split, p, alpha)
+        if skip == math.inf:  # nothing certifies
+            assert repr(got) == repr(want) and got < -90.0
+        else:
+            assert want[1]["rule"].startswith("exhaustive-")
+            _assert_splits_equal(got, *want)
