@@ -25,6 +25,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -160,8 +161,8 @@ def _cells(values):
     return {k: "%.17g" % v if isinstance(v, float) else v for k, v in values.items()}
 
 
-def _finish(outdir, prefix, experiment, cfg, outputs, started):
-    """Write the manifest and report the artifact paths on stdout."""
+def _finish(outdir, prefix, experiment, cfg, outputs, started, counters=None):
+    """Write the manifest (with any counters) and report the artifact paths."""
     manifest = {
         "experiment": experiment,
         "config": cfg,
@@ -171,6 +172,8 @@ def _finish(outdir, prefix, experiment, cfg, outputs, started):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": {Path(p).name: _sha256(p) for p in outputs},
     }
+    if counters is not None:
+        manifest["counters"] = counters
     manifest_path = outdir / ("%s_manifest.json" % prefix)
     _write_json(manifest_path, manifest)
     for p in list(outputs) + [manifest_path]:
@@ -374,6 +377,18 @@ def nets(config_path, output_dir, out, family, m, mu, d, samples, seed):
     _finish(outdir, prefix, "nets", cfg, [csv_path, json_path], started)
 
 
+def _random_joints(rng, k, nz, n0, n1):
+    """k random joints P(x0, x1 | z) and their P(z), drawn one joint (table,
+    then P(z)) after another from one stream, as k single draws would be."""
+    cells = nz * n0 * n1
+    draws = rng.random((k, cells + nz))
+    tables = draws[:, :cells].reshape(k, nz, n0, n1) + 0.01
+    tables /= tables.sum(axis=(2, 3), keepdims=True)
+    pz = draws[:, cells:] + 0.1
+    pz /= pz.sum(axis=1, keepdims=True)
+    return tables, pz
+
+
 @main.command()
 @_with_common
 @click.option("--count", type=int, default=None, help="Random instances to draw.")
@@ -399,40 +414,39 @@ def entropy(config_path, output_dir, out, count, n0, n1, nz, eps, eps_prime,
     count, n0, n1, nz = (_int_param(cfg, key) for key in ("count", "n0", "n1", "nz"))
     eps, eps_prime = _number_param(cfg, "eps"), _number_param(cfg, "eps_prime")
     alpha = None if cfg.get("alpha") is None else _number_param(cfg, "alpha")
+    if not 0.0 <= eps < 1.0:
+        _fail("eps=%r outside [0, 1)" % (eps,))
+    if not 0.0 < eps_prime < 1.0:
+        _fail("eps_prime=%r outside (0, 1)" % (eps_prime,))
+    if eps + eps_prime >= 1.0:
+        _fail("eps + eps_prime = %r leaves no probability to keep" % (eps + eps_prime,))
     rng = np.random.default_rng(seed)
     outdir = _outdir(output_dir)
     prefix = out or "entropy"
-    rows, records = [], []
+    chunk = max(1, entropy_mod.STACK_CELLS // (nz * n0 * n1))
+    records, fallback = [], 0
     try:
-        for i in range(count):
-            table = rng.random((nz, n0, n1)) + 0.01
-            table /= table.sum(axis=(1, 2), keepdims=True)
-            pz = rng.random(nz) + 0.1
-            pz /= pz.sum()
-            p = entropy_mod.joint_cond_dist(table, pz)
-            joint = entropy_mod.smoothed_min_entropy(p, eps)
-            level = joint["value"] if alpha is None else alpha
-            res = entropy_mod.entropy_split(p, level, eps, eps_prime)
-            cert = res["certificate"]
-            record = {
-                "instance": i,
-                "joint_entropy": joint["value"],
-                "alpha": level,
-                "bound": cert["bound"],
-                "value": cert["value"],
-                "rule": cert["rule"],
-                "event_probability": cert["event_probability"],
-                "certified": bool(cert["value"] >= cert["bound"] - 1e-9),
-            }
-            records.append(record)
-            rows.append(_cells(record))
+        for start in range(0, count, chunk):
+            tables, pz = _random_joints(rng, min(chunk, count - start), nz, n0, n1)
+            res = entropy_mod.split_joints(tables, pz, alpha, eps, eps_prime)
+            fallback += res["fallback_candidates"]
+            columns = zip(res["joint_entropy"].tolist(), res["bound"].tolist(),
+                          res["value"].tolist(), res["rule"], res["event_probability"].tolist())
+            records += [{"instance": i, "joint_entropy": joint,
+                         "alpha": joint if alpha is None else alpha, "bound": bound,
+                         "value": value, "rule": rule, "event_probability": pr_event,
+                         "certified": bool(value >= bound - 1e-9)}
+                        for i, (joint, bound, value, rule, pr_event) in enumerate(columns, start)]
     except ValueError as exc:
         _fail(str(exc))
     csv_path = outdir / ("%s.csv" % prefix)
-    write_csv(csv_path, ENTROPY_CSV_COLUMNS, rows)
+    write_csv(csv_path, ENTROPY_CSV_COLUMNS, [_cells(record) for record in records])
     json_path = outdir / ("%s.json" % prefix)
     _write_json(json_path, {"instances": records})
-    _finish(outdir, prefix, "entropy", cfg, [csv_path, json_path], started)
+    counters = {"instances": len(records), "rules": dict(Counter(r["rule"] for r in records)),
+                "fallback_candidates": fallback,
+                "certified": sum(r["certified"] for r in records)}
+    _finish(outdir, prefix, "entropy", cfg, [csv_path, json_path], started, counters)
 
 
 def _build_model(block):

@@ -29,6 +29,10 @@ C is assigned by a heaviness threshold on the smoothed X0 marginal; if the
 recomputed certificate ever falls short, an exhaustive fallback over
 deterministic assignments measurable in (x0, z) or (x1, z) runs before a
 split-not-certified error is raised.
+
+Both work on stacks: the water-filling runs row-wise over a stack of
+tables, and `split_joints` splits a stack of joints, each exactly as
+`entropy_split` (its one-joint form) splits it alone.
 """
 
 import math
@@ -37,6 +41,9 @@ import numpy as np
 
 SLICE_TOL = 1e-12
 CERT_TOL = 1e-9
+# Cells per stacked split call (256 joints of shape (3, 8, 8)): about 0.4 MB
+# per float array, so no temporary of a stacked call exceeds about 2 MB.
+STACK_CELLS = 256 * 3 * 8 * 8
 
 
 class CondDist:
@@ -126,26 +133,67 @@ def min_entropy(p):
     return -math.log2(top)
 
 
-def _waterfill_level(masses, budgets, eps):
-    """Smallest cap h with sum_i budgets_i * (masses_i - h)_+ <= eps, exactly.
+def _waterfill_level(masses, budgets, live, eps):
+    """Row-wise smallest cap h with sum_i budgets_i * (masses_i - h)_+ <= eps, exactly.
 
-    masses are conditional cell values, budgets the P(y) weight of each
-    cell's slice.  Removal is piecewise linear and decreasing in h, so the
-    level solves one segment equation.
+    masses, budgets and live are (B, N): cell values, the P(y) weight of each
+    cell's slice, and whether that slice has P(y) > 0; eps is a scalar or
+    (B,).  Removal is piecewise linear and decreasing in h, so each level
+    solves one segment equation.  argsort is not stable and leaves ties in
+    an order that depends on the whole row, so each row is sorted as the
+    array of its live cells alone; a row without any gets level 0.
     """
-    if eps <= 0:
-        return float(masses.max())
-    order = np.argsort(masses)[::-1]
-    m = masses[order]
-    b = budgets[order]
-    # removal(h) = cum_bm[j] - h * cum_b[j] while h is in [m[j+1], m[j])
-    cum_b = np.cumsum(b)
-    cum_bm = np.cumsum(b * m)
-    live = cum_b > 0
-    h = np.divide(cum_bm - eps, cum_b, out=np.zeros_like(cum_b), where=live)
-    lower = np.append(m[1:], 0.0)
-    hit = np.flatnonzero(live & (lower <= h) & (h <= m))
-    return float(max(h[hit[0]], 0.0)) if hit.size else 0.0
+    n_rows = masses.shape[0]
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n_rows,))
+    level = np.max(masses, axis=1, where=live, initial=0.0)  # the level at eps <= 0
+    n_live = np.where(eps > 0, live.sum(axis=1), 0)
+    for n in set(n_live[n_live > 0].tolist()):
+        rows = np.flatnonzero(n_live == n)
+        sel = live[rows]
+        m = masses[rows][sel].reshape(rows.size, n)
+        b = budgets[rows][sel].reshape(rows.size, n)
+        order = np.argsort(m, axis=1)[:, ::-1]
+        m = np.take_along_axis(m, order, axis=1)
+        b = np.take_along_axis(b, order, axis=1)
+        # removal(h) = cum_bm[j] - h * cum_b[j] while h is in [m[j+1], m[j])
+        cum_b = np.cumsum(b, axis=1)
+        cum_bm = np.cumsum(b * m, axis=1)
+        pos = cum_b > 0
+        h = np.divide(cum_bm - eps[rows, None], cum_b, out=np.zeros_like(cum_b), where=pos)
+        lower = np.zeros_like(m)
+        lower[:, :-1] = m[:, 1:]
+        hit = pos & (lower <= h) & (h <= m)
+        at = h[np.arange(rows.size), hit.argmax(axis=1)]  # the first hit
+        level[rows] = np.where(hit.any(axis=1), np.maximum(at, 0.0), 0.0)
+    return level
+
+
+def _smoothing_error(fault, eps):
+    return ValueError(("no y value has positive probability",
+                       "empty support: all conditional masses are zero",
+                       "smoothing removed the entire distribution (eps=%r)" % (eps,))[fault - 1])
+
+
+def _smooth(t, p_y, eps):
+    """Optimal eps-smoothing of conditional tables t (B, ny, nx) with
+    marginals p_y (B, ny).  Returns (value, weights, pr_event, fault): per
+    row the entropy in bits, the witnessing retention weights, the event
+    probability, and 0 or the code of its first fault (_smoothing_error)."""
+    n_rows, ny, nx = t.shape
+    live_y = p_y > 0
+    live = np.repeat(live_y, nx, axis=1)
+    masses = t.reshape(n_rows, ny * nx)
+    h = _waterfill_level(masses, np.repeat(p_y, nx, axis=1), live, eps)
+    top = h if eps <= 0 else np.max(masses, axis=1, where=live, initial=0.0)
+    fault = np.where(live_y.any(axis=1), np.where(top > 0, np.where(h > 0, 0, 3), 2), 1)
+    weights = np.ones_like(t)
+    pos = t > 0
+    np.minimum(1.0, np.divide(h[:, None, None], t, out=np.full_like(t, np.inf), where=pos),
+               out=weights, where=pos)
+    weights[~live_y] = 1.0  # dead slices carry no probability; keep E there
+    pr_event = (p_y[:, :, None] * t * weights).sum(axis=(1, 2))
+    value = np.array([-math.log2(x) if x > 0 else math.inf for x in h.tolist()])
+    return value, weights, pr_event, fault
 
 
 def smoothed_min_entropy(p, eps):
@@ -166,27 +214,13 @@ def smoothed_min_entropy(p, eps):
     """
     if not (0.0 <= eps < 1.0):
         raise ValueError("eps=%r outside [0, 1)" % (eps,))
-    live = p.p_y > 0
-    if not live.any():
-        raise ValueError("no y value has positive probability")
-    t = p.p_x_given_y
-    budgets = np.repeat(p.p_y, p.nx).reshape(p.ny, p.nx)
-    flat_m = t[live].ravel()
-    flat_b = budgets[live].ravel()
-    if flat_m.max() <= 0:
-        raise ValueError("empty support: all conditional masses are zero")
-    h = _waterfill_level(flat_m, flat_b, eps)
-    weights = np.ones_like(t)
-    pos = t > 0
-    np.minimum(1.0, np.divide(h, t, out=np.full_like(t, np.inf), where=pos), out=weights, where=pos)
-    weights[~live, :] = 1.0  # dead slices carry no probability; keep E there
-    pr_event = float((p.p_y[:, None] * t * weights).sum())
-    if h <= 0:
-        raise ValueError("smoothing removed the entire distribution (eps=%r)" % (eps,))
+    value, weights, pr_event, fault = _smooth(p.p_x_given_y[None], p.p_y[None], eps)
+    if fault[0]:
+        raise _smoothing_error(fault[0], eps)
     return {
-        "value": -math.log2(h),
-        "event": SmoothingEvent(weights),
-        "event_probability": pr_event,
+        "value": float(value[0]),
+        "event": SmoothingEvent(weights[0]),
+        "event_probability": float(pr_event[0]),
     }
 
 
@@ -213,37 +247,139 @@ class SplitNotCertifiedError(ValueError):
         self.best_value = best_value
 
 
-def _split_sizes(p):
-    if p.pair_shape is None:
-        raise ValueError("entropy splitting needs a joint over pairs (x0, x1), "
-                         "as built by joint_cond_dist")
-    return p.pair_shape
-
-
-def _hidden_table(p, q_c1):
-    """Conditional table of the hidden variable X_{1-C} given (Z, C).
-
-    q_c1[x0, x1, z] = Pr(C=1 | x0, x1, z).  Columns are [x0 | x1]: the X0
-    values (hidden under C=1), then the X1 values (hidden under C=0).  Rows
-    are (z, C=0), (z, C=1) for each z in turn.  Returns a CondDist.
+def _hidden_tables(joint, p_z, q):
+    """Tables (K, 2 nz, n0 + n1) of the hidden X_{1-C} given (Z, C), and their
+    (K, 2 nz) marginals, for joints P(x0, x1 | z) stacked (or broadcast) like
+    q[k, z, x0, x1] = Pr(C=1 | x0, x1, z).  Columns are the X0 values (hidden
+    under C=1), then the X1 values; rows are (z, C=0), (z, C=1) for each z.
     """
-    n0, n1 = _split_sizes(p)
-    nz = p.ny
-    joint = p.p_x_given_y.reshape(nz, n0, n1)  # P(x0, x1 | z)
-    q = np.asarray(q_c1, dtype=float)
-    if q.shape != (n0, n1, nz):
-        raise ValueError("C assignment must have shape (n0, n1, nz) = %r" % ((n0, n1, nz),))
-    if (q < 0).any() or (q > 1).any():
-        raise ValueError("C assignment entries must lie in [0, 1]")
-    qz = np.ascontiguousarray(np.moveaxis(q, 2, 0))  # (nz, n0, n1), sums run row-major
-    w0 = joint * (1.0 - qz)  # P(x0, x1, C=0 | z)
-    w1 = joint * qz
-    pc = np.stack([w0.reshape(nz, -1).sum(axis=1), w1.reshape(nz, -1).sum(axis=1)], axis=1)
-    marg = np.zeros((nz, 2, n0 + n1))
-    marg[:, 0, n0:] = w0.sum(axis=1)  # hidden X1
-    marg[:, 1, :n0] = w1.sum(axis=2)  # hidden X0
-    table = np.divide(marg, pc[:, :, None], out=np.zeros_like(marg), where=pc[:, :, None] > 0)
-    return CondDist(table.reshape(2 * nz, n0 + n1), (p.p_y[:, None] * pc).ravel())
+    k, nz, n0, n1 = q.shape
+    w0 = joint * (1.0 - q)  # P(x0, x1, C=0 | z)
+    w1 = joint * q
+    pc = np.stack([w0.sum(axis=(2, 3)), w1.sum(axis=(2, 3))], axis=2)
+    marg = np.zeros((k, nz, 2, n0 + n1))
+    marg[:, :, 0, n0:] = w0.sum(axis=2)  # hidden X1
+    marg[:, :, 1, :n0] = w1.sum(axis=3)  # hidden X0
+    table = np.divide(marg, pc[..., None], out=np.zeros_like(marg), where=pc[..., None] > 0)
+    return table.reshape(k, 2 * nz, n0 + n1), (p_z[:, :, None] * pc).reshape(k, 2 * nz)
+
+
+def _certify(joint, p_z, q, eps_total, bound):
+    """Certify C assignments q (stacked as in _hidden_tables, one bound each):
+    recompute H_inf^{eps_total}(X_{1-C} | Z, C) from scratch and, where it
+    meets the bound, witness it with the cheapest event."""
+    hidden, hidden_p = _hidden_tables(joint, p_z, q)
+    value, weights, pr_event, fault = _smooth(hidden, hidden_p, eps_total)
+    ok = (fault == 0) & (value >= bound - CERT_TOL)
+    # Witness the bound with the cheapest event: clip only the masses above
+    # 2^{-bound}.  This removes no more than the optimal water-filling did
+    # (its level sits at or below the threshold), so Pr(E) >= 1 - eps - eps'
+    # still holds, with equality to 1 whenever the raw masses already
+    # satisfy the bound.
+    thresh = np.array([2.0 ** (-b) for b in bound.tolist()])
+    pos = hidden > 0
+    cheap = np.ones_like(hidden)
+    np.minimum(1.0, np.divide(thresh[:, None, None], hidden, out=np.full_like(hidden, np.inf),
+                              where=pos), out=cheap, where=pos)
+    retained = (hidden * cheap).max(axis=(1, 2))
+    cheap_value = [-math.log2(r) if 0 < r < 1 else max(b, 0.0)
+                   for r, b in zip(retained.tolist(), bound.tolist())]
+    cheap_pr = (hidden_p[:, :, None] * hidden * cheap).sum(axis=(1, 2))
+    return {"C": q, "hidden": hidden, "hidden_p": hidden_p, "ok": ok, "fault": fault,
+            "value": np.where(ok, cheap_value, value),
+            "event": np.where(ok[:, None, None], cheap, weights),
+            "event_probability": np.where(ok, cheap_pr, pr_event)}
+
+
+def _fallback(joint, p_z, eps_total, bound, best):
+    """Exhaustive fallback for one joint (nz, n0, n1): each deterministic C
+    measurable in (x0, z), then in (x1, z), certified a block at a time.
+    Returns the rule, block and index of the first assignment that certifies
+    or faults (block None if none does), the best value before it, and the
+    number of assignments tried."""
+    nz, n0, n1 = joint.shape
+    block = max(1, STACK_CELLS // joint.size)
+    tried = 0
+    for axis, size in (("x0", n0), ("x1", n1)):
+        if size * nz > 16:
+            continue  # 2^(size*nz) assignments; beyond desk scale
+        codes = np.arange(1 << (size * nz))
+        for start in range(0, codes.size, block):
+            bits = (codes[start:start + block, None] >> np.arange(size * nz)) & 1
+            bits = bits.reshape(-1, nz, size, 1) if axis == "x0" else bits.reshape(-1, nz, 1, size)
+            q = np.ascontiguousarray(np.broadcast_to(bits, (len(bits), nz, n0, n1)), dtype=float)
+            cert = _certify(joint, p_z[None], q, eps_total, np.full(len(q), bound))
+            stop = np.flatnonzero(cert["ok"] | (cert["fault"] > 0))
+            j = int(stop[0]) if stop.size else len(q)
+            best = max(best, float(cert["value"][:j].max(initial=-math.inf)))
+            tried += min(j + 1, len(q))
+            if stop.size:
+                return "exhaustive-%s" % axis, cert, j, best, tried
+    return None, None, None, best, tried
+
+
+def split_joints(tables, p_z, alpha, eps, eps_prime):
+    """Entropy splits of a stack of joints, each as `entropy_split` splits it.
+
+    tables (B, nz, n0, n1) holds P(x0, x1 | z) and p_z (B, nz) P(z) of each
+    joint, valid as CondDist checks them (not re-checked here); alpha is a
+    float or None for each joint's own smoothed entropy.  Every joint is
+    smoothed once, the heaviness rule is certified for the whole stack at
+    once, and the fallback runs only for the joints it fails.  The first
+    joint that `entropy_split` would refuse raises its error.
+
+    Returns a dict of per-joint arrays: joint_entropy, alpha, bound, value,
+    rule and event_probability (B,); C (B, nz, n0, n1), Pr(C=1 | z, x0, x1);
+    hidden (B, 2 nz, n0 + n1), hidden_p (B, 2 nz) and event, the table of
+    X_{1-C} given (Z, C) with its certifying weights; and
+    fallback_candidates, the number of fallback assignments certified.
+    """
+    if not (0.0 < eps_prime < 1.0):
+        raise ValueError("eps_prime=%r outside (0, 1)" % (eps_prime,))
+    if not (0.0 <= eps < 1.0):
+        raise ValueError("eps=%r outside [0, 1)" % (eps,))
+    t, pz = np.asarray(tables, dtype=float), np.asarray(p_z, dtype=float)
+    n_rows, nz, n0, n1 = t.shape
+    joint_h, joint_w, _, fault = _smooth(t.reshape(n_rows, nz, n0 * n1), pz, eps)
+    levels = joint_h.tolist() if alpha is None else [alpha] * n_rows
+    bad = np.flatnonzero((fault > 0) | (joint_h < np.array(levels, dtype=float) - CERT_TOL))
+    first = bad[0] if bad.size else n_rows  # the first joint that is refused
+    eps_total = eps + eps_prime
+    if eps_total >= 1.0 and first > 0:
+        raise ValueError("eps + eps_prime = %r leaves no probability to keep" % (eps_total,))
+
+    lg = math.log2(1.0 / eps_prime)
+    bound = np.array([a / 2.0 - 1.0 - lg for a in levels[:first]])
+    # C = 0 exactly where the smoothed marginal mass of the realized x0
+    # exceeds 2^{-alpha/2} (a heavy x0 forces the residual entropy into X1)
+    marg0 = (t[:first] * joint_w[:first].reshape(first, nz, n0, n1)).sum(axis=3)  # P(E, x0 | z)
+    heavy = marg0 > np.array([2.0 ** (-a / 2.0) for a in levels[:first]])[:, None, None]
+    q = np.repeat(np.where(heavy, 0.0, 1.0)[..., None], n1, axis=3)
+    cert = _certify(t[:first], pz[:first], q, eps_total, bound)
+    cert["rule"] = np.full(first, "heaviness", dtype=object)
+    tried = 0
+    for i in np.flatnonzero(~cert.pop("ok")):
+        fail = cert["fault"][i]
+        if not fail:
+            rule, block, j, best, n_tried = _fallback(t[i], pz[i], eps_total, bound[i],
+                                                      float(cert["value"][i]))
+            tried += n_tried
+            if block is None:
+                raise SplitNotCertifiedError("split-not-certified: best value %g falls short "
+                                             "of bound %g" % (best, bound[i]), best)
+            fail, cert["rule"][i] = block["fault"][j], rule
+            for key in ("C", "hidden", "hidden_p", "value", "event", "event_probability"):
+                cert[key][i] = block[key][j]
+        if fail:
+            raise _smoothing_error(fail, eps_total)
+    if first < n_rows:
+        if fault[first]:
+            raise _smoothing_error(fault[first], eps)
+        raise ValueError("joint smoothed min-entropy %g is below alpha=%g"
+                         % (joint_h[first], levels[first]))
+    del cert["fault"]
+    return dict(cert, joint_entropy=joint_h, alpha=np.array(levels, dtype=float), bound=bound,
+                fallback_candidates=tried)
 
 
 def entropy_split(p, alpha, eps, eps_prime):
@@ -258,8 +394,9 @@ def entropy_split(p, alpha, eps, eps_prime):
 
     If the primary rule fails to certify, every deterministic assignment
     measurable in (x0, z), then in (x1, z), is tried (desk-scale exhaustive
-    fallback); if none certifies, SplitNotCertifiedError carries the best
-    value reached.
+    fallback); the first that certifies is returned.  If none does,
+    SplitNotCertifiedError carries the best value reached.  This is
+    `split_joints` on a stack of one joint.
 
     Parameters
     ----------
@@ -281,73 +418,13 @@ def entropy_split(p, alpha, eps, eps_prime):
             hidden-string masses already satisfy the bound, and value is
             the entropy actually witnessed on the event
     """
-    if not (0.0 < eps_prime < 1.0):
-        raise ValueError("eps_prime=%r outside (0, 1)" % (eps_prime,))
-    n0, n1 = _split_sizes(p)
-    nz = p.ny
-    joint_h = smoothed_min_entropy(p, eps)
-    if joint_h["value"] < alpha - CERT_TOL:
-        raise ValueError("joint smoothed min-entropy %g is below alpha=%g"
-                         % (joint_h["value"], alpha))
-    bound = alpha / 2.0 - 1.0 - math.log2(1.0 / eps_prime)
-
-    smoothed = p.p_x_given_y * joint_h["event"].weights  # P(E, x0, x1 | z)
-    marg0 = smoothed.reshape(nz, n0, n1).sum(axis=2)  # P(E, x0 | z)
-    heavy = marg0 > 2.0 ** (-alpha / 2.0)  # (nz, n0)
-    q_heavy = np.where(np.broadcast_to(heavy.T[:, None, :], (n0, n1, nz)), 0.0, 1.0)  # C=0 iff heavy
-
-    eps_total = eps + eps_prime
-    if eps_total >= 1.0:
-        raise ValueError("eps + eps_prime = %r leaves no probability to keep" % (eps_total,))
-
-    def certify(q, rule):
-        hidden = _hidden_table(p, q)
-        res = smoothed_min_entropy(hidden, eps_total)
-        value, weights, pr_event = res["value"], res["event"].weights, res["event_probability"]
-        if value >= bound - CERT_TOL:
-            # Witness the bound with the cheapest event: clip only the masses
-            # above 2^{-bound}.  This removes no more than the optimal
-            # water-filling did (its level sits at or below the threshold),
-            # so Pr(E) >= 1 - eps - eps' still holds, with equality to 1
-            # whenever the raw masses already satisfy the bound.
-            thresh = 2.0 ** (-bound)
-            t = hidden.p_x_given_y
-            pos = t > 0
-            weights = np.ones_like(t)
-            np.minimum(1.0, np.divide(thresh, t, out=np.full_like(t, np.inf),
-                                      where=pos), out=weights, where=pos)
-            retained = float((t * weights).max())
-            value = -math.log2(retained) if 0 < retained < 1 else max(bound, 0.0)
-            pr_event = float((hidden.p_y[:, None] * t * weights).sum())
-        cert = {"value": value, "bound": bound, "rule": rule,
-                "joint_entropy": joint_h["value"], "hidden": hidden,
-                "event": weights,
-                "event_probability": pr_event}
-        return cert
-
-    best_value = -math.inf
-    cert = certify(q_heavy, "heaviness")
-    if cert["value"] >= bound - CERT_TOL:
-        return {"C": q_heavy, "certificate": cert}
-    best_value = max(best_value, cert["value"])
-
-    # exhaustive fallback: deterministic C measurable in (x0, z), then (x1, z)
-    for axis, size in (("x0", n0), ("x1", n1)):
-        if size * nz > 16:
-            continue  # 2^(size*nz) assignments; beyond desk scale
-        for code in range(1 << (size * nz)):
-            q = np.zeros((n0, n1, nz))
-            for zi in range(nz):
-                for i in range(size):
-                    bit = (code >> (zi * size + i)) & 1
-                    if axis == "x0":
-                        q[i, :, zi] = bit
-                    else:
-                        q[:, i, zi] = bit
-            cert = certify(q, "exhaustive-%s" % axis)
-            if cert["value"] >= bound - CERT_TOL:
-                return {"C": q, "certificate": cert}
-            best_value = max(best_value, cert["value"])
-    raise SplitNotCertifiedError("split-not-certified: best value %g falls short of bound %g"
-                                 % (best_value, bound), best_value)
-
+    if p.pair_shape is None:
+        raise ValueError("entropy splitting needs a joint over pairs (x0, x1), "
+                         "as built by joint_cond_dist")
+    res = split_joints(p.p_x_given_y.reshape((1, p.ny) + p.pair_shape), p.p_y[None], alpha,
+                       eps, eps_prime)
+    cert = {key: float(res[key][0])
+            for key in ("value", "bound", "joint_entropy", "event_probability")}
+    cert.update(rule=res["rule"][0], event=res["event"][0],
+                hidden=CondDist(res["hidden"][0], res["hidden_p"][0]))
+    return {"C": np.moveaxis(res["C"][0], 0, 2), "certificate": cert}

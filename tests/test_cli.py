@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from otmlab.cli import main
+from otmlab.cli import _random_joints, main
 from otmlab.nets import separable_net, two_local_net
 from otmlab.otm import ReductionParams, theorem_bound
 
@@ -155,20 +155,25 @@ def test_otm_security_readme_artifacts_are_pinned(runner, tmp_path):
 
 
 @pytest.mark.parametrize("args, digests", [
-    (["--n0", "8", "--n1", "8", "--nz", "3", "--eps", "0.0", "--eps-prime", "0.25",
-      "--seed", "5"],
+    (["--count", "50", "--n0", "8", "--n1", "8", "--nz", "3", "--eps", "0.0",
+      "--eps-prime", "0.25", "--seed", "5"],
      {"entropy.csv": "360aa878aa6bc15f63bd998c035cf3b55087a2edda26691673263d2b965c7c8f",
       "entropy.json": "c9c40f9d065d8fd25999abab50cea9138d2309e007c797de6ff220f4f0142b29"}),
-    (["--n0", "3", "--n1", "5", "--nz", "2", "--eps", "0.1", "--eps-prime", "0.3",
-      "--seed", "9"],
+    (["--count", "50", "--n0", "3", "--n1", "5", "--nz", "2", "--eps", "0.1",
+      "--eps-prime", "0.3", "--seed", "9"],
      {"entropy.csv": "efb1369c6874345e5cbd91f539150c19e566ba8c8b9af2c3f2a91bcf1320927a",
       "entropy.json": "043f2ca5ef49c7ad922efa3342a1605e40b5ae2cb172e30107962beca354dc65"}),
-], ids=["readme", "uneven-smoothed"])
+    (["--count", "700", "--n0", "8", "--n1", "8", "--nz", "3", "--eps", "0.0",
+      "--eps-prime", "0.25", "--seed", "5"],
+     {"entropy.csv": "f0fa155b0d651238c39ac4a6f71f9a7f16d879867742fa589b219deac4522210",
+      "entropy.json": "cee1854b1910a7a0fe57312691da4fcf041f9e5295dbbf9c4db2b8f87b2034f1"}),
+], ids=["readme", "uneven-smoothed", "readme-700"])
 def test_entropy_artifacts_are_pinned(runner, tmp_path, args, digests):
     # 50 instances of the README joint shape, and of an n0 != n1 shape at
-    # eps > 0; the digests are those of the tuple-alphabet implementation
-    result = runner.invoke(main, ["entropy", "--count", "50", "--output-dir", str(tmp_path)]
-                           + args)
+    # eps > 0: the digests are those of the tuple-alphabet implementation.
+    # 700 README-shape instances span three stacked calls; their digests are
+    # those of the instance-at-a-time sweep.
+    result = runner.invoke(main, ["entropy", "--output-dir", str(tmp_path)] + args)
     assert result.exit_code == 0, result.output
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in digests} == digests
@@ -424,6 +429,86 @@ def test_entropy_certificates(runner, tmp_path):
     assert len(doc["instances"]) == 4
 
 
+def _entropy_run(runner, tmp_path, name, count, extra=()):
+    result = runner.invoke(main, ["entropy", "--count", str(count), "--n0", "8", "--n1", "8",
+                                  "--nz", "3", "--eps", "0.0", "--eps-prime", "0.25",
+                                  "--seed", "21", "--output-dir", str(tmp_path / name)]
+                           + list(extra))
+    return result, {p.name: p.read_bytes() for p in (tmp_path / name).glob("entropy.*")}
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 5])
+def test_entropy_chunks_match_one_instance_at_a_time(runner, tmp_path, monkeypatch, count):
+    # stacked calls of four instances (count 1, chunk - 1, chunk, chunk + 1)
+    # write the bytes that one instance per call writes
+    from otmlab import entropy as entropy_mod
+
+    files = {}
+    for chunk in (1, 4):
+        monkeypatch.setattr(entropy_mod, "STACK_CELLS", chunk * 3 * 8 * 8)
+        result, files[chunk] = _entropy_run(runner, tmp_path, "c%d" % chunk, count)
+        assert result.exit_code == 0, result.output
+    assert set(files[1]) == {"entropy.csv", "entropy.json"} and files[1] == files[4]
+
+
+def test_batched_draws_equal_per_instance_draws():
+    tables, pz = _random_joints(np.random.default_rng(8), 7, 3, 4, 5)
+    rng = np.random.default_rng(8)
+    for table, marginal in zip(tables, pz):
+        want = rng.random((3, 4, 5)) + 0.01
+        want /= want.sum(axis=(1, 2), keepdims=True)
+        want_pz = rng.random(3) + 0.1
+        want_pz /= want_pz.sum()
+        assert np.array_equal(table, want) and np.array_equal(marginal, want_pz)
+
+
+def test_failing_alpha_reports_the_first_failing_instance(runner, tmp_path, monkeypatch):
+    # alpha at the least entropy of the first five instances: the first
+    # instance below it (11) sits in a later stacked call of eight, which
+    # holds another one (15)
+    from otmlab import entropy as entropy_mod
+
+    tables, _ = _random_joints(np.random.default_rng(21), 40, 3, 8, 8)
+    joint = [-math.log2(t.max()) for t in tables]  # eps = 0 smooths nothing away
+    alpha = min(joint[:5])
+    bad = [i for i, h in enumerate(joint) if h < alpha - 1e-9]
+    assert bad[0] >= 8 and bad[1] < (bad[0] // 8 + 1) * 8
+    monkeypatch.setattr(entropy_mod, "STACK_CELLS", 8 * 3 * 8 * 8)
+    result, _ = _entropy_run(runner, tmp_path, "a", 40, ["--alpha", repr(alpha)])
+    _rejected(result, "joint smoothed min-entropy %g is below alpha=%g" % (joint[bad[0]], alpha))
+
+
+def test_entropy_manifest_counts_rules_and_fallbacks(runner, tmp_path, monkeypatch):
+    from otmlab import entropy as entropy_mod
+
+    args = ["entropy", "--count", "6", "--n0", "2", "--n1", "3", "--nz", "2", "--eps", "0.0",
+            "--eps-prime", "0.25", "--seed", "4", "--output-dir"]
+    result = runner.invoke(main, args + [str(tmp_path / "a")])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "a" / "entropy_manifest.json").read_text())
+    assert manifest["counters"] == {"instances": 6, "rules": {"heaviness": 6},
+                                    "fallback_candidates": 0, "certified": 6}
+    # the heaviness certificates (the first call on hidden tables of 2 nz
+    # rows) read 100 bits low, so every instance takes the fallback, whose
+    # first assignment (C = 0 everywhere) certifies
+    real, calls = entropy_mod._smooth, []
+
+    def lowball(t, p_y, eps):
+        value, weights, pr_event, fault = real(t, p_y, eps)
+        if t.shape[1] == 4:
+            calls.append(len(t))
+            if len(calls) == 1:
+                value = value - 100.0
+        return value, weights, pr_event, fault
+
+    monkeypatch.setattr(entropy_mod, "_smooth", lowball)
+    result = runner.invoke(main, args + [str(tmp_path / "b")])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "b" / "entropy_manifest.json").read_text())
+    assert manifest["counters"] == {"instances": 6, "rules": {"exhaustive-x0": 6},
+                                    "fallback_candidates": 6, "certified": 6}
+
+
 def test_output_dir_env_var(runner, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("OTMLAB_OUTPUT_DIR", str(target))
@@ -456,15 +541,21 @@ _ENTROPY_CONFIG = {"count": 2, "n0": 3, "n1": 3, "nz": 1, "eps": 0.0,
     ({"nz": 0}, "'nz'"),
     ({"eps_prime": "0.25"}, "'eps_prime'"),
     ({"alpha": "3"}, "'alpha'"),
+    ({"eps": -0.1}, "eps=-0.1 outside [0, 1)"),
+    ({"eps": 1}, "eps=1 outside [0, 1)"),
+    ({"eps_prime": 0.0}, "eps_prime=0.0 outside (0, 1)"),
+    ({"eps_prime": 1.5}, "eps_prime=1.5 outside (0, 1)"),
+    ({"eps": 0.5, "eps_prime": 0.5}, "eps + eps_prime = 1.0 leaves no probability"),
 ], ids=["string-n0", "string-eps", "nan-eps", "bool-count", "zero-nz",
-        "string-eps-prime", "string-alpha"])
+        "string-eps-prime", "string-alpha", "negative-eps", "unit-eps", "zero-eps-prime",
+        "large-eps-prime", "no-budget-left"])
 def test_bad_entropy_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
     from otmlab import entropy as entropy_mod
 
     def no_compute(*args, **kwargs):
         raise AssertionError("entropy ran before validation")
 
-    monkeypatch.setattr(entropy_mod, "joint_cond_dist", no_compute)
+    monkeypatch.setattr(entropy_mod, "split_joints", no_compute)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(dict(_ENTROPY_CONFIG, **bad)))
     _rejected(runner.invoke(main, ["entropy", "--output-dir", str(tmp_path / "out"),

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -143,28 +144,113 @@ def _waterfill_segment_loop(masses, budgets, eps):
     return 0.0
 
 
+def _oracle_waterfill_level(masses, budgets, eps):
+    """The per-table `_waterfill_level` the row-wise one replaced."""
+    if eps <= 0:
+        return float(masses.max())
+    order = np.argsort(masses)[::-1]
+    m = masses[order]
+    b = budgets[order]
+    cum_b = np.cumsum(b)
+    cum_bm = np.cumsum(b * m)
+    live = cum_b > 0
+    h = np.divide(cum_bm - eps, cum_b, out=np.zeros_like(cum_b), where=live)
+    lower = np.append(m[1:], 0.0)
+    hit = np.flatnonzero(live & (lower <= h) & (h <= m))
+    return float(max(h[hit[0]], 0.0)) if hit.size else 0.0
+
+
+def _oracle_smoothed(p, eps):
+    """The per-table `smoothed_min_entropy` the stacked smoothing replaced."""
+    if not (0.0 <= eps < 1.0):
+        raise ValueError("eps=%r outside [0, 1)" % (eps,))
+    live = p.p_y > 0
+    if not live.any():
+        raise ValueError("no y value has positive probability")
+    t = p.p_x_given_y
+    budgets = np.repeat(p.p_y, p.nx).reshape(p.ny, p.nx)
+    flat_m = t[live].ravel()
+    flat_b = budgets[live].ravel()
+    if flat_m.max() <= 0:
+        raise ValueError("empty support: all conditional masses are zero")
+    h = _oracle_waterfill_level(flat_m, flat_b, eps)
+    weights = np.ones_like(t)
+    pos = t > 0
+    np.minimum(1.0, np.divide(h, t, out=np.full_like(t, np.inf), where=pos), out=weights, where=pos)
+    weights[~live, :] = 1.0
+    pr_event = float((p.p_y[:, None] * t * weights).sum())
+    if h <= 0:
+        raise ValueError("smoothing removed the entire distribution (eps=%r)" % (eps,))
+    return {"value": -math.log2(h), "event": SmoothingEvent(weights),
+            "event_probability": pr_event}
+
+
 _unit = st.floats(0.0, 1.0, allow_subnormal=False)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_waterfill_level_matches_segment_loop(data):
-    n = data.draw(st.integers(1, 40), label="n")
-    # a few shared values make ties likely; zero budgets switch segments off
+    # rows of ny slices of nx cells; a pool of values shared by every row
+    # makes ties within and across rows likely, zero budgets switch segments
+    # off, and dead slices must never be hit
+    rows = data.draw(st.integers(1, 4), label="rows")
+    ny, nx = data.draw(st.integers(1, 4), label="ny"), data.draw(st.integers(1, 10), label="nx")
     pool = data.draw(st.lists(_unit, min_size=1, max_size=4), label="pool")
-    masses = np.array(data.draw(st.lists(st.one_of(st.sampled_from(pool), _unit),
-                                         min_size=n, max_size=n), label="masses"))
-    budgets = np.array(data.draw(st.lists(st.one_of(st.just(0.0), _unit),
-                                          min_size=n, max_size=n), label="budgets"))
-    total = float((budgets * masses).sum())
-    near_total = [total, np.nextafter(total, 0.0), np.nextafter(total, 2.0)]
-    # removal at a cell's own mass: the level sits on a segment boundary
-    at_cell = [float((budgets * np.maximum(masses - m, 0.0)).sum()) for m in masses]
-    eps = data.draw(st.one_of(st.just(0.0), st.sampled_from(near_total), st.sampled_from(at_cell),
-                              st.floats(0.0, max(total, 1e-300), allow_subnormal=False), _unit),
-                    label="eps")
-    got = entropy_mod._waterfill_level(masses, budgets, float(eps))
-    assert repr(got) == repr(_waterfill_segment_loop(masses, budgets, float(eps)))
+
+    def table(cell):
+        return np.array(data.draw(st.lists(st.lists(cell, min_size=ny * nx, max_size=ny * nx),
+                                           min_size=rows, max_size=rows)))
+
+    masses = table(st.one_of(st.sampled_from(pool), _unit))
+    budgets = table(st.one_of(st.just(0.0), _unit))
+    live = np.repeat(np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=ny, max_size=ny),
+                                                 min_size=rows, max_size=rows))), nx, axis=1)
+    eps = []
+    for m, b, keep in zip(masses, budgets, live):
+        m, b = m[keep], b[keep]
+        total = float((b * m).sum())
+        near_total = [total, np.nextafter(total, 0.0), np.nextafter(total, 2.0)]
+        # removal at a cell's own mass: the level sits on a segment boundary
+        at_cell = [float((b * np.maximum(m - x, 0.0)).sum()) for x in m] or [0.0]
+        eps.append(float(data.draw(st.one_of(
+            st.just(0.0), st.sampled_from(near_total), st.sampled_from(at_cell),
+            st.floats(0.0, max(total, 1e-300), allow_subnormal=False), _unit), label="eps")))
+    got = entropy_mod._waterfill_level(masses, budgets, live, np.array(eps))
+    for row, m, b, keep, e in zip(got.tolist(), masses, budgets, live, eps):
+        if not keep.any():
+            assert row == 0.0
+            continue
+        want = _waterfill_segment_loop(m[keep], b[keep], e)
+        assert repr(row) == repr(want) == repr(_oracle_waterfill_level(m[keep], b[keep], e))
+
+
+def test_smoothed_equals_per_table_oracle():
+    # dead slices, zero cells and eps up to the whole mass, bit for bit,
+    # including the error a fault raises
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        ny, nx = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        t = rng.random((ny, nx)) * (rng.random((ny, nx)) < 0.7)
+        t[:, 0] += 0.01 * (rng.random(ny) < 0.8)
+        sums = t.sum(axis=1, keepdims=True)
+        t = np.divide(t, sums, out=np.zeros_like(t), where=sums > 0)
+        py = rng.random(ny) * (t.sum(axis=1) > 0) * (rng.random(ny) < 0.8)
+        if py.sum() == 0:
+            continue
+        p = CondDist(t, py / py.sum())
+        eps = float(rng.choice([0.0, rng.random() * 0.5, 0.999999]))
+        try:
+            want = _oracle_smoothed(p, eps)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                smoothed_min_entropy(p, eps)
+            assert str(got.value) == str(exc)
+            continue
+        got = smoothed_min_entropy(p, eps)
+        assert repr(got["value"]) == repr(want["value"])
+        assert repr(got["event_probability"]) == repr(want["event_probability"])
+        assert np.array_equal(got["event"].weights, want["event"].weights)
 
 
 def test_smoothed_zero_eps_equals_min_entropy():
@@ -275,8 +361,8 @@ def test_split_random_joints_always_certify():
         cert = res["certificate"]
         assert cert["value"] >= cert["bound"] - 1e-9
         # recompute certifiability from scratch on the extended alphabet
-        hidden = entropy_mod._hidden_table(p, res["C"])
-        again = smoothed_min_entropy(hidden, 0.25)["value"]
+        hidden = _oracle_hidden_table(p, _pairs(p), res["C"])
+        again = _oracle_smoothed(hidden, 0.25)["value"]
         assert again >= cert["bound"] - 1e-9
         # the returned event witnesses the stated value with budget to spare
         retained = hidden.p_x_given_y * cert["event"]
@@ -289,13 +375,21 @@ def test_split_random_joints_always_certify():
         assert np.all(cert["event"][untouched] == 1.0)
 
 
+def _hidden(p, q):
+    """`_hidden_tables` on one joint p and one C assignment q (n0, n1, nz)."""
+    joint = p.p_x_given_y.reshape((1, p.ny) + p.pair_shape)
+    q = np.ascontiguousarray(np.moveaxis(q, 2, 0))[None]
+    table, p_y = entropy_mod._hidden_tables(joint, p.p_y[None], q)
+    return CondDist(table[0], p_y[0])
+
+
 def test_hidden_table_hand_case():
     # joint on 2x2, trivial Z, deterministic C = [x0 == 1]
     table = np.array([[[0.4, 0.1], [0.2, 0.3]]])
     p = joint_cond_dist(table, [1.0])
     q = np.zeros((2, 2, 1))
     q[1, :, 0] = 1.0
-    hidden = entropy_mod._hidden_table(p, q)
+    hidden = _hidden(p, q)
     assert np.allclose(hidden.p_y, [0.5, 0.5])
     # y = (z, 0): hidden is X1 with masses (0.4, 0.1)/0.5
     assert np.allclose(hidden.p_x_given_y[0], [0.0, 0.0, 0.8, 0.2])
@@ -303,36 +397,58 @@ def test_hidden_table_hand_case():
     assert np.allclose(hidden.p_x_given_y[1], [0.0, 1.0, 0.0, 0.0])
 
 
-def test_split_not_certified_error(monkeypatch):
-    # the splitting lemma always holds for honest inputs, so the failure
-    # branch is forced here by sabotaging the certificate recomputation
-    table = np.full((1, 4, 4), 1 / 16)
-    p = joint_cond_dist(table, [1.0])
-    real = entropy_mod.smoothed_min_entropy
+def _sabotage(monkeypatch, nz, lower):
+    """Patch the stacked smoothing: every hidden table (2 nz rows, where a
+    joint has nz) for which lower(table, p_y) holds reads 100 bits low."""
+    real = entropy_mod._smooth
 
-    def lowball(dist, eps):
-        res = real(dist, eps)
-        if dist.pair_shape is None:  # the hidden table, not the joint
+    def smooth(t, p_y, eps):
+        value, weights, pr_event, fault = real(t, p_y, eps)
+        if t.shape[1] == 2 * nz:
+            hit = np.array([lower(tk, pk) for tk, pk in zip(t, p_y)], dtype=bool)
+            value = np.where(hit, value - 100.0, value)
+        return value, weights, pr_event, fault
+
+    monkeypatch.setattr(entropy_mod, "_smooth", smooth)
+
+
+def _oracle_sabotaged(lower):
+    """The oracle's smoothing, with the hidden tables `_sabotage` lowers
+    (those without a pair shape) lowered alike."""
+    def smooth(dist, eps):
+        res = _oracle_smoothed(dist, eps)
+        if dist.pair_shape is None and lower(dist.p_x_given_y, dist.p_y):
             res = dict(res, value=res["value"] - 100.0)
         return res
 
-    monkeypatch.setattr(entropy_mod, "smoothed_min_entropy", lowball)
-    with pytest.raises(SplitNotCertifiedError) as exc:
-        entropy_split(p, 4.0, 0.0, 0.9)
-    assert exc.value.best_value < -90.0
+    return smooth
+
+
+def test_split_not_certified_error(monkeypatch):
+    # the splitting lemma always holds for honest inputs, so the failure
+    # branch is forced here by sabotaging the certificate recomputation; at
+    # n = 17 there is no fallback, so the best value is the heaviness rule's
+    _sabotage(monkeypatch, 1, lambda t, p_y: True)
+    for n in (4, 17):
+        p = joint_cond_dist(np.full((1, n, n), 1 / n ** 2), [1.0])
+        level = math.log2(n * n)
+        with pytest.raises(SplitNotCertifiedError) as want:
+            _oracle_split(p, level, 0.0, 0.9, _oracle_sabotaged(lambda t, p_y: True))
+        with pytest.raises(SplitNotCertifiedError) as exc:
+            entropy_split(p, level, 0.0, 0.9)
+        assert exc.value.best_value < -90.0
+        assert repr(exc.value.best_value) == repr(want.value.best_value)
 
 
 def test_split_needs_a_pair_shape(monkeypatch):
     p = CondDist(np.full((1, 16), 1 / 16), [1.0])
 
-    def no_smoothing(dist, eps):
+    def no_smoothing(*args):
         raise AssertionError("smoothing ran before the shape check")
 
-    monkeypatch.setattr(entropy_mod, "smoothed_min_entropy", no_smoothing)
+    monkeypatch.setattr(entropy_mod, "_smooth", no_smoothing)
     with pytest.raises(ValueError, match="pairs"):
         entropy_split(p, 4.0, 0.0, 0.25)
-    with pytest.raises(ValueError, match="pairs"):
-        entropy_mod._hidden_table(p, np.zeros((4, 4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +491,21 @@ def _oracle_hidden_table(p, pairs, q_c1):
     return CondDist(table, p_yc)
 
 
-def _oracle_split(p, alpha, eps, eps_prime):
-    """`entropy_split` as it was on tuple alphabets: the pair alphabet is
-    rebuilt and taken apart by scans, and the hidden table is filled one z at
-    a time.  Smoothing goes through the module, so a patched
-    `smoothed_min_entropy` reaches both implementations."""
-    smooth = entropy_mod.smoothed_min_entropy
-    joint_h = smooth(p, eps)
-    assert joint_h["value"] >= alpha - entropy_mod.CERT_TOL
+def _pairs(p):
     n0, n1 = p.pair_shape
-    pairs = [(u, v) for u in range(n0) for v in range(n1)]
+    return [(u, v) for u in range(n0) for v in range(n1)]
+
+
+def _oracle_split(p, alpha, eps, eps_prime, smooth=_oracle_smoothed):
+    """`entropy_split` one joint at a time, as it was on tuple alphabets: the
+    pair alphabet is rebuilt and taken apart by scans, and the hidden table
+    is filled one z at a time.  `smooth` smooths the joint and every hidden
+    table; it defaults to the per-table smoothing."""
+    joint_h = smooth(p, eps)
+    if joint_h["value"] < alpha - entropy_mod.CERT_TOL:
+        raise ValueError("joint smoothed min-entropy %g is below alpha=%g"
+                         % (joint_h["value"], alpha))
+    pairs = _pairs(p)
     a0, a1 = _oracle_split_sizes(pairs)
     n0, n1, nz = len(a0), len(a1), p.ny
     bound = alpha / 2.0 - 1.0 - math.log2(1.0 / eps_prime)
@@ -431,7 +552,8 @@ def _oracle_split(p, alpha, eps, eps_prime):
             if cert["value"] >= bound - entropy_mod.CERT_TOL:
                 return q, cert
             best_value = max(best_value, cert["value"])
-    raise SplitNotCertifiedError("split-not-certified", best_value)
+    raise SplitNotCertifiedError("split-not-certified: best value %g falls short of bound %g"
+                                 % (best_value, bound), best_value)
 
 
 def _random_joint(rng, nz, n0, n1, sparse):
@@ -465,7 +587,7 @@ def test_split_equals_tuple_alphabet_oracle(nz, n0, n1, sparse):
         p = _random_joint(rng, nz, n0, n1, sparse)
         eps = float(rng.choice([0.0, 0.05, 0.2]))
         eps_prime = float(rng.choice([0.25, 0.5]))
-        alpha = smoothed_min_entropy(p, eps)["value"] * float(rng.choice([1.0, 0.5]))
+        alpha = _oracle_smoothed(p, eps)["value"] * float(rng.choice([1.0, 0.5]))
         want_q, want_cert = _oracle_split(p, alpha, eps, eps_prime)
         _assert_splits_equal(entropy_split(p, alpha, eps, eps_prime), want_q, want_cert)
 
@@ -477,9 +599,8 @@ def test_hidden_table_equals_oracle(nz, n0, n1):
     p = _random_joint(rng, nz, n0, n1, sparse=True)
     q = rng.random((n0, n1, nz))
     q[rng.random(q.shape) < 0.2] = float(rng.integers(2))
-    pairs = [(u, v) for u in range(n0) for v in range(n1)]
-    want = _oracle_hidden_table(p, pairs, q)
-    got = entropy_mod._hidden_table(p, q)
+    want = _oracle_hidden_table(p, _pairs(p), q)
+    got = _hidden(p, q)
     assert np.array_equal(got.p_x_given_y, want.p_x_given_y)
     assert np.array_equal(got.p_y, want.p_y)
 
@@ -487,7 +608,7 @@ def test_hidden_table_equals_oracle(nz, n0, n1):
 def test_split_equals_oracle_on_a_large_joint():
     # 128 x 192 pairs: the pair sums span many pairwise-summation blocks
     p = _random_joint(np.random.default_rng(31), 1, 128, 192, sparse=True)
-    alpha = smoothed_min_entropy(p, 0.0)["value"]
+    alpha = _oracle_smoothed(p, 0.0)["value"]
     want_q, want_cert = _oracle_split(p, alpha, 0.0, 0.25)
     _assert_splits_equal(entropy_split(p, alpha, 0.0, 0.25), want_q, want_cert)
 
@@ -495,17 +616,13 @@ def test_split_equals_oracle_on_a_large_joint():
 @pytest.mark.parametrize("nz, n0, n1", [(1, 2, 3), (2, 2, 2), (3, 2, 1), (2, 3, 2)])
 def test_exhaustive_fallback_equals_oracle(monkeypatch, nz, n0, n1):
     # as in test_split_not_certified_error, sabotaged certificates force the
-    # fallback: the first `skip` hidden-table smoothings read 100 bits low
-    real = entropy_mod.smoothed_min_entropy
+    # fallback: the first `skip` hidden-table smoothings read 100 bits low.
+    # Blocks of three assignments make the fallback cross block boundaries.
     state = {"skip": 0, "calls": 0}
 
-    def lowball(dist, eps):
-        res = real(dist, eps)
-        if dist.pair_shape is None:  # the hidden table, not the joint
-            state["calls"] += 1
-            if state["calls"] <= state["skip"]:
-                res = dict(res, value=res["value"] - 100.0)
-        return res
+    def lower(t, p_y):
+        state["calls"] += 1
+        return state["calls"] <= state["skip"]
 
     def run(split, p, alpha):
         state["calls"] = 0
@@ -514,15 +631,79 @@ def test_exhaustive_fallback_equals_oracle(monkeypatch, nz, n0, n1):
         except SplitNotCertifiedError as exc:
             return exc.best_value
 
-    monkeypatch.setattr(entropy_mod, "smoothed_min_entropy", lowball)
+    def oracle(p, alpha, eps, eps_prime):
+        return _oracle_split(p, alpha, eps, eps_prime, _oracle_sabotaged(lower))
+
+    _sabotage(monkeypatch, nz, lower)
+    monkeypatch.setattr(entropy_mod, "STACK_CELLS", 3 * nz * n0 * n1)
     rng = np.random.default_rng([nz, n0, n1])
     for skip in (1, 2, 5, math.inf):
         state["skip"] = skip
         p = _random_joint(rng, nz, n0, n1, sparse=False)
-        alpha = real(p, 0.0)["value"]
-        want, got = run(_oracle_split, p, alpha), run(entropy_split, p, alpha)
+        alpha = _oracle_smoothed(p, 0.0)["value"]
+        want, got = run(oracle, p, alpha), run(entropy_split, p, alpha)
         if skip == math.inf:  # nothing certifies
             assert repr(got) == repr(want) and got < -90.0
         else:
             assert want[1]["rule"].startswith("exhaustive-")
             _assert_splits_equal(got, *want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_split_joints_equals_per_instance_oracle(data):
+    nz = data.draw(st.integers(1, 3), label="nz")
+    n0, n1 = data.draw(st.integers(1, 4), label="n0"), data.draw(st.integers(1, 4), label="n1")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    joints = [_random_joint(rng, nz, n0, n1, data.draw(st.booleans(), label="sparse"))
+              for _ in range(data.draw(st.integers(1, 4), label="joints"))]
+    eps = data.draw(st.sampled_from([0.0, 0.05, 0.2]), label="eps")
+    eps_prime = data.draw(st.sampled_from([0.25, 0.5]), label="eps_prime")
+    # each joint's own level, or one level that later joints may fall below
+    own = [_oracle_smoothed(p, eps)["value"] for p in joints]
+    alpha = data.draw(st.sampled_from([None, own[0], max(own), 0.5 * own[0]]), label="alpha")
+    # hidden tables read 100 bits low: none, a salted pseudo-random two
+    # thirds of them (which forces the fallback), or all (not certified)
+    modes = ["none", "some"] + (["all"] if (1 << n0 * nz) + (1 << n1 * nz) <= 64 else [])
+    mode = data.draw(st.sampled_from(modes), label="sabotage")
+    salt = data.draw(st.integers(0, 2), label="salt")
+    calls = []
+
+    def lower(t, p_y):
+        calls.append(1)
+        return mode == "all" or (mode == "some" and (zlib.crc32(t.tobytes()) + salt) % 3 != 0)
+
+    want, want_exc = [], None
+    for p, level in zip(joints, own):
+        try:
+            want.append(_oracle_split(p, level if alpha is None else alpha, eps, eps_prime,
+                                      _oracle_sabotaged(lower)))
+        except ValueError as exc:
+            want_exc = exc
+            break
+    oracle_certified = len(calls)
+    tables = np.stack([p.p_x_given_y.reshape(nz, n0, n1) for p in joints])
+    got, got_exc = None, None
+    with pytest.MonkeyPatch.context() as mp:
+        _sabotage(mp, nz, lower)
+        try:
+            got = entropy_mod.split_joints(tables, np.stack([p.p_y for p in joints]), alpha,
+                                           eps, eps_prime)
+        except ValueError as exc:
+            got_exc = exc
+    if want_exc is not None:
+        assert type(got_exc) is type(want_exc) and str(got_exc) == str(want_exc)
+        if isinstance(want_exc, SplitNotCertifiedError):
+            assert repr(got_exc.best_value) == repr(want_exc.best_value)
+        return
+    assert got_exc is None
+    # one heaviness certificate per joint, then the fallback's assignments
+    assert got["fallback_candidates"] == oracle_certified - len(joints)
+    for i, (q, cert) in enumerate(want):
+        assert np.array_equal(np.moveaxis(got["C"][i], 0, 2), q)
+        for key in ("value", "bound", "joint_entropy", "event_probability"):
+            assert repr(float(got[key][i])) == repr(cert[key]), key
+        assert got["rule"][i] == cert["rule"]
+        assert np.array_equal(got["event"][i], cert["event"])
+        assert np.array_equal(got["hidden"][i], cert["hidden"].p_x_given_y)
+        assert np.array_equal(got["hidden_p"][i], cert["hidden"].p_y)
