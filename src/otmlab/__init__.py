@@ -4,7 +4,7 @@ The package implements and numerically verifies the reduction from "leaky"
 string one-time memories to "ideal" single-bit one-time memories:
 
 - exact r-wise independent single-bit hash families over GF(2^l)  (`hashfam`)
-- dense quantum states, POVM elements, separable and 2-local outcomes,
+- dense POVM elements, separable and 2-local outcomes,
   delta-non-negligibility  (`quantum`)
 - closed-form concentration bounds and Monte Carlo certification  (`tails`)
 - smoothed min-entropy, water-filling, entropy splitting  (`entropy`)

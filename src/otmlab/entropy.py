@@ -99,20 +99,6 @@ class CondDist:
         return "CondDist(nx=%d, ny=%d)" % (self.nx, self.ny)
 
 
-class SmoothingEvent:
-    """Retention weights w(x, y) = Pr(E | X=x, Y=y), each in [0, 1]."""
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if (w < -SLICE_TOL).any() or (w > 1.0 + SLICE_TOL).any():
-            raise ValueError("event weights must lie in [0, 1]")
-        self.weights = np.clip(w, 0.0, 1.0)
-        self.weights.setflags(write=False)
-
-    def __repr__(self):
-        return "SmoothingEvent(shape=%r)" % (self.weights.shape,)
-
-
 def min_entropy(p):
     """-lg of the largest conditional mass over slices with P(y) > 0.
 
@@ -208,7 +194,8 @@ def smoothed_min_entropy(p, eps):
     -------
     dict with keys
         value : float, the entropy in bits
-        event : SmoothingEvent witnessing it; Pr(event) >= 1 - eps - 1e-12
+        event : read-only (ny, nx) array of the retention weights
+            w(x, y) in [0, 1] witnessing it; Pr(event) >= 1 - eps - 1e-12
             and every smoothed mass P(x|y) w(x,y) is <= 2^{-value}
         event_probability : float
     """
@@ -217,9 +204,10 @@ def smoothed_min_entropy(p, eps):
     value, weights, pr_event, fault = _smooth(p.p_x_given_y[None], p.p_y[None], eps)
     if fault[0]:
         raise _smoothing_error(fault[0], eps)
+    weights.setflags(write=False)
     return {
         "value": float(value[0]),
-        "event": SmoothingEvent(weights[0]),
+        "event": weights[0],
         "event_probability": float(pr_event[0]),
     }
 

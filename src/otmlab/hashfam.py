@@ -156,18 +156,6 @@ class BinaryField:
     def mul(self, a, b):
         return _poly_mod(_poly_mul(a, b), self.modulus)
 
-    def add(self, a, b):
-        return a ^ b
-
-    def pow(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
     def __eq__(self, other):
         return isinstance(other, BinaryField) and self.ell == other.ell and self.modulus == other.modulus
 

@@ -18,11 +18,12 @@ c = 0, t when c = 1) is the hidden, high-entropy string,
     R_c(M) = E(1_E (-1)^{A_0 + A_1} | C=c, Z=M),
 
 and the distance of (A_C, given the revealed bit) from uniform obeys the
-exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.  Every
-per-outcome computation (`compute_Q_R`, the direct scan of
-`evaluate_security`, the instances of `hash_bias_tail`, `continuity_check`)
-takes Pr(C=c | Z=M) and the weights P(s,t|M) Pr(C=c|s,t) E_c(s,t) from one
-step, `_weights`.  Over the hash family, Q_c is a linear form and R_c a
+exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.  Each
+outcome runs one pipeline: `_split_outcome` gives (C, E), `_weights` gives
+Pr(C=c | Z=M) and the weights P(s,t|M) Pr(C=c|s,t) E_c(s,t) once per
+posterior, and `_fourier` sums them against the hash signs; the direct scan
+of `evaluate_security` and the instances of `hash_bias_tail` read the same
+weights.  Over the hash family, Q_c is a linear form and R_c a
 bilinear form in r-wise independent signs, so the moment tail bounds from
 `tails` control both; aggregating over outcomes and adding the smoothing
 and negligible-outcome losses gives the closed-form bound
@@ -41,7 +42,7 @@ import math
 import mpmath
 import numpy as np
 
-from .entropy import entropy_split, joint_cond_dist
+from .entropy import SLICE_TOL, split_joints
 from .hashfam import HashFunction, hash_bits, point_masks, sample_hash
 from .quantum import (NumericalConsistencyError, PovmElement, is_delta_non_negligible, norms,
                       tensor_stack)
@@ -517,41 +518,10 @@ def _weights(P, C, E):
     return [float((P * q[c]).sum()) for c in (0, 1)], [P * q[c] * E[c] for c in (0, 1)]
 
 
-def compute_Q_R(P, F, G, C, E):
-    """The exact security functionals for one outcome.
-
-    Parameters
-    ----------
-    P : (n, n) array, P(s, t | Z=M)
-    F, G : HashFunctions (or +-1 sign tables of length n)
-    C : (n, n) array, Pr(C=1 | s, t); C = c hides s (c=0) or t (c=1)
-    E : event weights in [0, 1]: shape (2, n, n) for per-c weights, or
-        (n, n) to share one table across both c
-
-    Returns
-    -------
-    dict with pr_c (Pr(C=c | Z=M)), Q and R (each a length-2 list indexed
-    by c); a c of zero probability yields exactly 0.0 for both.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("P must be a square joint table, got shape %r" % (P.shape,))
-    n = P.shape[0]
-    C = np.asarray(C, dtype=float)
-    if C.shape != (n, n):
-        raise ValueError("C table shape %r does not match P" % (C.shape,))
-    if (C < 0).any() or (C > 1).any():
-        raise ValueError("C entries must lie in [0, 1]")
-    E = np.asarray(E, dtype=float)
-    if E.shape == (n, n):
-        E = np.stack([E, E])
-    if E.shape != (2, n, n):
-        raise ValueError("E must have shape (n, n) or (2, n, n), got %r" % (E.shape,))
-    if (E < 0).any() or (E > 1).any():
-        raise ValueError("event weights must lie in [0, 1]")
-    sF = hash_signs(F, n)
-    sG = hash_signs(G, n)
-    pc, weights = _weights(P, C, E)
+def _fourier(pc, weights, sF, sG):
+    """Q_c and R_c (each a length-2 list indexed by c) from the output of
+    `_weights` and the +-1 signs of F and G; a c of zero probability yields
+    exactly 0.0 for both."""
     q_out = [0.0, 0.0]
     r_out = [0.0, 0.0]
     for c in (0, 1):
@@ -560,7 +530,7 @@ def compute_Q_R(P, F, G, C, E):
         sign_hidden = sF[:, None] if c == 0 else sG[None, :]
         q_out[c] = float((weights[c] * sign_hidden).sum()) / pc[c]
         r_out[c] = float((weights[c] * sF[:, None] * sG[None, :]).sum()) / pc[c]
-    return {"pr_c": pc, "Q": q_out, "R": r_out}
+    return q_out, r_out
 
 
 def hummingbird_distance(P):
@@ -589,27 +559,27 @@ def hummingbird_distance(P):
 def _split_outcome(P, alpha_k, eta):
     """Run the min-entropy split on one outcome's posterior.
 
-    Returns the C table in the hidden-string convention (Pr(C=1 | s, t),
-    C = c hides s for c=0 / t for c=1), per-c event weight tables, the
-    certificate, and the kept event probability.
+    Refuses a posterior that is not finite and nonnegative with total 1
+    (within entropy.SLICE_TOL).  Returns the C table in the hidden-string
+    convention (Pr(C=1 | s, t), C = c hides s for c=0 / t for c=1), per-c
+    event weight tables, the kept event probability and the log2 of the
+    certified collision level.
     """
     P = np.asarray(P, dtype=float)
+    if not np.isfinite(P).all() or (P < 0).any() or abs(P.sum() - 1.0) > SLICE_TOL:
+        raise ValueError("posterior must be finite and nonnegative with total 1")
     n = P.shape[0]
-    cond = joint_cond_dist(P[None, :, :], [1.0])
-    split = entropy_split(cond, alpha_k, 0.0, eta)
-    q_split = split["C"][:, :, 0]           # Pr(C_split=1), C_split=0 iff s heavy
-    q_hidden = 1.0 - q_split                # Pr(C=1) with C=c hiding sigma_c
-    ev = split["certificate"]["event"]      # rows: (z, C_split=0), (z, C_split=1)
+    split = split_joints(P[None, None], np.ones((1, 1)), alpha_k, 0.0, eta)
+    ev = split["event"][0]                  # rows: C_split=0, C_split=1
     w0 = ev[1, :n]                          # hidden s weights (C_split=1 <-> c=0)
     w1 = ev[0, n:]                          # hidden t weights
     E = np.stack([np.repeat(w0[:, None], n, axis=1),
                   np.repeat(w1[None, :], n, axis=0)])
     return {
-        "C": q_hidden,
+        "C": 1.0 - split["C"][0, 0],        # C_split=0 iff s heavy, so C = 1 - C_split
         "E": E,
-        "certificate": split["certificate"],
-        "event_probability": split["certificate"]["event_probability"],
-        "collision_log2": -split["certificate"]["value"],
+        "event_probability": float(split["event_probability"][0]),
+        "collision_log2": -float(split["value"][0]),
     }
 
 
@@ -702,8 +672,8 @@ def evaluate_security(otm, delta, params):
         certified_mass += prob
         P = model.conditional_joint(token)
         art = _split_outcome(P, level, params.eta)
-        qr = compute_Q_R(P, sF, sG, art["C"], art["E"])
         pc, weights = _weights(P, art["C"], art["E"])
+        Q, R = _fourier(pc, weights, sF, sG)
         flags = []
         l1 = [0.0, 0.0]
         for c in (0, 1):
@@ -711,19 +681,19 @@ def evaluate_security(otm, delta, params):
                 flags.append("bad-c%d" % c)
                 continue
             # path one: the Fourier identity on the sign-weighted sums
-            l1[c] = 0.5 * (abs(qr["Q"][c] + qr["R"][c]) + abs(qr["Q"][c] - qr["R"][c]))
+            l1[c] = 0.5 * (abs(Q[c] + R[c]) + abs(Q[c] - R[c]))
             # path two: the 2x2 bit table, one masked sum of the weights per code
             table = np.array([weights[c][codes[c] == k].sum() for k in range(4)]).reshape(2, 2)
             table /= pc[c]
             hb = hummingbird_distance(table)
-            if abs(hb["Q"] - qr["Q"][c]) > 1e-9 or abs(hb["R"] - qr["R"][c]) > 1e-9:
+            if abs(hb["Q"] - Q[c]) > 1e-9 or abs(hb["R"] - R[c]) > 1e-9:
                 raise NumericalConsistencyError("Fourier coefficients disagree with direct sums")
             direct_abs.append(prob * np.abs(table[0] - table[1]).sum() * pc[c])
-        l1_weighted = sum(qr["pr_c"][c] * l1[c] for c in (0, 1))
+        l1_weighted = sum(pc[c] * l1[c] for c in (0, 1))
         weighted_l1.append((prob, l1_weighted))
         rows.append({"outcome": repr(token), "probability": prob,
-                     "entropy": entropy, "pr_c": qr["pr_c"],
-                     "Q": qr["Q"], "R": qr["R"], "l1": l1,
+                     "entropy": entropy, "pr_c": pc,
+                     "Q": Q, "R": R, "l1": l1,
                      "l1_weighted": l1_weighted,
                      "smoothing_deficit": 1.0 - art["event_probability"],
                      "flags": flags})
@@ -775,9 +745,11 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     """
     if int(r) != r or r < 4 or r % 4 != 0:
         raise ValueError("r=%r must be a multiple of 4 (the bilinear bound splits it)" % (r,))
+    n = 1 << model.ell
+    if r > n:
+        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, model.ell, n))
     if trials < 10 ** 3:
         raise ValueError("trials=%d below the reportable minimum 10^3" % (trials,))
-    n = 1 << model.ell
     if lambda_grid is None:
         lambda_grid = np.geomspace(1.0 / 16.0, 2.0, 6)
     lambdas = np.asarray(lambda_grid, dtype=float)
@@ -876,7 +848,8 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
     Parameters
     ----------
     model : a quantum model exposing born_joint and average_state
-    F, G : HashFunctions (or sign tables)
+    F, G : HashFunctions on the model's ell bits (or sign tables of length
+        2^ell); a hash on another domain is refused
     M, M_tilde : PovmElements (or matrices) on the model's qubits
     mu, tau, delta : perturbation radius, bad-c threshold, negligibility
     alpha_k, eta : split level and smoothing budget
@@ -887,6 +860,10 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
     lemma6 conclusion fields
     """
     m = model.m
+    for h in (F, G):
+        if isinstance(h, HashFunction) and h.field.ell != model.ell:
+            raise ValueError("hash domain 2^%d does not match model ell=%d" % (h.field.ell, model.ell))
+    sF, sG = hash_signs(F, 1 << model.ell), hash_signs(G, 1 << model.ell)
     mat = M.matrix if isinstance(M, PovmElement) else np.asarray(M, dtype=complex)
     mat_t = M_tilde.matrix if isinstance(M_tilde, PovmElement) else np.asarray(M_tilde, dtype=complex)
     avg = model.average_state()
@@ -912,33 +889,34 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
 
     P_t, prob_t = model.born_joint(mat_t)
     art = _split_outcome(P_t, alpha_k, eta)
-    qr_t = compute_Q_R(P_t, F, G, art["C"], art["E"])
+    pc_t, weights_t = _weights(P_t, art["C"], art["E"])
+    q_t, r_t = _fourier(pc_t, weights_t, sF, sG)
 
     P_m, prob_m = model.born_joint(mat)
     pc_m, weights_m = _weights(P_m, art["C"], art["E"])
     bad = [pc_m[c] < tau for c in (0, 1)]
-    E_m = np.where(np.array(bad)[:, None, None], 0.0, art["E"])
-    qr_m = compute_Q_R(P_m, F, G, art["C"], E_m)
+    # M keeps M_tilde's split, with E zeroed on every bad c
+    q_m, r_m = _fourier(pc_m, [w * 0.0 if b else w for w, b in zip(weights_m, bad)], sF, sG)
 
-    pr_e_t = float(sum(w.sum() for w in _weights(P_t, art["C"], art["E"])[1]))
+    pr_e_t = float(sum(w.sum() for w in weights_t))
     pr_e_m = float(sum(w.sum() for w, b in zip(weights_m, bad) if not b))
     qr_bound = 2.0 * mu * (2.0 ** m / (tau * delta)) ** 2
     per_c = []
     for c in (0, 1):
-        entry = {"bad": bad[c], "pr_c_M": pc_m[c], "pr_c_M_tilde": qr_t["pr_c"][c]}
+        entry = {"bad": bad[c], "pr_c_M": pc_m[c], "pr_c_M_tilde": pc_t[c]}
         if bad[c]:
-            entry["Q_M"] = qr_m["Q"][c]
-            entry["R_M"] = qr_m["R"][c]
-            entry["ok"] = qr_m["Q"][c] == 0.0 and qr_m["R"][c] == 0.0
+            entry["Q_M"] = q_m[c]
+            entry["R_M"] = r_m[c]
+            entry["ok"] = q_m[c] == 0.0 and r_m[c] == 0.0
         else:
-            entry["Q_delta"] = abs(qr_m["Q"][c] - qr_t["Q"][c])
-            entry["R_delta"] = abs(qr_m["R"][c] - qr_t["R"][c])
+            entry["Q_delta"] = abs(q_m[c] - q_t[c])
+            entry["R_delta"] = abs(r_m[c] - r_t[c])
             entry["bound"] = qr_bound
             entry["ok"] = entry["Q_delta"] <= qr_bound and entry["R_delta"] <= qr_bound
         per_c.append(entry)
     report.update({
-        "Q_M": qr_m["Q"], "R_M": qr_m["R"],
-        "Q_M_tilde": qr_t["Q"], "R_M_tilde": qr_t["R"],
+        "Q_M": q_m, "R_M": r_m,
+        "Q_M_tilde": q_t, "R_M_tilde": r_t,
         "pr_E_M": pr_e_m, "pr_E_M_tilde": pr_e_t,
         "event_lower_bound_ok": pr_e_m >= pr_e_t - tau - 1e-12,
         "bad_c_count": sum(bad),

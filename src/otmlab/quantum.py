@@ -1,14 +1,14 @@
 r"""Dense complex-matrix quantum core.
 
-States, POVM elements, tensor structure, matrix norms, the Born rule,
+POVM elements, tensor structure, matrix norms, the Born rule,
 delta-non-negligibility of measurement outcomes, and the separable /
 2-local-depth-d outcome representations used by the net and security
 modules.  Everything is dense and desk-scale: operators live in dimension
 at most 2^12, and 2-local assembly is capped at m <= 6 qubits.
 
-All matrix-valued inputs may be passed either as raw numpy arrays or as the
-wrapper types defined here; wrappers validate their defining constraints at
-construction and are immutable afterwards.
+States are plain density matrices.  POVM elements may be passed either as
+raw numpy arrays or as `PovmElement`, which validates 0 <= M <= I at
+construction and is immutable afterwards.
 """
 
 import warnings
@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 
 MAX_TENSOR_DIM = 1 << 12
-HERMITIAN_TOL = 1e-12
 POVM_SPECTRUM_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 ASSEMBLY_SPECTRUM_TOL = 1e-9
@@ -29,7 +28,7 @@ class NumericalConsistencyError(ValueError):
 
 
 def _as_matrix(x):
-    if isinstance(x, (DensityMatrix, PovmElement)):
+    if isinstance(x, PovmElement):
         return x.matrix
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -39,32 +38,6 @@ def _as_matrix(x):
 
 def _hermitize(m):
     return (m + m.conj().T) / 2.0
-
-
-class DensityMatrix:
-    """A state: Hermitian, positive semidefinite, unit trace.
-
-    Hermiticity is enforced to 1e-12 in entrywise l-inf, eigenvalues must be
-    >= -1e-10, and the trace must be within 1e-12 of one.
-    """
-
-    def __init__(self, matrix):
-        m = _as_matrix(matrix)
-        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian to %g" % HERMITIAN_TOL)
-        m = _hermitize(m)
-        eig = np.linalg.eigvalsh(m)
-        if eig.min() < -POVM_SPECTRUM_TOL:
-            raise ValueError("density matrix has eigenvalue %g < -%g" % (eig.min(), POVM_SPECTRUM_TOL))
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > HERMITIAN_TOL:
-            raise ValueError("density matrix trace %r is not 1 to %g" % (tr, HERMITIAN_TOL))
-        self.matrix = m
-        self.matrix.setflags(write=False)
-        self.dim = m.shape[0]
-
-    def __repr__(self):
-        return "DensityMatrix(dim=%d)" % self.dim
 
 
 class PovmElement:
@@ -134,10 +107,6 @@ class KrausLayer:
         self.factors = factors
         self.m = m
 
-    def operator(self):
-        """The layer's 2^m x 2^m Kraus operator, qubits in natural order."""
-        return _layer_operators(np.stack(self.factors)[None], self.pairing)[0]
-
     def __repr__(self):
         return "KrausLayer(m=%d, pairing=%r)" % (self.m, self.pairing)
 
@@ -160,24 +129,6 @@ class TwoLocalOutcome:
 
     def __repr__(self):
         return "TwoLocalOutcome(m=%d, d=%d)" % (self.m, self.d)
-
-
-def tensor(a, b):
-    """Kronecker product with a desk-scale dimension guard.
-
-    Parameters
-    ----------
-    a, b : square matrices
-
-    Returns
-    -------
-    ndarray of shape (dim_a*dim_b, dim_a*dim_b); rejected if that exceeds 2^12.
-    """
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[0] * b.shape[0] > MAX_TENSOR_DIM:
-        raise ValueError("tensor dimension %d exceeds cap %d" % (a.shape[0] * b.shape[0], MAX_TENSOR_DIM))
-    return np.kron(a, b)
 
 
 def tensor_stack(factors):
@@ -293,7 +244,7 @@ def born_probability(m, rho):
     Parameters
     ----------
     m : PovmElement or matrix
-    rho : DensityMatrix or matrix
+    rho : density matrix
 
     Returns
     -------
@@ -324,7 +275,7 @@ def is_delta_non_negligible(m, rho, delta):
     Parameters
     ----------
     m : PovmElement or matrix
-    rho : DensityMatrix or matrix
+    rho : density matrix
     delta : float in (0, 1]
 
     Returns
@@ -351,7 +302,7 @@ def negligible_mass(outcomes, rho, delta):
     outcomes : iterable of PovmElement or matrix
         Must form a complete POVM: the elements sum to the identity to 1e-9
         in entrywise l-inf, else the call is rejected.
-    rho : DensityMatrix or matrix
+    rho : density matrix
     delta : float in (0, 1]
 
     Returns

@@ -15,14 +15,10 @@ satisfies
     Pr(|S| >= lam) <= 4 e^{1/(6t)} sqrt(pi t) (4 |A|_F^2 t / (e lam^2))^{t/2}
                       + 4 e^{1/(12t)} sqrt(2 pi t) (8 |A| t / (e lam))^t,
 
-where both norms are of the entrywise absolute matrix.  For fully
-independent signs the sharper one-sided bound
-
-    Pr(S >= lam) <= exp(-(1/8) min{lam/|A|, lam^2/|A|_F^2})
-
-applies.  All three are evaluated in extended precision (mpmath, 50
-significant digits) before conversion to float, because the power terms
-under/overflow doubles once t reaches the hundreds.
+where both norms are of the entrywise absolute matrix.  Both are
+evaluated in extended precision (mpmath, 50 significant digits) before
+conversion to float, because the power terms under/overflow doubles once t
+reaches the hundreds.
 
 Monte Carlo
 -----------
@@ -187,28 +183,6 @@ def crayfish_bound(t, frob, op, lam):
         return _to_float(total)
 
 
-def hanson_wright_bound(lam, frob, op):
-    """One-sided tail bound exp(-(1/8) min{lam/op, lam^2/frob^2}).
-
-    Valid for fully independent signs; note this bounds Pr(S >= lam), not
-    the two-sided tail.
-
-    Parameters
-    ----------
-    lam : threshold, > 0
-    frob, op : norms of the entrywise-absolute matrix, > 0
-
-    Returns
-    -------
-    float in (0, 1]
-    """
-    if lam <= 0:
-        raise ValueError("lam=%r must be positive" % (lam,))
-    if frob <= 0 or op <= 0:
-        raise ValueError("norms must be positive")
-    return math.exp(-min(lam / op, lam ** 2 / frob ** 2) / 8.0)
-
-
 def clopper_pearson_upper(k, n, confidence=0.99):
     """One-sided upper confidence limit for a binomial proportion."""
     if not (0 <= k <= n) or n < 1:
@@ -258,12 +232,10 @@ def _tally(values_iter, lambda_grid, trials):
     if not np.isfinite(grid).all() or (grid < 0).any():
         raise ValueError("lambda grid must be finite and nonnegative")
     counts = np.zeros(grid.size, dtype=np.int64)
-    signed_counts = np.zeros(grid.size, dtype=np.int64)
     total = 0.0
     total_sq = 0.0
     for vals in values_iter:
         counts += (np.abs(vals)[:, None] >= grid[None, :]).sum(axis=0)
-        signed_counts += (vals[:, None] >= grid[None, :]).sum(axis=0)
         total += vals.sum()
         total_sq += (vals ** 2).sum()
     mean = total / trials
@@ -272,8 +244,6 @@ def _tally(values_iter, lambda_grid, trials):
         "lambdas": grid,
         "freqs": counts / trials,
         "upper_cl_99": np.array([clopper_pearson_upper(int(k), trials) for k in counts]),
-        "signed_freqs": signed_counts / trials,
-        "signed_upper_cl_99": np.array([clopper_pearson_upper(int(k), trials) for k in signed_counts]),
         "trials": trials,
         "sample_mean": mean,
         "sample_std": math.sqrt(var),
@@ -294,8 +264,7 @@ def empirical_tail_linear(inst, ell, r, lambda_grid, trials, rng):
     Returns
     -------
     dict with lambdas, freqs, upper_cl_99 (one-sided 99% Clopper-Pearson),
-    signed variants for the one-sided tail of Y itself, trials,
-    sample_mean, sample_std.
+    trials, sample_mean, sample_std.
     """
     if not isinstance(inst, LinearInstance):
         inst = LinearInstance(inst)
@@ -321,12 +290,11 @@ def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"
     ell, r : hash family parameters (ignored in "rademacher" mode)
     lambda_grid, trials, rng : as in empirical_tail_linear
     mode : "hash" draws xi = (-1)^{H(x)} from one r-wise hash for all rows;
-        "rademacher" draws fully independent signs (for the exp-form bound)
+        "rademacher" draws fully independent signs
 
     Returns
     -------
-    dict as in empirical_tail_linear; signed_* entries support one-sided
-    assertions (the exp-form bound is one-sided).
+    dict as in empirical_tail_linear
     """
     if not isinstance(inst, QuadraticInstance):
         inst = QuadraticInstance(inst)

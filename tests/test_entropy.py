@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 import otmlab.entropy as entropy_mod
 from otmlab.entropy import (
     CondDist,
-    SmoothingEvent,
     SplitNotCertifiedError,
     entropy_split,
     joint_cond_dist,
@@ -96,10 +95,13 @@ def test_cond_dist_names_the_first_bad_slice():
 
 
 def test_smoothing_event_bounds():
-    with pytest.raises(ValueError):
-        SmoothingEvent([[1.2]])
-    ev = SmoothingEvent([[0.0, 1.0]])
-    assert ev.weights.shape == (1, 2)
+    # the witnessing event is a read-only (ny, nx) weight array in [0, 1]
+    rng = np.random.default_rng(15)
+    for eps in (0.0, 0.3, 0.9):
+        ev = smoothed_min_entropy(_random_cond_dist(rng, 4, 2), eps)["event"]
+        assert ev.shape == (2, 4)
+        assert ((0.0 <= ev) & (ev <= 1.0)).all()
+        assert not ev.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,7 @@ def _oracle_smoothed(p, eps):
     pr_event = float((p.p_y[:, None] * t * weights).sum())
     if h <= 0:
         raise ValueError("smoothing removed the entire distribution (eps=%r)" % (eps,))
-    return {"value": -math.log2(h), "event": SmoothingEvent(weights),
+    return {"value": -math.log2(h), "event": weights,
             "event_probability": pr_event}
 
 
@@ -250,7 +252,7 @@ def test_smoothed_equals_per_table_oracle():
         got = smoothed_min_entropy(p, eps)
         assert repr(got["value"]) == repr(want["value"])
         assert repr(got["event_probability"]) == repr(want["event_probability"])
-        assert np.array_equal(got["event"].weights, want["event"].weights)
+        assert np.array_equal(got["event"], want["event"])
 
 
 def test_smoothed_zero_eps_equals_min_entropy():
@@ -266,7 +268,7 @@ def test_smoothed_half_quarter_quarter():
     assert res["value"] == pytest.approx(2.0, abs=1e-12)
     assert res["event_probability"] == pytest.approx(0.75, abs=1e-12)
     # the witnessing event trims only the top mass
-    assert np.allclose(res["event"].weights, [[0.5, 1.0, 1.0]])
+    assert np.allclose(res["event"], [[0.5, 1.0, 1.0]])
 
 
 def test_smoothed_witness_contract():
@@ -275,7 +277,7 @@ def test_smoothed_witness_contract():
         p = _random_cond_dist(rng, 6, 3)
         eps = float(rng.random() * 0.6)
         res = smoothed_min_entropy(p, eps)
-        w = res["event"].weights
+        w = res["event"]
         assert res["event_probability"] >= 1.0 - eps - 1e-12
         smoothed = p.p_x_given_y * w
         assert smoothed.max() <= 2.0 ** (-res["value"]) + 1e-12
@@ -509,7 +511,7 @@ def _oracle_split(p, alpha, eps, eps_prime, smooth=_oracle_smoothed):
     a0, a1 = _oracle_split_sizes(pairs)
     n0, n1, nz = len(a0), len(a1), p.ny
     bound = alpha / 2.0 - 1.0 - math.log2(1.0 / eps_prime)
-    smoothed = p.p_x_given_y * joint_h["event"].weights
+    smoothed = p.p_x_given_y * joint_h["event"]
     heavy = smoothed.reshape(nz, n0, n1).sum(axis=2) > 2.0 ** (-alpha / 2.0)
     q_heavy = np.zeros((n0, n1, nz))
     for zi in range(nz):
@@ -518,7 +520,7 @@ def _oracle_split(p, alpha, eps, eps_prime, smooth=_oracle_smoothed):
     def certify(q, rule):
         hidden = _oracle_hidden_table(p, pairs, q)
         res = smooth(hidden, eps + eps_prime)
-        value, weights, pr_event = res["value"], res["event"].weights, res["event_probability"]
+        value, weights, pr_event = res["value"], res["event"], res["event_probability"]
         if value >= bound - entropy_mod.CERT_TOL:
             t = hidden.p_x_given_y
             pos = t > 0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from otmlab import otm as otm_module
+from otmlab.entropy import entropy_split, joint_cond_dist
 from otmlab.hashfam import BinaryField, HashFunction, sample_hash
 from otmlab.otm import (
     ClassicalLeakSim,
-    compute_Q_R,
     continuity_check,
     DegenerateHashError,
     evaluate_security,
@@ -323,7 +323,8 @@ def test_compute_Q_R_against_double_sum_oracle():
         E = rng.random((2, n, n))
         F = sample_hash(2, 2, rng)
         G = sample_hash(2, 2, rng)
-        out = compute_Q_R(P, F, G, C, E)
+        pc, weights = otm_module._weights(P, C, E)
+        Q, R = otm_module._fourier(pc, weights, hash_signs(F, n), hash_signs(G, n))
         for c in (0, 1):
             qc = C if c == 1 else 1.0 - C
             num_q = num_r = den = 0.0
@@ -336,29 +337,29 @@ def test_compute_Q_R_against_double_sum_oracle():
                     hidden = sign_f if c == 0 else sign_g
                     num_q += w * E[c, s, t] * hidden
                     num_r += w * E[c, s, t] * sign_f * sign_g
-            assert out["pr_c"][c] == pytest.approx(den, abs=1e-12)
-            assert out["Q"][c] == pytest.approx(num_q / den, abs=1e-12)
-            assert out["R"][c] == pytest.approx(num_r / den, abs=1e-12)
+            assert pc[c] == pytest.approx(den, abs=1e-12)
+            assert Q[c] == pytest.approx(num_q / den, abs=1e-12)
+            assert R[c] == pytest.approx(num_r / den, abs=1e-12)
 
 
 def test_compute_Q_R_edge_conventions():
     n = 4
     P = np.full((n, n), 1.0 / 16.0)
     ones = np.ones((n, n))
+    signs = np.ones(n)
+
+    def fourier(C, E):
+        pc, weights = otm_module._weights(P, C, E)
+        return (pc,) + otm_module._fourier(pc, weights, signs, signs)
+
     # E never occurs
-    out = compute_Q_R(P, np.ones(n), np.ones(n), 0.5 * ones, np.zeros((n, n)))
-    assert out["Q"] == [0.0, 0.0] and out["R"] == [0.0, 0.0]
+    _, Q, R = fourier(0.5 * ones, np.zeros((2, n, n)))
+    assert Q == [0.0, 0.0] and R == [0.0, 0.0]
     # deterministic hidden bit 0 with E certain
-    out = compute_Q_R(P, np.ones(n), np.ones(n), np.zeros((n, n)), ones)
-    assert out["Q"][0] == 1.0 and out["R"][0] == 1.0
+    pc, Q, R = fourier(np.zeros((n, n)), np.stack([ones, ones]))
+    assert Q[0] == 1.0 and R[0] == 1.0
     # a c with zero probability yields exactly 0.0
-    assert out["pr_c"][1] == 0.0 and out["Q"][1] == 0.0 and out["R"][1] == 0.0
-    with pytest.raises(ValueError):
-        compute_Q_R(P, np.ones(n), np.ones(n), 2.0 * ones, ones)
-    with pytest.raises(ValueError):
-        compute_Q_R(P, np.ones(3), np.ones(n), 0.5 * ones, ones)
-    with pytest.raises(ValueError):
-        compute_Q_R(P, np.ones(n), np.ones(n), 0.5 * ones, 3.0 * ones)
+    assert pc[1] == 0.0 and Q[1] == 0.0 and R[1] == 0.0
 
 
 def test_hash_signs_forms():
@@ -575,15 +576,78 @@ def test_evaluate_security_raises_on_disagreeing_paths(monkeypatch):
     params = ReductionParams(k=2, ell=2, theta=1.0, delta0=0.5, alpha=1.5,
                              eps0=0.5, gamma=1.0)
     evaluate_security(otm, params.delta, params)
-    exact = otm_module.compute_Q_R
+    exact = otm_module._fourier
 
     def perturbed(*args):
-        out = exact(*args)
-        out["Q"] = [q + 1e-6 for q in out["Q"]]
-        return out
+        Q, R = exact(*args)
+        return [q + 1e-6 for q in Q], R
 
-    monkeypatch.setattr(otm_module, "compute_Q_R", perturbed)
+    monkeypatch.setattr(otm_module, "_fourier", perturbed)
     with pytest.raises(NumericalConsistencyError, match="Fourier coefficients"):
+        evaluate_security(otm, params.delta, params)
+
+
+def _split_outcome_oracle(P, alpha_k, eta):
+    """The one-outcome split through `CondDist`: joint_cond_dist, then
+    entropy_split, then the flip to the hidden-string convention."""
+    n = P.shape[0]
+    split = entropy_split(joint_cond_dist(P[None, :, :], [1.0]), alpha_k, 0.0, eta)
+    ev = split["certificate"]["event"]  # rows: C_split=0, C_split=1
+    E = np.stack([np.repeat(ev[1, :n][:, None], n, axis=1),
+                  np.repeat(ev[0, n:][None, :], n, axis=0)])
+    return {"C": 1.0 - split["C"][:, :, 0], "E": E,
+            "event_probability": split["certificate"]["event_probability"],
+            "collision_log2": -split["certificate"]["value"]}
+
+
+def _posteriors(model, rng):
+    """Every advertised posterior of the model, plus, for a Wiesner model,
+    the posteriors of a few random separable elements."""
+    tables = [model.conditional_joint(token) for token in model.outcome_set(1.0)]
+    if isinstance(model, WiesnerToyOtm):
+        for _ in range(6):
+            tables.append(model.born_joint(_random_elements(1 << model.m, rng)[0])[0])
+    return tables
+
+
+@pytest.mark.parametrize("model", [ClassicalLeakSim(4, 0.25), ClassicalLeakSim(8, 0.125),
+                                   WiesnerToyOtm(2), WiesnerToyOtm(3)],
+                         ids=["leak-4", "leak-8", "wiesner-2", "wiesner-3"])
+def test_split_outcome_equals_cond_dist_route(model):
+    rng = np.random.default_rng(77)
+    for P in _posteriors(model, rng):
+        level = -math.log2(P.max())
+        for alpha_k, eta in ((level, 0.25), (0.5 * level, 0.5)):
+            got = otm_module._split_outcome(P, alpha_k, eta)
+            want = _split_outcome_oracle(P, alpha_k, eta)
+            assert got.keys() == want.keys()
+            for key in ("C", "E"):
+                assert got[key].shape == want[key].shape
+                assert got[key].tobytes() == want[key].tobytes(), key
+            for key in ("event_probability", "collision_log2"):
+                assert type(got[key]) is float and repr(got[key]) == repr(want[key]), key
+
+
+@pytest.mark.parametrize("cell, other", [(math.nan, 0.0), (-0.25, 0.25), (0.5, 0.0)])
+def test_split_outcome_refuses_bad_posteriors(cell, other):
+    P = np.full((4, 4), 1.0 / 16.0)
+    P[0, 0] += cell  # NaN, a negative cell with total 1, or total 1.5
+    P[0, 1] += other
+    with pytest.raises(ValueError, match="posterior"):
+        otm_module._split_outcome(P, 2.0, 0.25)
+
+
+def test_evaluate_security_refuses_an_unnormalised_posterior():
+    class Unnormalised(ClassicalLeakSim):
+        def conditional_joint(self, outcome):
+            return 2.0 * super().conditional_joint(outcome)
+
+    params = ReductionParams(k=2, ell=2, theta=1.0, delta0=0.5, alpha=1.5,
+                             eps0=0.5, gamma=1.0)
+    field = BinaryField(2)
+    otm = IdealBitOtm(HashFunction(field, (0, 1)), HashFunction(field, (1, 1)),
+                      Unnormalised(2, 0.25))
+    with pytest.raises(ValueError, match="posterior"):
         evaluate_security(otm, params.delta, params)
 
 
@@ -618,6 +682,18 @@ def test_hash_bias_tail_rejects_non_finite_thresholds(bad, monkeypatch):
     with pytest.raises(ValueError, match="finite"):
         hash_bias_tail(ClassicalLeakSim(4, 0.0), 0.5, 4, 1000, np.random.default_rng(11),
                        alpha_k=4.0, eta=0.5, lambda_grid=[bad, 0.5])
+
+
+def test_hash_bias_tail_refuses_r_above_domain_before_any_work(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("an outcome was split before r was checked")
+
+    monkeypatch.setattr(otm_module, "_split_outcome", no_split)
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="exceeds domain size"):
+        hash_bias_tail(ClassicalLeakSim(2, 0.0), 0.5, 8, 1000, rng, alpha_k=2.0, eta=0.5)
+    assert rng.bit_generator.state == state
 
 
 def test_continuity_check_identical_outcomes():
@@ -676,3 +752,14 @@ def test_continuity_check_bad_c_and_bad_hypotheses():
     rep = continuity_check(model, F, G, M, M, mu=0.2, tau=0.1, delta=0.1,
                            alpha_k=1.4, eta=0.5)
     assert not rep["hypothesis_ok"]
+
+
+def test_continuity_check_refuses_hashes_on_another_domain():
+    model = WiesnerToyOtm(2)
+    rng = np.random.default_rng(19)
+    M = model.povm[0]
+    for F, G in ((sample_hash(3, 4, rng), sample_hash(2, 4, rng)),
+                 (sample_hash(2, 4, rng), sample_hash(3, 4, rng))):
+        with pytest.raises(ValueError, match="hash domain"):
+            continuity_check(model, F, G, M, M, mu=0.01, tau=0.1, delta=0.2,
+                             alpha_k=1.0, eta=0.5)

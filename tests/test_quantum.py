@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from otmlab.quantum import (
-    DensityMatrix,
     KrausLayer,
     NumericalConsistencyError,
     PovmElement,
     SeparableOutcome,
     TwoLocalOutcome,
+    _layer_operators,
     assemble_two_local,
     born_probability,
     is_delta_non_negligible,
     negligible_mass,
     norms,
-    tensor,
+    tensor_stack,
 )
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -29,7 +29,7 @@ def _random_hermitian(rng, d):
 def _random_state(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
 
 
 def _random_povm_element(rng, d):
@@ -51,12 +51,12 @@ def _random_complete_povm(rng, d, n):
 
 
 # ---------------------------------------------------------------------------
-# tensor
+# tensor_stack
 # ---------------------------------------------------------------------------
 
 def test_tensor_identities():
-    assert np.array_equal(tensor(I2, I2), np.eye(4))
-    p01 = tensor(KET0, KET1)
+    assert np.array_equal(tensor_stack([[I2, I2]])[0], np.eye(4))
+    p01 = tensor_stack([[KET0, KET1]])[0]
     expect = np.zeros((4, 4), dtype=complex)
     expect[1, 1] = 1.0
     assert np.array_equal(p01, expect)
@@ -67,22 +67,26 @@ def test_tensor_operator_norm_multiplicative():
     for _ in range(20):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = norms(tensor(a, b))["operator"]
+        lhs = norms(tensor_stack([[a, b]])[0])["operator"]
         rhs = np.linalg.svd(a, compute_uv=False)[0] * np.linalg.svd(b, compute_uv=False)[0]
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
 
 def test_tensor_dimension_cap():
-    big = np.eye(1 << 7)
-    mid = np.eye(1 << 6)
     with pytest.raises(ValueError):
-        tensor(big, mid)  # 2^13 > 2^12
-    tensor(mid, mid)  # 2^12 exactly: allowed
+        tensor_stack(np.zeros((1, 13, 2, 2)))  # 2^13 > 2^12
+    with pytest.raises(ValueError):
+        tensor_stack(np.zeros((1, 2, 128, 128)))  # 2^14 > 2^12
+    # 2^12 exactly is allowed; an empty stack checks the cap without the
+    # 256 MB product
+    assert tensor_stack(np.zeros((0, 2, 64, 64))).shape == (0, 1 << 12, 1 << 12)
 
 
 def test_tensor_rejects_non_square():
     with pytest.raises(ValueError):
-        tensor(np.ones((2, 3)), I2)
+        tensor_stack(np.ones((1, 2, 2, 3)))
+    with pytest.raises(ValueError):
+        tensor_stack(np.ones((2, 2)))  # not a (K, m, d, d) stack
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +212,6 @@ def test_negligible_mass_strictly_below_delta_randomized():
 # wrapper type invariants
 # ---------------------------------------------------------------------------
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1.0, 1e-6], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(I2)  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    rho = DensityMatrix(np.diag([0.25, 0.75]))
-    assert rho.dim == 2
-
-
 def test_povm_element_validation():
     with pytest.raises(ValueError):
         PovmElement(np.diag([1.2, 0.0]))
@@ -280,8 +273,7 @@ def test_two_local_crossed_pairing_matches_loop_oracle():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     f /= np.linalg.norm(f, 2)
     g /= np.linalg.norm(g, 2)
-    layer = KrausLayer([(0, 2), (1, 3)], [f, g])
-    k = layer.operator()
+    k = _layer_operators(np.stack([f, g])[None], [(0, 2), (1, 3)])[0]
     expect = np.zeros((16, 16), dtype=complex)
     for a in range(16):
         a0, a1, a2, a3 = (a >> 3) & 1, (a >> 2) & 1, (a >> 1) & 1, a & 1
