@@ -44,6 +44,8 @@ import operator
 import numpy as np
 
 from .quantum import (
+    TWO_LOCAL_MAX_DEPTH,
+    TWO_LOCAL_MAX_QUBITS,
     KrausLayer,
     PovmElement,
     SeparableOutcome,
@@ -405,8 +407,8 @@ def two_local_net(m, d, mu):
 
     Parameters
     ----------
-    m : even int >= 2 (odd m is excluded, not padded)
-    d : int >= 1
+    m : even int, 2 <= m <= 6 (odd m is excluded, not padded)
+    d : int, 1 <= d <= 8 (the caps of 2-local assembly)
     mu : float in (0, 1]
 
     Returns
@@ -420,6 +422,9 @@ def two_local_net(m, d, mu):
         raise ValueError("d=%d must be >= 1" % d)
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu=%r outside (0, 1]" % (mu,))
+    if m > TWO_LOCAL_MAX_QUBITS or d > TWO_LOCAL_MAX_DEPTH:
+        raise ValueError("2-local nets are capped at m <= %d and d <= %d, got m=%d, d=%d"
+                         % (TWO_LOCAL_MAX_QUBITS, TWO_LOCAL_MAX_DEPTH, m, d))
     delta = mu / (8.0 * d * m)
     axis = _axis_values(KRAUS_BOX, delta * math.sqrt(2.0))
     return TwoLocalNetSpec(m, d, mu, KrausNet(delta, axis), _pairings(m))

@@ -70,7 +70,8 @@ class ReductionParams:
     delta, r = 4 ceil((gamma+1) k^{2 theta}) (exponent 2 theta + phi in
     depth mode), mu = 2^{-(alpha/6) k} delta^4 / 4^m and lam =
     2^{-(alpha/6) k} * 2 r.  log2 companions are kept for regimes where
-    the plain floats underflow.
+    the plain floats underflow; inputs that put r or lam past the float
+    range are refused.
 
     Parameters
     ----------
@@ -93,10 +94,6 @@ class ReductionParams:
             raise ValueError("ell=%r must be an integer >= k=%d" % (ell, k))
         if theta < 1.0:
             raise ValueError("theta=%r must be >= 1" % (theta,))
-        if m is None:
-            m = k
-        if int(m) != m or not (k <= m <= k ** theta + 1e-9):
-            raise ValueError("m=%r must be an integer with k <= m <= k^theta" % (m,))
         if not (alpha > 0):
             raise ValueError("alpha=%r must be positive" % (alpha,))
         for name, val in (("delta0", delta0), ("eps0", eps0), ("gamma", gamma)):
@@ -107,6 +104,18 @@ class ReductionParams:
                 raise ValueError("depth mode requires phi > 0, got %r" % (phi,))
             if d is None or int(d) != d or d < 1:
                 raise ValueError("depth mode requires a positive integer depth d, got %r" % (d,))
+        exponent = 2.0 * theta + (phi if depth_mode else 0.0)
+        try:
+            self.r = 4 * math.ceil((gamma + 1.0) * k ** exponent)
+            self.lam_log2 = -(alpha / 6.0) * k + 1.0 + math.log2(self.r)
+            self.lam = 2.0 ** self.lam_log2
+        except OverflowError:
+            raise ValueError("gamma=%r and k^%r put r or lam past the float range"
+                             % (gamma, exponent)) from None
+        if m is None:
+            m = k
+        if int(m) != m or not (k <= m <= k ** theta + 1e-9):
+            raise ValueError("m=%r must be an integer with k <= m <= k^theta" % (m,))
         self.k = int(k)
         self.ell = int(ell)
         self.m = int(m)
@@ -119,16 +128,12 @@ class ReductionParams:
         self.d = None if d is None else int(d)
         self.depth_mode = bool(depth_mode)
         self.eta0 = self.alpha / 8.0
-        exponent = 2.0 * self.theta + (self.phi if depth_mode else 0.0)
-        self.r = 4 * math.ceil((self.gamma + 1.0) * self.k ** exponent)
         self.delta = 2.0 ** (-self.delta0 * self.k)
         self.eps = 2.0 ** (-self.eps0 * self.k)
         self.eta = 2.0 ** (-self.eta0 * self.k)
         self.tau = self.delta
         self.mu_log2 = -(self.alpha / 6.0) * self.k - 4.0 * self.delta0 * self.k - 2.0 * self.m
         self.mu = 2.0 ** self.mu_log2
-        self.lam_log2 = -(self.alpha / 6.0) * self.k + 1.0 + math.log2(self.r)
-        self.lam = 2.0 ** self.lam_log2
 
     def as_dict(self):
         return {"k": self.k, "ell": self.ell, "m": self.m, "theta": self.theta,

@@ -21,6 +21,8 @@ COMPLETENESS_TOL = 1e-9
 ASSEMBLY_SPECTRUM_TOL = 1e-9
 BORN_CLAMP_WARN = 1e-9
 BORN_CLAMP_ERROR = 1e-6
+TWO_LOCAL_MAX_QUBITS = 6
+TWO_LOCAL_MAX_DEPTH = 8
 
 
 class NumericalConsistencyError(ValueError):
@@ -371,10 +373,10 @@ def assemble_two_local_stack(pairings, factors):
         raise ValueError("expected K pairings and a (K, d, m/2, 4, 4) stack, got %d and %r"
                          % (len(pairings), f.shape))
     count, d, half = f.shape[:3]
-    if 2 * half > 6:
-        raise ValueError("2-local assembly capped at m <= 6 qubits, got m=%d" % (2 * half))
-    if d > 8:
-        raise ValueError("2-local assembly capped at depth d <= 8, got d=%d" % d)
+    if 2 * half > TWO_LOCAL_MAX_QUBITS:
+        raise ValueError("2-local assembly capped at m <= %d, got m=%d" % (TWO_LOCAL_MAX_QUBITS, 2 * half))
+    if d > TWO_LOCAL_MAX_DEPTH:
+        raise ValueError("2-local assembly capped at depth d <= %d, got d=%d" % (TWO_LOCAL_MAX_DEPTH, d))
     if count:
         s = np.linalg.svd(f, compute_uv=False)[..., 0].max()
         if s > 1.0 + POVM_SPECTRUM_TOL:

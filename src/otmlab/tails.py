@@ -43,6 +43,7 @@ from scipy.special import betaincinv
 from . import hashfam
 
 MIN_TRIALS = 10 ** 4
+CONFIDENCE = 0.99
 CHUNK = 8192
 BOUND_DPS = 50
 
@@ -183,13 +184,13 @@ def crayfish_bound(t, frob, op, lam):
         return _to_float(total)
 
 
-def clopper_pearson_upper(k, n, confidence=0.99):
-    """One-sided upper confidence limit for a binomial proportion."""
+def clopper_pearson_upper(k, n):
+    """One-sided upper CONFIDENCE limit for a binomial proportion."""
     if not (0 <= k <= n) or n < 1:
         raise ValueError("need 0 <= k <= n, n >= 1; got k=%r n=%r" % (k, n))
     if k >= n:
         return 1.0
-    return float(betaincinv(k + 1, n - k, confidence))
+    return float(betaincinv(k + 1, n - k, CONFIDENCE))
 
 
 def _sign_chunks(ell, r, npoints, trials, rng):

@@ -345,12 +345,16 @@ def test_string_typed_config_integer_is_rejected(runner, tmp_path):
     assert not (tmp_path / "tails.csv").exists() and not (tmp_path / "nets.csv").exists()
 
 
-@pytest.mark.parametrize("grid", ["nan,0.4", "0.2,inf"])
+@pytest.mark.parametrize("grid", ["nan,0.4", "0.2,inf", "0.2,-0.1", [0.2, 10 ** 400]])
 def test_non_finite_threshold_is_rejected(runner, tmp_path, grid):
+    # text comes as a flag; a list (here with an int past the float range)
+    # comes in a config file.  A negative threshold is refused as early.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"lambda_grid": grid}))
+    source = ["--lambda-grid", grid] if isinstance(grid, str) else ["--config", str(cfg)]
     _rejected(runner.invoke(main, [
         "tails", "--output-dir", str(tmp_path), "--kind", "linear", "--ell", "6",
-        "--r", "4", "--n", "64", "--trials", "10000", "--lambda-grid", grid,
-        "--seed", "7"]), "lambda_grid")
+        "--r", "4", "--n", "64", "--trials", "10000", "--seed", "7"] + source), "lambda_grid")
     assert not (tmp_path / "tails.csv").exists()
 
 
@@ -361,10 +365,12 @@ def test_odd_chaos_order_is_rejected_before_monte_carlo(runner, tmp_path, monkey
         raise AssertionError("the Monte Carlo ran before validation")
 
     monkeypatch.setattr(tails_mod, "empirical_tail_quadratic", no_monte_carlo)
+    _no_draws(monkeypatch)
     _rejected(runner.invoke(main, [
-        "tails", "--output-dir", str(tmp_path), "--kind", "quadratic", "--ell", "6",
+        "tails", "--output-dir", str(tmp_path / "out"), "--kind", "quadratic", "--ell", "6",
         "--r", "6", "--n", "32", "--trials", "50000", "--lambda-grid", "0.1,0.3",
         "--seed", "11"]), "even")
+    assert not (tmp_path / "out").exists()
 
 
 def _no_draws(monkeypatch):
@@ -402,11 +408,19 @@ def test_hash_family_parameters_are_rejected_before_drawing(runner, tmp_path, mo
     assert not (tmp_path / "tails.csv").exists()
 
 
-def test_bad_nets_config_values_are_rejected(runner, tmp_path):
+def test_bad_nets_config_values_are_rejected(runner, tmp_path, monkeypatch):
+    from otmlab import nets as nets_mod
+
+    def no_samples(*args, **kwargs):
+        raise AssertionError("two-local samples were drawn before validation")
+
+    monkeypatch.setattr(nets_mod, "_sample_two_local_stack", no_samples)
     cfg = tmp_path / "c.json"
     for doc, word in [({"family": "three-local"}, "family"), ({"mu": True}, "mu"),
                       ({"mu": "0.8"}, "mu"), ({"samples": 0}, "samples"),
-                      ({"family": "two-local", "d": 1.5}, "'d'")]:
+                      ({"family": "two-local", "d": 1.5}, "'d'"), ({"mu": 10 ** 400}, "mu"),
+                      ({"family": "two-local", "m": 8, "d": 1}, "m <= 6"),
+                      ({"family": "two-local", "m": 2, "d": 9}, "d <= 8")]:
         cfg.write_text(json.dumps(dict({"family": "separable", "m": 1, "mu": 0.8,
                                         "samples": 10, "seed": 1}, **doc)))
         _rejected(runner.invoke(main, ["nets", "--output-dir", str(tmp_path),
@@ -541,14 +555,15 @@ _ENTROPY_CONFIG = {"count": 2, "n0": 3, "n1": 3, "nz": 1, "eps": 0.0,
     ({"nz": 0}, "'nz'"),
     ({"eps_prime": "0.25"}, "'eps_prime'"),
     ({"alpha": "3"}, "'alpha'"),
+    ({"alpha": 10 ** 400}, "'alpha'"),
     ({"eps": -0.1}, "eps=-0.1 outside [0, 1)"),
     ({"eps": 1}, "eps=1 outside [0, 1)"),
     ({"eps_prime": 0.0}, "eps_prime=0.0 outside (0, 1)"),
     ({"eps_prime": 1.5}, "eps_prime=1.5 outside (0, 1)"),
     ({"eps": 0.5, "eps_prime": 0.5}, "eps + eps_prime = 1.0 leaves no probability"),
 ], ids=["string-n0", "string-eps", "nan-eps", "bool-count", "zero-nz",
-        "string-eps-prime", "string-alpha", "negative-eps", "unit-eps", "zero-eps-prime",
-        "large-eps-prime", "no-budget-left"])
+        "string-eps-prime", "string-alpha", "huge-alpha", "negative-eps", "unit-eps",
+        "zero-eps-prime", "large-eps-prime", "no-budget-left"])
 def test_bad_entropy_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
     from otmlab import entropy as entropy_mod
 
@@ -563,13 +578,26 @@ def test_bad_entropy_config_values_are_rejected(runner, tmp_path, monkeypatch, b
     assert not (tmp_path / "out").exists()
 
 
+_LEAK_PARAMS = {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.5, "alpha": 1.5, "eps0": 0.5,
+                "gamma": 1.0}
+
+
 @pytest.mark.parametrize("bad, word", [
     ({"hash_r": "4"}, "'hash_r'"),
     ({"hash_r": True}, "'hash_r'"),
     ({"hash_r": 0}, "'hash_r'"),
     ({"delta": "0.1"}, "'delta'"),
     ({"delta": math.inf}, "'delta'"),
-], ids=["string-hash-r", "bool-hash-r", "zero-hash-r", "string-delta", "inf-delta"])
+    ({"model": {"name": "no-such-model"}}, "no-such-model"),
+    ({"model": {"name": "wiesner", "m": 0}}, "m=0"),
+    ({"model": {"name": "wiesner", "m": 1, "beta": 0.5}}, "unknown model parameters: beta"),
+    ({"model": {"name": "classical-leak", "ell": 4, "beta": 0.25, "positions": 3}},
+     "not iterable"),
+    ({"params": dict(_LEAK_PARAMS, gamma=math.inf)}, "gamma=inf"),
+    ({"params": dict(_LEAK_PARAMS, colour=1)}, "bad reduction parameter"),
+], ids=["string-hash-r", "bool-hash-r", "zero-hash-r", "string-delta", "inf-delta",
+        "unknown-model", "bad-wiesner-m", "unknown-model-field", "scalar-positions",
+        "inf-gamma", "unknown-param"])
 def test_bad_otm_security_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
     from otmlab import cli
 
@@ -636,3 +664,138 @@ def test_csv_header_is_pinned_and_rerun_is_byte_identical(runner, tmp_path, comm
         lines = list(csv.reader(fh))
     assert lines[0] == columns
     assert len(lines) > 1 and all(len(line) == len(columns) for line in lines)
+
+
+_POINT = {"k": 16, "ell": 16, "theta": 1.0, "delta0": 0.25, "alpha": 1.0, "eps0": 0.25,
+          "gamma": 1.0}
+
+
+@pytest.mark.parametrize("config, word", [
+    ({"points": []}, "nonempty list"),
+    ({"points": _POINT}, "nonempty list"),
+    ({"points": [_POINT, 3]}, "mapping"),
+    ({"points": [dict(_POINT, k=0)]}, "k=0"),
+    ({"points": [_POINT, dict(_POINT, gamma=math.inf)]}, "gamma=inf"),
+    ({"points": [dict(_POINT, colour=1)]}, "bad reduction parameter"),
+    ({"points": [_POINT], "seed": 1}, "unknown parameters: seed"),
+], ids=["empty", "not-a-list", "not-a-mapping", "zero-k", "inf-gamma", "unknown-param",
+        "seed"])
+def test_bad_theorem_points_are_rejected(runner, tmp_path, monkeypatch, config, word):
+    from otmlab import otm as otm_mod
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a bound was computed before validation")
+
+    monkeypatch.setattr(otm_mod, "theorem_bound", no_compute)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    _rejected(runner.invoke(main, ["theorem-bounds", "--output-dir", str(tmp_path / "out"),
+                                   "--config", str(cfg)]), word)
+    assert not (tmp_path / "out").exists()
+
+
+# a valid configuration of each stochastic subcommand, to corrupt one key of
+_VALID = {
+    "tails": {"kind": "linear", "ell": 6, "r": 4, "n": 8, "trials": 10000,
+              "lambda_grid": [0.5], "seed": 7},
+    "nets": {"family": "separable", "m": 1, "mu": 0.8, "samples": 10, "seed": 1},
+    "entropy": _ENTROPY_CONFIG,
+    "otm-security": {"model": {"name": "classical-leak", "ell": 4, "beta": 0.25},
+                     "params": _LEAK_PARAMS, "hash_r": 4, "seed": 1},
+}
+
+
+def _error_line(result):
+    """The one JSON error line a rejected run printed."""
+    assert result.exit_code == 2, result.output
+    lines = _stderr(result).strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "validation"
+    return err["message"]
+
+
+@pytest.mark.parametrize("command, key, text, value", [
+    ("tails", "ell", "abc", "abc"),
+    ("tails", "kind", "bogus", "bogus"),
+    ("tails", "trials", "1e4", 1e4),
+    ("tails", "lambda_grid", "0.5,nan", "0.5,nan"),
+    ("nets", "family", "x", "x"),
+    ("nets", "mu", "nan", math.nan),
+    ("nets", "seed", "-1", -1),
+    ("entropy", "count", "1.5", 1.5),
+    ("entropy", "eps", "-0.5", -0.5),
+    ("otm-security", "hash_r", "0", 0),
+    ("otm-security", "delta", "inf", math.inf),
+])
+def test_bad_flag_value_fails_like_the_same_config_value(runner, tmp_path, monkeypatch, command,
+                                                         key, text, value):
+    # the rest of the configuration comes from a file, so each run differs
+    # only in where the bad value comes from
+    _no_draws(monkeypatch)
+    rest = {k: v for k, v in _VALID[command].items() if k != key}
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(rest))
+    by_flag = runner.invoke(main, [command, "--output-dir", str(out), "--config", str(cfg),
+                                   "--" + key.replace("_", "-"), text])
+    cfg.write_text(json.dumps(dict(rest, **{key: value})))
+    by_config = runner.invoke(main, [command, "--output-dir", str(out), "--config", str(cfg)])
+    message = _error_line(by_flag)
+    assert message == _error_line(by_config) and key in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, word", [
+    ("tails", ["--bogus", "1"], "--bogus"),
+    ("nets", ["--family"], "--family"),
+    ("entropy", ["--eps-prime"], "--eps-prime"),
+    ("otm-security", ["--seed", "1", "extra"], "extra"),
+    ("theorem-bounds", ["--seed", "1"], "--seed"),
+])
+def test_flag_parse_errors_print_the_json_error(runner, tmp_path, monkeypatch, command, args,
+                                                word):
+    from otmlab import otm as otm_mod
+
+    def no_compute(*a, **kw):
+        raise AssertionError("a bound was computed before the flags parsed")
+
+    _no_draws(monkeypatch)
+    monkeypatch.setattr(otm_mod, "theorem_bound", no_compute)
+    result = runner.invoke(main, [command, "--output-dir", str(tmp_path / "out")] + args)
+    assert word in _error_line(result)
+    assert not (tmp_path / "out").exists()
+
+
+_COMMON_HELP = ["--config PATH JSON or YAML config file.",
+                "--output-dir TEXT Output directory (default: $OTMLAB_OUTPUT_DIR or cwd).",
+                "--out TEXT Artifact name prefix."]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("tails", ["--kind [linear|quadratic]", "--ell INTEGER", "--r INTEGER", "--n INTEGER",
+               "--trials INTEGER",
+               "--lambda-grid TEXT Comma-separated thresholds; 0 rows report frequency 1.",
+               "--mode [hash|rademacher] Sign source for quadratic instances.",
+               "--seed INTEGER"]),
+    ("nets", ["--family [separable|two-local]", "--m INTEGER", "--mu FLOAT",
+              "--d INTEGER Circuit depth (two-local only).", "--samples INTEGER",
+              "--seed INTEGER"]),
+    ("entropy", ["--count INTEGER Random instances to draw.", "--n0 INTEGER", "--n1 INTEGER",
+                 "--nz INTEGER", "--eps FLOAT", "--eps-prime FLOAT",
+                 "--alpha FLOAT Joint level; defaults to each instance's smoothed entropy.",
+                 "--seed INTEGER"]),
+    ("otm-security", ["--hash-r INTEGER Independence order of the sampled F, G.",
+                      "--delta FLOAT Outcome-negligibility level; defaults to params delta.",
+                      "--seed INTEGER"]),
+    ("theorem-bounds", []),
+])
+def test_help_lists_every_flag_with_its_help_and_choices(runner, command, options):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    text = " ".join(result.output.split())
+    expected = _COMMON_HELP + options + ["--help Show this message and exit."]
+    pos = [text.find(option) for option in expected]
+    assert -1 not in pos and pos == sorted(pos), (text, expected)
+    flags = [line.split()[0] for line in result.output.splitlines()
+             if line.strip().startswith("--")]
+    assert flags == [option.split()[0] for option in expected]

@@ -223,8 +223,17 @@ def test_two_local_net_structure():
     assert len(two_local_net(4, 1, 1.0).pairings) == 3
 
 
-def test_two_local_net_argument_guards():
-    for bad in [(3, 1, 1.0), (0, 1, 1.0), (2, 0, 1.0), (2, 1, 2.0)]:
+def test_two_local_net_argument_guards(monkeypatch):
+    # sizes past the caps of 2-local assembly are refused before the (m-1)!!
+    # perfect matchings are listed
+    from otmlab import nets
+
+    def no_pairings(m):
+        raise AssertionError("the matchings of m=%d were listed" % m)
+
+    monkeypatch.setattr(nets, "_pairings", no_pairings)
+    for bad in [(3, 1, 1.0), (0, 1, 1.0), (2, 0, 1.0), (2, 1, 2.0), (8, 1, 1.0), (20, 1, 1.0),
+                (2, 9, 1.0)]:
         with pytest.raises(ValueError):
             two_local_net(*bad)
 

@@ -86,6 +86,13 @@ def test_reduction_params_invariants_rejected():
     with pytest.raises(ValueError):
         ReductionParams(k=2, ell=2, theta=1.0, delta0=0.5, alpha=2.0, eps0=0.5,
                         gamma=1.0, depth_mode=True)  # phi and d missing
+    # r = 4 ceil((gamma + 1) k^{2 theta}) past the float range has no integer
+    # value: a ValueError, not an OverflowError
+    for bad in [dict(gamma=math.inf), dict(gamma=1e308), dict(theta=math.inf),
+                dict(k=10 ** 6, ell=10 ** 6, theta=60, m=None)]:
+        with pytest.raises(ValueError, match="float range"):
+            _params(**bad)
+    assert _params(alpha=math.inf).eta == 0.0
 
 
 def test_theorem_bound_spec_point_twelve_digits():
