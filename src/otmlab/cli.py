@@ -93,12 +93,15 @@ def _load_config(path):
 
 
 def _outdir(flag):
+    """The output directory, made if missing, and the directories this call
+    made, deepest first."""
     path = Path(flag or os.environ.get(ENV_OUTPUT_DIR) or ".")
+    made = [p for p in (path, *path.parents) if not p.exists()]
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail("cannot create output directory %s: %s" % (path, exc))
-    return path
+    return path, made
 
 
 def _versions():
@@ -249,7 +252,8 @@ def _command(name, table, columns, rules=lambda values: None):
     that takes the checked values as keywords and returns its CSV rows, its
     JSON text (or None) and its manifest counters (or None).  The values and
     then `rules(values)` are checked before the output directory is made; a
-    ValueError from any of them becomes the JSON error."""
+    ValueError from any of them, or from the body, becomes the JSON error,
+    and the directories the run made are removed again while empty."""
     def register(body):
         def run(config_path, output_dir, out, **flags):
             started = time.time()
@@ -266,13 +270,19 @@ def _command(name, table, columns, rules=lambda values: None):
             unknown = sorted(set(cfg) - {p.key for p in table})
             if unknown:
                 _fail("unknown parameters: %s" % ", ".join(unknown))
+            made = []
             try:
                 values = {p.key: p.check(p.key, cfg[p.key])
                           for p in table if cfg.get(p.key) is not None}
                 rules(values)
-                outdir = _outdir(output_dir)
+                outdir, made = _outdir(output_dir)
                 rows, text, counters = body(**values)
             except ValueError as exc:
+                for path in made:
+                    try:
+                        path.rmdir()
+                    except OSError:  # no longer empty
+                        break
                 _fail(str(exc))
             prefix = out or name.replace("-", "_")
             outputs = [outdir / ("%s.csv" % prefix)]

@@ -14,10 +14,11 @@ pinned byte format (see `HashFunction.to_bytes`).
 Whole output tables are computed by one vectorized path.  The output bit is
 GF(2)-linear in each coefficient, so lowbit(c * x^i) = parity(c & m_i(x))
 for an l-bit mask m_i(x) that depends only on the point and the degree.
-`point_masks` builds the masks for a set of points once; `hash_bits` then
-evaluates any number of hashes at those points from byte lookup tables of
-the masks' bit rows, packed over the points into 64-bit words: one table
-row per coefficient byte, XORed together.  Scalar Horner evaluation
+`HashTables` builds byte lookup tables of the masks' bit rows for a set of
+points once, packed over the points into 64-bit words; its `hash_bits`
+then evaluates any number of hashes straight from their r*l seed bits: one
+table row per seed byte, XORed together.  `seed_bits` writes a sampled
+hash's coefficients in that seed layout.  Scalar Horner evaluation
 (`HashFunction.__call__`) serves single lookups and is the reference oracle
 for the tables.
 """
@@ -270,7 +271,7 @@ def point_masks(ell, r, points):
     mask is lowbit(x^i * 2^b), the field product with the element 2^b.
     Returns the (r, n) array of masks in the narrowest unsigned dtype that
     holds ell bits; a hash with coefficients c_0..c_{r-1} outputs
-    parity(XOR_i c_i & m_i(x)) at x (see `hash_bits`).  All n points advance
+    parity(XOR_i c_i & m_i(x)) at x (see `HashTables`).  All n points advance
     together, one vectorized multiply-by-2 step per bit; at ell = 64 the
     reduction XORs in the modulus without its x^64 term.
     """
@@ -302,57 +303,63 @@ def point_masks(ell, r, points):
     return masks.astype(narrowest)
 
 
-def hash_bits(coeffs, masks):
-    """Output bits of K hashes at the n points of `masks` (see `point_masks`).
-
-    coeffs is a (K, r) array of field elements, constant term first.
-    Returns the (K, n) uint8 array of lowbit(h_k(x)).
-
-    Bit b of coefficient i contributes the row (bit b of m_i(x))_x, packed
-    over the n points into little-endian uint64 words.  For each
-    coefficient byte, the 256 XOR combinations of its 8 packed rows form a
-    lookup table, built with 8 doublings (four-Russians style).  A hash's
-    packed output row is then the XOR of r * ceil(ell/8) table rows, one
-    per coefficient byte, and one `np.unpackbits` turns the K packed rows
-    into bits.  Coefficient bits at or above ell meet all-zero rows.
-    """
-    masks = np.asarray(masks)
+def seed_bits(coeffs, ell):
+    """The seeds of K hashes given by their (K, r) coefficients, constant term
+    first: (K, r*ell) uint8 rows of 0/1, bit i*ell + b being bit b of
+    coefficient i (the layout `HashTables.hash_bits` reads)."""
     coeffs = np.asarray(coeffs, dtype=np.uint64)
-    r, n = masks.shape
-    if coeffs.ndim != 2 or coeffs.shape[1] != r:
-        raise ValueError("coefficients of shape %r do not match %d mask rows"
-                         % (coeffs.shape, r))
-    masks = masks.astype("<u8")
-    nbytes = max(1, (int(np.bitwise_or.reduce(masks, axis=None, initial=0)).bit_length() + 7) // 8)
-    words = (n + 63) // 64
-    # rows[i, b] = bit b of the masks of degree i, packed over the points
-    bits = np.unpackbits(masks.view(np.uint8).reshape(r, n, 8)[:, :, :nbytes],
-                         axis=2, bitorder="little")
-    packed = np.zeros((r, 8 * nbytes, 8 * words), dtype=np.uint8)
-    packed[:, :, :(n + 7) // 8] = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
-    rows = packed.view("<u8").reshape(r * nbytes, 8, words)
-    tables = np.zeros((r * nbytes, 256, words), dtype="<u8")
-    for t in range(8):
-        np.bitwise_xor(tables[:, :1 << t], rows[:, t, None], out=tables[:, 1 << t:2 << t])
-    # byte j of coefficient i selects a row of table i * nbytes + j
-    index = coeffs.astype("<u8").view(np.uint8).reshape(-1, r, 8)[:, :, :nbytes]
-    index = np.ascontiguousarray(index.reshape(-1, r * nbytes).T, dtype=np.intp)
-    acc = np.zeros((index.shape[1], words), dtype="<u8")
-    for table, byte in zip(tables, index):
-        acc ^= table[byte]
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=n, bitorder="little")
+    bits = (coeffs[..., None] >> np.arange(ell, dtype=np.uint64)) & np.uint64(1)
+    return bits.astype(np.uint8).reshape(coeffs.shape[:-1] + (coeffs.shape[-1] * ell,))
 
 
-def coeffs_from_seed_bits(bits, ell):
-    """Pack 0/1 seed bits, shape (..., r*ell), into (..., r) uint64 coefficients.
+class HashTables:
+    """Byte lookup tables of the degree <= r-1 family at a fixed set of points.
 
-    Bit i*ell + b of the seed is bit b of coefficient i.
+    A hash is read as its seed, one flat string of r*ell bits in which bit
+    i*ell + b is bit b of coefficient i.  Seed bit i*ell + b contributes the
+    row (bit b of m_i(x))_x of the masks of `point_masks`, packed over the n
+    points into little-endian uint64 words.  For each seed byte, the 256 XOR
+    combinations of its 8 rows form one table, built here once with 8
+    doublings (four-Russians style); seed bits past r*ell meet all-zero rows.
     """
-    bits = np.asarray(bits)
-    if bits.shape[-1] % ell != 0:
-        raise ValueError("bit vector length %d not a multiple of ell=%d" % (bits.shape[-1], ell))
-    grouped = bits.reshape(bits.shape[:-1] + (-1, ell)).astype(np.uint64)
-    return (grouped << np.arange(ell, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
+
+    def __init__(self, ell, r, points):
+        masks = point_masks(ell, r, points)
+        self.ell, self.r, self.n = ell, r, masks.shape[1]
+        nbytes = (r * ell + 7) // 8
+        words = (self.n + 63) // 64
+        # bits[i * ell + b, x] = bit b of m_i(x)
+        bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(r, self.n, 8),
+                             axis=2, count=ell, bitorder="little")
+        bits = bits.transpose(0, 2, 1).reshape(r * ell, self.n)
+        packed = np.zeros((8 * nbytes, 8 * words), dtype=np.uint8)
+        packed[:r * ell, :(self.n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+        rows = packed.view("<u8").reshape(nbytes, 8, words)
+        tables = np.zeros((nbytes, 256, words), dtype="<u8")
+        for t in range(8):
+            np.bitwise_xor(tables[:, :1 << t], rows[:, t, None], out=tables[:, 1 << t:2 << t])
+        tables.setflags(write=False)
+        self.tables = tables
+
+    def hash_bits(self, seeds):
+        """Output bits of K hashes at the points, from their (K, r*ell) 0/1
+        seed rows (see `seed_bits`); returns the (K, n) uint8 array of
+        lowbit(h_k(x)).
+
+        Each seed is packed into ceil(r*ell/8) bytes; a hash's packed output
+        row is the XOR of one gathered table row per seed byte, and one
+        `np.unpackbits` turns the K packed rows into bits.
+        """
+        seeds = np.asarray(seeds, dtype=np.uint8)
+        if seeds.ndim != 2 or seeds.shape[1] != self.r * self.ell:
+            raise ValueError("seeds of shape %r do not match r*ell = %d bits"
+                             % (seeds.shape, self.r * self.ell))
+        index = np.packbits(seeds, axis=1, bitorder="little")
+        index = np.ascontiguousarray(index.T, dtype=np.intp)
+        acc = np.zeros((seeds.shape[0], self.tables.shape[2]), dtype="<u8")
+        for table, byte in zip(self.tables, index):
+            acc ^= table[byte]
+        return np.unpackbits(acc.view(np.uint8), axis=1, count=self.n, bitorder="little")
 
 
 def _tuples_up_to(n, size):
@@ -427,7 +434,6 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
         raise ValueError("ncoeffs must be >= 1")
     n = 1 << ell
     nbits = ncoeffs * ell
-    masks = point_masks(ell, ncoeffs, np.arange(n))
     if method == "auto":
         method = "direct" if nbits <= 12 else "rank"
 
@@ -436,6 +442,7 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
     count = 0
     if method == "rank":
         # the seed functional of point x: its masks concatenated into one int
+        masks = point_masks(ell, ncoeffs, np.arange(n))
         funcs = [sum(int(m) << (i * ell) for i, m in enumerate(masks[:, x])) for x in range(n)]
         for t in _tuples_up_to(n, r):
             count += 1
@@ -447,7 +454,7 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
         nseeds = 1 << nbits
         seeds = np.arange(nseeds, dtype=np.uint64)
         bits = ((seeds[:, None] >> np.arange(nbits, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
-        tables = hash_bits(coeffs_from_seed_bits(bits, ell), masks)  # (nseeds, n)
+        tables = HashTables(ell, ncoeffs, np.arange(n)).hash_bits(bits)  # (nseeds, n)
         for t in _tuples_up_to(n, r):
             count += 1
             tt = len(t)

@@ -43,7 +43,7 @@ import mpmath
 import numpy as np
 
 from .entropy import SLICE_TOL, split_joints
-from .hashfam import HashFunction, hash_bits, point_masks, sample_hash
+from .hashfam import HashFunction, HashTables, sample_hash, seed_bits
 from .quantum import (NumericalConsistencyError, PovmElement, is_delta_non_negligible, norms,
                       tensor_stack)
 from .tails import (
@@ -507,14 +507,29 @@ def program_ideal(otm, a0, a1, rng):
 def hash_signs(h, npoints):
     """(-1)^{h(x)} for x = 0..npoints-1, as a float array."""
     if isinstance(h, HashFunction):
-        masks = point_masks(h.ell, h.r, np.arange(npoints))
-        return 1.0 - 2.0 * hash_bits([h.coefficients], masks)[0]
+        return _family_signs([h], npoints)[0]
     arr = np.asarray(h, dtype=float)
     if arr.shape != (npoints,):
         raise ValueError("expected %d sign entries, got shape %r" % (npoints, arr.shape))
     if not np.all(np.abs(arr) == 1.0):
         raise ValueError("sign table entries must be +-1")
     return arr
+
+
+def _sign_pair(F, G, npoints):
+    """`hash_signs` of F and G; two hashes of one family share one table
+    build and one evaluation."""
+    if isinstance(F, HashFunction) and isinstance(G, HashFunction) \
+            and (F.ell, F.r) == (G.ell, G.r):
+        return tuple(_family_signs([F, G], npoints))
+    return hash_signs(F, npoints), hash_signs(G, npoints)
+
+
+def _family_signs(hs, npoints):
+    # one row of +-1 signs per hash of hs, all of one (ell, r)
+    ell, r = hs[0].ell, hs[0].r
+    tables = HashTables(ell, r, np.arange(npoints))
+    return 1.0 - 2.0 * tables.hash_bits(seed_bits([h.coefficients for h in hs], ell))
 
 
 def _weights(P, C, E):
@@ -648,8 +663,7 @@ def evaluate_security(otm, delta, params):
     level = params.alpha * params.k
     outcomes = model.outcome_set(2.0 * delta)
     n = 1 << model.ell
-    sF = hash_signs(otm.F, n)
-    sG = hash_signs(otm.G, n)
+    sF, sG = _sign_pair(otm.F, otm.G, n)
     bitsF = ((1.0 - sF) / 2.0).astype(np.uint8)[:, None]
     bitsG = ((1.0 - sG) / 2.0).astype(np.uint8)[None, :]
     # per c, the code 2 * (hidden bit) + (other bit) of every (s, t)
@@ -787,7 +801,7 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     frob_half = [math.sqrt(float((V ** 2).sum()) / 2.0) for V in V_stack]
     op_half = [float(np.linalg.norm(V, 2)) / 2.0 for V in V_stack]
 
-    masks = point_masks(model.ell, r, np.arange(n))
+    tables = HashTables(model.ell, r, np.arange(n))
     max_q = np.empty(trials)
     max_r = np.empty(trials)
     for lo in range(0, trials, CHUNK):
@@ -796,8 +810,8 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
         pairs = [(sample_hash(model.ell, r, rng).coefficients,
                   sample_hash(model.ell, r, rng).coefficients)
                  for _ in range(min(CHUNK, trials - lo))]
-        bits_F = hash_bits([f for f, _ in pairs], masks)
-        bits_G = hash_bits([g for _, g in pairs], masks)
+        bits_F = tables.hash_bits(seed_bits([f for f, _ in pairs], model.ell))
+        bits_G = tables.hash_bits(seed_bits([g for _, g in pairs], model.ell))
         for i, bF, bG in zip(range(lo, trials), bits_F, bits_G):
             sF = 1.0 - 2.0 * bF
             sG = 1.0 - 2.0 * bG
@@ -868,7 +882,7 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
     for h in (F, G):
         if isinstance(h, HashFunction) and h.field.ell != model.ell:
             raise ValueError("hash domain 2^%d does not match model ell=%d" % (h.field.ell, model.ell))
-    sF, sG = hash_signs(F, 1 << model.ell), hash_signs(G, 1 << model.ell)
+    sF, sG = _sign_pair(F, G, 1 << model.ell)
     mat = M.matrix if isinstance(M, PovmElement) else np.asarray(M, dtype=complex)
     mat_t = M_tilde.matrix if isinstance(M_tilde, PovmElement) else np.asarray(M_tilde, dtype=complex)
     avg = model.average_state()

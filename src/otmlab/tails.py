@@ -22,13 +22,12 @@ reaches the hundreds.
 
 Monte Carlo
 -----------
-The empirical harnesses draw hash functions as uniform seed bits, pack them
-into coefficients (`hashfam.coeffs_from_seed_bits`) and evaluate whole
-chunks of hashes at once against the family's per-point seed masks
-(`hashfam.point_masks`, `hashfam.hash_bits`): a hash's output row is the
-XOR of one byte-table row per coefficient byte, so millions of full hash
-evaluations reduce to r * ceil(ell/8) row gathers per chunk.  The signs
-of every chunk are written into one reused float buffer.  Frequencies come
+The empirical harnesses draw hash functions as uniform seed bits and hand
+whole chunks of them to one `hashfam.HashTables`, built once per run for
+the instance's points: a hash's output row is the XOR of one byte-table
+row per seed byte, so millions of full hash evaluations reduce to
+ceil(r * ell / 8) row gathers per chunk.  The signs 1 - 2b of every chunk
+are written in one pass into one reused float buffer.  Frequencies come
 with one-sided 99% Clopper-Pearson upper confidence limits: Monte Carlo
 cannot prove an inequality, so domination is asserted against the
 confidence limit.
@@ -202,26 +201,23 @@ def _sign_chunks(ell, r, npoints, trials, rng):
         raise ValueError("instance needs %d domain points but 2^%d available" % (npoints, ell))
     if r > (1 << ell):
         raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, ell, 1 << ell))
-    nbits = r * ell
-    masks = hashfam.point_masks(ell, r, np.arange(npoints))
+    tables = hashfam.HashTables(ell, r, np.arange(npoints))
 
     def draw(c):
-        bits = rng.integers(0, 2, size=(c, nbits), dtype=np.uint8)
-        return hashfam.hash_bits(hashfam.coeffs_from_seed_bits(bits, ell), masks)
+        return tables.hash_bits(rng.integers(0, 2, size=(c, r * ell), dtype=np.uint8))
 
     yield from _fill_signs(draw, npoints, trials)
 
 
 def _fill_signs(draw, npoints, trials):
-    # 1 - 2b for the 0/1 rows draw(c), written into one reused float buffer;
-    # b * -2 + 1 gives exactly the same doubles as 1.0 - 2.0 * b
+    # 1 - 2b for the 0/1 rows draw(c), computed in int8 and written in one
+    # pass into one reused float buffer: the same doubles as 1.0 - 2.0 * b
     buf = np.empty((min(CHUNK, trials), npoints))
     done = 0
     while done < trials:
         c = min(CHUNK, trials - done)
         signs = buf[:c]
-        np.multiply(draw(c), -2.0, out=signs)
-        np.add(signs, 1.0, out=signs)
+        np.subtract(1, draw(c).astype(np.int8) * np.int8(2), out=signs)
         yield signs
         done += c
 

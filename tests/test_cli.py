@@ -534,6 +534,37 @@ def test_output_dir_env_var(runner, tmp_path, monkeypatch):
     assert (target / "entropy.csv").exists()
 
 
+@pytest.mark.parametrize("command, args, word", [
+    ("nets", ["--family", "two-local", "--m", "8", "--d", "1", "--mu", "1.0",
+              "--samples", "10", "--seed", "1"], "m <= 6"),
+    ("entropy", ["--count", "4", "--n0", "8", "--n1", "8", "--nz", "3", "--eps", "0.0",
+                 "--eps-prime", "0.25", "--seed", "21", "--alpha", "5.5"], "below alpha"),
+], ids=["two-local-caps", "failing-alpha"])
+def test_failing_computation_leaves_no_output_directory(runner, tmp_path, command, args, word):
+    # both errors come from the computation, after the directory was made
+    nested = tmp_path / "a" / "b"
+    _rejected(runner.invoke(main, [command, "--output-dir", str(nested)] + args), word)
+    assert list(tmp_path.iterdir()) == []
+    # directories that were there before the run stay, empty or not
+    nested.mkdir(parents=True)
+    (tmp_path / "a" / "keep.txt").write_text("")
+    for out in (nested, nested / "c"):
+        _rejected(runner.invoke(main, [command, "--output-dir", str(out)] + args), word)
+        assert nested.is_dir() and list(nested.iterdir()) == []
+    assert (tmp_path / "a" / "keep.txt").exists()
+
+
+def test_unwritable_output_directory_is_reported_before_any_computation(runner, tmp_path,
+                                                                       monkeypatch):
+    _no_draws(monkeypatch)
+    (tmp_path / "file").write_text("")
+    result = runner.invoke(main, ["entropy", "--output-dir", str(tmp_path / "file" / "out"),
+                                  "--count", "4", "--n0", "8", "--n1", "8", "--nz", "3",
+                                  "--eps", "0.0", "--eps-prime", "0.25", "--seed", "21"])
+    _rejected(result, "cannot create output directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_verify_all_runs_given_suite(runner, tmp_path):
     suite = tmp_path / "test_dummy.py"
     suite.write_text("def test_ok():\n    assert True\n")

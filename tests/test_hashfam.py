@@ -7,12 +7,14 @@ from otmlab.hashfam import (
     IRREDUCIBLE_POLY,
     BinaryField,
     HashFunction,
-    coeffs_from_seed_bits,
-    hash_bits,
+    HashTables,
     point_masks,
     sample_hash,
+    seed_bits,
     verify_independence,
 )
+
+from hash_oracle import coeffs_from_seed_bits, seed_hash_bits
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def test_field_axioms_small():
 def test_hash_bits_match_schoolbook_horner():
     F = BinaryField(4)
     h = HashFunction(F, [0x3, 0xA, 0x7])  # 3 + Ax + 7x^2
-    table = hash_bits([h.coefficients], point_masks(4, 3, range(16)))[0]
+    table = HashTables(4, 3, range(16)).hash_bits(seed_bits([h.coefficients], 4))[0]
     for x in range(16):
         acc = 0
         for c in reversed(h.coefficients):
@@ -257,7 +259,8 @@ def test_hash_bits_match_seed_bit_evaluation():
     assert masks.shape == (r, len(points)) and masks.dtype == np.uint8
     bits = rng.integers(0, 2, size=(25, r * ell), dtype=np.uint8)
     coeffs = coeffs_from_seed_bits(bits, ell)
-    fast = hash_bits(coeffs, masks)
+    assert np.array_equal(seed_bits(coeffs, ell), bits)
+    fast = HashTables(ell, r, points).hash_bits(bits)
     for row in range(25):
         assert list(coeffs[row]) == _oracle_coeffs(ell, bits[row])
         h = HashFunction(BinaryField(ell), _oracle_coeffs(ell, bits[row]))
@@ -273,12 +276,15 @@ def test_point_masks_rejects_bad_point():
     with pytest.raises(ValueError):
         point_masks(64, 2, [0, 1 << 64])
     with pytest.raises(ValueError):
-        hash_bits([[1, 2, 3]], point_masks(3, 2, [0, 1]))  # r mismatch
+        HashTables(3, 2, [0, 9])
 
 
-def test_coeffs_from_seed_bits_length_check():
-    with pytest.raises(ValueError):
-        coeffs_from_seed_bits([1, 0], 3)
+def test_hash_bits_seed_length_check():
+    tables = HashTables(3, 2, [0, 1])
+    for seeds in ([[1, 0, 1]], [[1, 0, 1, 0, 1, 0, 1]], [1, 0, 1, 0, 1, 0], [[[1] * 6]]):
+        with pytest.raises(ValueError, match="r\\*ell = 6"):
+            tables.hash_bits(seeds)
+    assert tables.hash_bits(np.zeros((0, 6))).shape == (0, 2)
 
 
 @seed(3)
@@ -294,14 +300,14 @@ def test_hash_bits_match_scalar_evaluation(ell, r, entropy, extra):
     hashes = [sample_hash(ell, r, rng) for _ in range(4)]
     masks = point_masks(ell, r, points)
     assert masks.dtype.itemsize * 8 >= ell and (ell <= 8 or masks.dtype.itemsize * 4 < ell)
-    table = hash_bits([h.coefficients for h in hashes], masks)
+    table = HashTables(ell, r, points).hash_bits(seed_bits([h.coefficients for h in hashes], ell))
     assert table.shape == (4, len(points))
     for k, h in enumerate(hashes):
         assert list(table[k]) == [h(x) for x in points]
 
 
 def _and_xor_popcount_bits(coeffs, masks):
-    # the word-per-point evaluator hash_bits replaced: r full-width AND/XOR
+    # the word-per-point evaluator the byte tables replaced: r full-width AND/XOR
     # passes over (K, n) words of the masks' dtype, then one popcount
     masks = np.asarray(masks)
     coeffs = np.asarray(coeffs, dtype=np.uint64).astype(masks.dtype)
@@ -321,15 +327,54 @@ def test_hash_bits_match_popcount_oracle_across_word_boundaries(ell, r):
     for npoints in (1, 7, 8, 63, 64, 65, 130, 1024):
         points = pool[:npoints]
         masks = point_masks(ell, r, points)
+        tables = HashTables(ell, r, points)
         for nhashes in (0, 1, 3, 300):
             coeffs = rng.integers(0, top, size=(nhashes, r), dtype=np.uint64, endpoint=True)
             coeffs[:1] = top
-            table = hash_bits(coeffs, masks)
+            table = tables.hash_bits(seed_bits(coeffs, ell))
             assert table.shape == (nhashes, npoints) and table.dtype == np.uint8
             assert np.array_equal(table, _and_xor_popcount_bits(coeffs, masks))
             for k in range(min(nhashes, 3)):
                 h = HashFunction(BinaryField(ell), coeffs[k].tolist())
                 assert table[k, :130].tolist() == [h(x) for x in points[:130]]
+
+
+@pytest.mark.parametrize("ell", [1, 3, 7, 8, 10, 16, 63, 64])
+def test_seed_tables_match_horner_and_coefficient_tables(ell):
+    # r * ell runs over values that are not multiples of 8 (every ell but 8
+    # and 16 gives one) and point counts over values that are not multiples
+    # of 8 or 64; the seed tables equal the per-coefficient-byte pipeline on
+    # every seed and scalar Horner on the first few
+    rng = np.random.default_rng(100 + ell)
+    top = (1 << ell) - 1
+    for r in sorted({1, min(3, top + 1), min(5, top + 1), min(9, top + 1)}):
+        for npoints in (1, 3, 13, 71, 130):
+            points = [0, top][:npoints] + rng.integers(
+                0, top, size=max(0, npoints - 2), dtype=np.uint64, endpoint=True).tolist()
+            tables = HashTables(ell, r, points)
+            seeds = rng.integers(0, 2, size=(37, r * ell), dtype=np.uint8)
+            seeds[0] = 1  # XORs every row of every seed byte's table
+            got = tables.hash_bits(seeds)
+            assert got.shape == (37, len(points)) and got.dtype == np.uint8
+            assert np.array_equal(got, seed_hash_bits(ell, r, points, seeds))
+            for k in range(3):
+                h = HashFunction(BinaryField(ell), coeffs_from_seed_bits(seeds[k], ell).tolist())
+                assert got[k].tolist() == [h(x) for x in points]
+
+
+@seed(5)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 3, 7, 8, 10, 16, 63, 64]), st.integers(min_value=1, max_value=11),
+       st.integers(min_value=1, max_value=150), st.integers(min_value=0))
+def test_seed_tables_match_coefficient_tables(ell, r, npoints, entropy):
+    r = min(r, 1 << ell)
+    rng = np.random.default_rng(entropy)
+    points = rng.integers(0, (1 << ell) - 1, size=npoints, dtype=np.uint64, endpoint=True).tolist()
+    seeds = rng.integers(0, 2, size=(5, r * ell), dtype=np.uint8)
+    got = HashTables(ell, r, points).hash_bits(seeds)
+    assert np.array_equal(got, seed_hash_bits(ell, r, points, seeds))
+    h = HashFunction(BinaryField(ell), coeffs_from_seed_bits(seeds[0], ell).tolist())
+    assert got[0].tolist() == [h(x) for x in points]
 
 
 def test_field_irreducibility_check_is_cached_and_still_rejects(monkeypatch):

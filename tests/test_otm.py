@@ -388,6 +388,52 @@ def test_hash_signs_match_scalar_evaluation():
         assert list(hash_signs(h, n)) == [1.0 - 2.0 * h(x) for x in range(n)]
 
 
+def _count_table_builds(monkeypatch):
+    builds = []
+
+    class CountingTables(otm_module.HashTables):
+        def __init__(self, ell, r, points):
+            builds.append((ell, r))
+            super().__init__(ell, r, points)
+
+    monkeypatch.setattr(otm_module, "HashTables", CountingTables)
+    return builds
+
+
+def test_sign_pair_builds_one_table_per_family(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    rng = np.random.default_rng(22)
+    for ell, rF, rG, n in ((1, 2, 2, 2), (4, 4, 4, 16), (9, 4, 4, 300), (4, 4, 3, 16)):
+        F, G = sample_hash(ell, rF, rng), sample_hash(ell, rG, rng)
+        builds.clear()
+        sF, sG = otm_module._sign_pair(F, G, n)
+        assert builds == ([(ell, rF)] if rF == rG else [(ell, rF), (ell, rG)])
+        for h, signs in ((F, sF), (G, sG)):
+            assert signs.dtype == np.float64
+            assert signs.tobytes() == np.array([1.0 - 2.0 * h(x) for x in range(n)]).tobytes()
+    # a sign table passes through unchanged beside a hash
+    table = np.array([1.0, -1.0, -1.0, 1.0])
+    sF, sG = otm_module._sign_pair(table, HashFunction(BinaryField(2), (0, 1)), 4)
+    assert sF.tolist() == table.tolist() and sG.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+
+def test_security_and_continuity_build_the_tables_once(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    rng = np.random.default_rng(23)
+    model = ClassicalLeakSim(4, 0.25)
+    otm = IdealBitOtm(sample_hash(4, 4, rng), sample_hash(4, 4, rng), model)
+    params = ReductionParams(k=4, ell=4, theta=1.0, delta0=0.5, alpha=1.0,
+                             eps0=0.5, gamma=1.0)
+    evaluate_security(otm, params.delta, params)
+    assert builds == [(4, 4)]
+    builds.clear()
+    wiesner = WiesnerToyOtm(1)
+    M = np.diag([1.0, 0.0])
+    rep = continuity_check(wiesner, sample_hash(1, 2, rng), sample_hash(1, 2, rng), M, M,
+                           mu=0.01, tau=0.1, delta=0.1, alpha_k=1.4, eta=0.5)
+    assert rep["hypothesis_ok"] and builds == [(1, 2)]
+
+
 def test_hummingbird_hand_values_and_identity():
     out = hummingbird_distance([[0.25, 0.25], [0.25, 0.25]])
     assert out["l1"] == 0.0 and out["Q"] == 0.0 and out["R"] == 0.0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import mpmath
@@ -9,7 +10,7 @@ from scipy.special import bdtr
 from scipy.stats import beta
 
 from otmlab.cli import main
-from otmlab.hashfam import BinaryField, HashFunction, coeffs_from_seed_bits, hash_bits, point_masks
+from otmlab.hashfam import BinaryField, HashFunction
 from otmlab.tails import (
     CHUNK,
     LinearInstance,
@@ -22,6 +23,8 @@ from otmlab.tails import (
     empirical_tail_quadratic,
     kite_bound,
 )
+
+from hash_oracle import seed_hash_bits
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +278,10 @@ def test_rademacher_domination_light():
 
 
 # ---------------------------------------------------------------------------
-# Bit identity with fresh sign arrays: the reused sign buffer must not move
-# a single bit of any result, sample_mean and sample_std included.
+# Bit identity with the oracle pipeline: seed bits packed into coefficients,
+# evaluated from per-coefficient-byte tables, signs in fresh arrays.  Neither
+# the seed-byte tables nor the reused sign buffer may move a single bit of
+# any result, sample_mean and sample_std included.
 # ---------------------------------------------------------------------------
 
 def _fresh_sign_chunks(draw, trials):
@@ -288,9 +293,8 @@ def _fresh_sign_chunks(draw, trials):
 
 
 def _fresh_hash_draw(ell, r, npoints, rng):
-    masks = point_masks(ell, r, np.arange(npoints))
-    return lambda c: hash_bits(coeffs_from_seed_bits(
-        rng.integers(0, 2, size=(c, r * ell), dtype=np.uint8), ell), masks)
+    return lambda c: seed_hash_bits(ell, r, np.arange(npoints),
+                                    rng.integers(0, 2, size=(c, r * ell), dtype=np.uint8))
 
 
 def _assert_same_result(got, want):
@@ -315,6 +319,20 @@ def test_linear_results_equal_fresh_array_path(n):
     want = _tally((signs @ inst.weights for signs in _fresh_sign_chunks(draw, TRIALS)),
                   grid, TRIALS)
     _assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("ell,r,npoints", [(1, 2, 2), (3, 5, 7), (7, 3, 100), (10, 9, 1000),
+                                           (63, 3, 13)])
+def test_sign_chunks_equal_oracle_pipeline(ell, r, npoints):
+    # r * ell is no multiple of 8 and the last chunk is ragged
+    trials = CHUNK + 5
+    got = [chunk.copy() for chunk in _sign_chunks(ell, r, npoints, trials,
+                                                  np.random.default_rng(ell))]
+    draw = _fresh_hash_draw(ell, r, npoints, np.random.default_rng(ell))
+    want = list(_fresh_sign_chunks(draw, trials))
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("n,mode", [(32, "hash"), (300, "hash"), (32, "rademacher"),
@@ -358,3 +376,34 @@ def test_tail_csv_round_trip(tmp_path):
     # "%.17g" cells round-trip the closed form exactly
     assert float(back[2]["closed_form_bound"]) == kite_bound(2, inst.v, 2.0)
     assert back[0]["trials"] == str(10 ** 4) and back[0]["seed"] == "9"
+
+
+_README_QUADRATIC = ("kind: quadratic\nell: 6\nr: 8\nn: 32\ntrials: 50000\n"
+                     "lambda_grid: [0.1, 0.3, 0.9]\nmode: {mode}\nseed: 11\n")
+
+
+@pytest.mark.parametrize("args, yaml_text, digest", [
+    (["--kind", "linear", "--ell", "6", "--r", "4", "--n", "64", "--trials", "100000",
+      "--lambda-grid", "0.2,0.4,0.8", "--seed", "7"], None,
+     "25ee47ad3644520cb806c6121b6714017e42ac210977d290c62bbfeb9b85293d"),
+    ([], _README_QUADRATIC.format(mode="hash"),
+     "189f579106f0259d505e289315e515bee22b8d006a1604952d5cc50518853d32"),
+    ([], _README_QUADRATIC.format(mode="rademacher"),
+     "ac908e754e2933f8a67b161d669d58a7e7bfe1317f0d2c3137d5a250190232a6"),
+    (["--kind", "linear", "--ell", "10", "--r", "8", "--n", "1024", "--trials", "100000",
+      "--lambda-grid", "0.5,1.0,2.0,3.0,4.0,5.0", "--seed", "11"], None,
+     "76d5265c063fe5a0ca83164eb41ac3551829667c9741d23e988e0e6ffa5db637"),
+], ids=["readme-linear", "readme-quadratic-hash", "readme-quadratic-rademacher",
+        "bench-linear"])
+def test_tails_csv_is_pinned(tmp_path, args, yaml_text, digest):
+    # the README's linear command and YAML quadratic config (in both modes),
+    # and the benchmark's linear config; the digests are those of the
+    # coefficient-byte pipeline with a two-pass sign fill.  The CSV holds
+    # frequencies only, so a last-bit change in a BLAS sum cannot move it
+    # unless a sum lands on a threshold.
+    if yaml_text is not None:
+        (tmp_path / "tails.yaml").write_text(yaml_text)
+        args = ["--config", str(tmp_path / "tails.yaml")]
+    result = CliRunner().invoke(main, ["tails", "--output-dir", str(tmp_path / "out")] + args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256((tmp_path / "out" / "tails.csv").read_bytes()).hexdigest() == digest
