@@ -402,6 +402,10 @@ def nets(family, m, mu, samples, seed, d=None):
         log2_bound, delta = bounds["two_local_log2"], spec.kraus_net.delta
     dists = spec.covering_distances(samples, rng)
     p99 = float(np.quantile(dists, 0.99))
+    counters = {"samples": samples}
+    if family == "separable":
+        grid, members = len(spec.qubit_net.grid_params), len(spec.qubit_net)
+        counters.update(grid_points=grid, members=members, dedup_ratio=members / grid)
     return [_cells({
         "m": m, "d": d, "mu": mu, "delta": delta,
         "log2_bound": log2_bound, "log2_enumerated": spec.log2_size,
@@ -413,7 +417,7 @@ def nets(family, m, mu, samples, seed, d=None):
         "covering_radius_max": float(dists.max()),
         "covering_radius_p99": p99,
         "within_mu_fraction": float((dists <= mu + 1e-12).mean()),
-    }), None
+    }), counters
 
 
 def _random_joints(rng, k, nz, n0, n1):

@@ -24,13 +24,15 @@ snap-to-grid map (O(1), lands on a net member by construction).  No Kraus
 net member is ever stored.
 
 The single-qubit net is built on first use and held as one read-only
-(P, 2, 2) array of members, made with one clamp, one `np.unique` over the
-rounded entries and one batched POVM check; `QubitNet.points` hands out
-`PovmElement`s on access.  Covering is batched, one path per family:
-`SeparableNetSpec.covering_indices` snaps a (K, m, 2, 2) stack by index
-arithmetic, `KrausNet.snap_batch` snaps a (K, 4, 4) stack in one array
-operation, and `SeparableNetSpec.covering_index` and
-`TwoLocalNetSpec.covering_map` cover one outcome through them.
+(P, 2, 2) array of members, made with one clamp, one `np.unique` over
+64-bit fingerprints of the rounded entries (checked exactly, with 64-byte
+keys on a collision) and one closed-form batched POVM check;
+`QubitNet.points` hands out `PovmElement`s on access.  Covering is
+batched, one path per family: `SeparableNetSpec.covering_indices` snaps a
+(K, m, 2, 2) stack by index arithmetic, `KrausNet.snap_batch` snaps a
+(K, 4, 4) stack in one array operation, and
+`SeparableNetSpec.covering_index` and `TwoLocalNetSpec.covering_map` cover
+one outcome through them.
 `covering_distances` samples random outcomes in stacks, in the same draw
 order as the one-at-a-time samplers, and measures their distance to the
 net cover; every number equals the one-at-a-time computation bit for bit.
@@ -50,6 +52,7 @@ from .quantum import (
     PovmElement,
     SeparableOutcome,
     TwoLocalOutcome,
+    _herm2_spectrum,
     assemble_two_local_stack,
     tensor_stack,
     validate_povm_stack,
@@ -83,9 +86,7 @@ def _snap(values, x):
 def _clamp01_herm2_batch(a, d, b):
     """Eigenvalue clamp of Hermitian 2x2 [[a, b], [conj(b), d]] into [0, I],
     vectorized over flat parameter arrays.  Returns (N, 2, 2) complex."""
-    mean = (a + d) / 2.0
-    half = (a - d) / 2.0
-    rad = np.sqrt(half ** 2 + np.abs(b) ** 2)
+    mean, half, rad = _herm2_spectrum(a, d, b)
     hi = np.clip(mean + rad, 0.0, 1.0)
     lo = np.clip(mean - rad, 0.0, 1.0)
     out = np.zeros(a.shape + (2, 2), dtype=complex)
@@ -163,12 +164,44 @@ def _qubit_axis(delta):
     return axis
 
 
+# one salt per word position, so equal words in different places mix apart
+_ROW_SALTS = np.uint64(0x9E3779B97F4A7C15) * np.arange(1, 9, dtype=np.uint64)
+
+
+def _fingerprints(words):
+    """One 64-bit fingerprint per row of an (N, 8) uint64 array: the
+    wrapping sum of its salted words, each put through splitmix64's mixer,
+    a column at a time so no temporary outgrows one column."""
+    out = np.zeros(len(words), dtype=np.uint64)
+    for column, salt in zip(words.T, _ROW_SALTS):
+        h = column + salt
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        out += h ^ (h >> np.uint64(31))
+    return out
+
+
+def _group_rows(words):
+    """(first, inverse) of `np.unique` over the rows of an (N, 8) uint64 array
+    as 64-byte keys: by fingerprint, or by key if a group's rows differ."""
+    _, first, inverse = np.unique(_fingerprints(words), return_index=True,
+                                  return_inverse=True)
+    rep = first[inverse]
+    if not all(np.array_equal(column[rep], column) for column in words.T):
+        keys = np.ascontiguousarray(words).view(np.dtype((np.void, 64))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def build_qubit_net(delta):
     """Construct the delta-resolution single-qubit net.
 
     Every grid point is clamped into U; grid points whose clamped entries
-    agree to 12 decimals share one member, numbered by first occurrence in
-    grid order, and all members pass one batched POVM check.
+    agree to 12 decimals (as bytes, so -0.0 and 0.0 differ) share one
+    member, numbered by first occurrence in grid order, and all members
+    pass one batched POVM check.
 
     Parameters
     ----------
@@ -182,10 +215,7 @@ def build_qubit_net(delta):
     axis = _qubit_axis(delta)
     aa, dd, rb, ib = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
     clamped = _clamp01_herm2_batch(aa, dd, rb + 1j * ib)
-    # members are told apart by the bytes of their rounded entries (so -0.0
-    # and 0.0 differ), each matrix viewed as one 64-byte key
-    keys = np.round(clamped, 12).reshape(len(clamped), 4).view(np.dtype((np.void, 64)))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    first, inverse = _group_rows(np.round(clamped, 12).view(np.uint64).reshape(len(clamped), 8))
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -503,17 +533,20 @@ def sample_qubit_element(rng):
 
 def sample_qubit_elements(rng, count, m):
     """count x m random elements of U, drawn in row order exactly as m calls
-    of `sample_qubit_element` per row would draw them.
+    of `sample_qubit_element` per row would draw them: per element, one
+    (2, 2, 2) `normal` call (real, then imaginary parts) and `random(2)`.
 
     Returns
     -------
     (count, m, 2, 2) read-only stack of validated POVM elements
     """
-    g = np.empty((count * m, 2, 2), dtype=complex)
+    z = np.empty((count * m, 2, 2, 2))
     lam = np.empty((count * m, 2))
+    normal, random = rng.normal, rng.random
     for i in range(count * m):
-        g[i] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lam[i] = rng.random(2)
+        z[i] = normal(size=(2, 2, 2))
+        lam[i] = random(2)
+    g = z[:, 0] + 1j * z[:, 1]
     return validate_povm_stack(_qubit_elements(g, lam)).reshape(count, m, 2, 2)
 
 
@@ -526,15 +559,16 @@ def _sample_two_local_stack(m, d, count, rng):
     (count, d, m/2, 4, 4)), drawn as `sample_two_local_outcome` draws them."""
     npairings = len(_pairings(m))
     choice = np.empty((count, d), dtype=np.int64)
-    g = np.empty((count, d, m // 2, 4, 4), dtype=complex)
+    z = np.empty((count, d, m // 2, 2, 4, 4))
     sv = np.empty((count, d, m // 2, 4))
+    integers, normal, random = rng.integers, rng.normal, rng.random
     for k in range(count):
         for layer in range(d):
-            choice[k, layer] = rng.integers(0, npairings)
+            choice[k, layer] = integers(0, npairings)
             for j in range(m // 2):
-                g[k, layer, j] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                sv[k, layer, j] = rng.random(4)
-    return choice, _contractions(g, sv)
+                z[k, layer, j] = normal(size=(2, 4, 4))
+                sv[k, layer, j] = random(4)
+    return choice, _contractions(z[..., 0, :, :] + 1j * z[..., 1, :, :], sv)
 
 
 def sample_two_local_outcome(m, d, rng):

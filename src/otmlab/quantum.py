@@ -165,11 +165,21 @@ def _dagger(x):
     return np.conj(np.swapaxes(x, -1, -2))
 
 
+def _herm2_spectrum(a, d, b):
+    """(mean, half, rad) of Hermitian 2x2 [[a, b], [conj(b), d]], vectorized:
+    half = (a - d)/2, rad = sqrt(half^2 + |b|^2), eigenvalues mean -/+ rad."""
+    mean = (a + d) / 2.0
+    half = (a - d) / 2.0
+    return mean, half, np.sqrt(half ** 2 + np.abs(b) ** 2)
+
+
 def validate_povm_stack(mats):
     """Check a stack of POVM elements at once: the checks of `PovmElement`.
 
     Each matrix must be Hermitian to 1e-10 in entrywise l-inf and have its
     spectrum in [0, 1] to 1e-10; it is then replaced by its Hermitian part.
+    A 2x2 spectrum is taken in closed form (mean +/- radius), any other by
+    LAPACK `eigvalsh`.
 
     Parameters
     ----------
@@ -188,10 +198,15 @@ def validate_povm_stack(mats):
         if np.abs(m - mh).max() > POVM_SPECTRUM_TOL:
             raise ValueError("POVM element is not Hermitian to %g" % POVM_SPECTRUM_TOL)
         m = (m + mh) / 2.0
-        eig = np.linalg.eigvalsh(m)
-        if eig.min() < -POVM_SPECTRUM_TOL or eig.max() > 1.0 + POVM_SPECTRUM_TOL:
+        if m.shape[1] == 2:
+            mean, _, rad = _herm2_spectrum(m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1])
+            lo, hi = (mean - rad).min(), (mean + rad).max()
+        else:
+            eig = np.linalg.eigvalsh(m)
+            lo, hi = eig.min(), eig.max()
+        if lo < -POVM_SPECTRUM_TOL or hi > 1.0 + POVM_SPECTRUM_TOL:
             raise ValueError("POVM element spectrum [%g, %g] outside [0, 1] to %g"
-                             % (eig.min(), eig.max(), POVM_SPECTRUM_TOL))
+                             % (lo, hi, POVM_SPECTRUM_TOL))
     else:
         m = m.copy()
     m.setflags(write=False)

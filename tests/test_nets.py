@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import json
 import math
 
@@ -8,15 +9,20 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, seed, settings, strategies as st
 
+from otmlab import nets
 from otmlab.cli import main
 from otmlab.nets import (
     _axis_values,
     _clamp01_herm2_batch,
+    _pairings,
+    _qubit_axis,
+    _sample_two_local_stack,
     build_qubit_net,
     cardinality_bounds,
     KRAUS_BOX,
     KrausNet,
     sample_qubit_element,
+    sample_qubit_elements,
     sample_two_local_outcome,
     separable_net,
     svd_clamp,
@@ -343,6 +349,20 @@ def _old_build_qubit_net(delta):
     return members, point_index
 
 
+def _void_key_build_qubit_net(delta):
+    """The array build before fingerprint grouping: one `np.unique` over each
+    clamped matrix's rounded entries viewed as one 64-byte key."""
+    axis = _qubit_axis(delta)
+    aa, dd, rb, ib = [g.ravel() for g in np.meshgrid(axis, axis, axis, axis, indexing="ij")]
+    clamped = _clamp01_herm2_batch(aa, dd, rb + 1j * ib)
+    keys = np.round(clamped, 12).reshape(len(clamped), 4).view(np.dtype((np.void, 64)))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return validate_povm_stack(clamped[first[order]]), rank[inverse]
+
+
 @pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
 def test_build_qubit_net_matches_per_point_loop(delta):
     members, point_index = _old_build_qubit_net(delta)
@@ -353,6 +373,53 @@ def test_build_qubit_net_matches_per_point_loop(delta):
         assert got.matrix.tobytes() == want.tobytes()
     assert net.members.tobytes() == np.stack(members).tobytes()
     assert not net.members.flags.writeable
+
+
+# the criterion-06 grids, delta = mu / 4m at m in {1, 2} and mu in {1, 0.8};
+# 0.1 is also the grid of the README and benchmark separable commands
+@pytest.mark.parametrize("delta", [0.25, 0.2, 0.125, 0.1])
+def test_build_qubit_net_matches_void_key_grouping(delta, monkeypatch):
+    members, point_index = _void_key_build_qubit_net(delta)
+    net = build_qubit_net(delta)
+    assert net.members.tobytes() == members.tobytes()
+    assert net.point_index.tobytes() == point_index.tobytes()
+    # one fingerprint for every row: the exactness check fails and the
+    # 64-byte keys group the members
+    monkeypatch.setattr(nets, "_fingerprints", lambda words: np.zeros(len(words), np.uint64))
+    fallback = build_qubit_net(delta)
+    assert fallback.members.tobytes() == members.tobytes()
+    assert fallback.point_index.tobytes() == point_index.tobytes()
+
+
+def test_group_rows_tells_signed_zeros_apart():
+    # rows that differ only in the signs of two zero words (a sum of
+    # word * odd constant would give them one fingerprint), or only in the
+    # order of their words (an unsalted sum would)
+    zero, neg = np.float64(0.0).view(np.uint64), np.float64(-0.0).view(np.uint64)
+    rows = np.full((7, 8), np.float64(0.5).view(np.uint64), dtype=np.uint64)
+    rows[1, [0, 3]] = neg
+    rows[2, [0, 3]] = zero
+    rows[3, [1, 2]] = neg
+    rows[4] = rows[1]
+    rows[5, [0, 3]] = [neg, zero]
+    rows[6] = np.roll(rows[1], 1)
+    assert np.unique(nets._fingerprints(rows)).size == 6
+    first, inverse = nets._group_rows(rows)
+    keys = rows.view(np.dtype((np.void, 64))).ravel()
+    want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+    assert np.array_equal(first[inverse], want_first[want_inverse])
+    assert sorted(first) == [0, 1, 2, 3, 5, 6]
+
+
+@pytest.mark.parametrize("word", range(8))
+def test_group_rows_falls_back_on_any_differing_word(word, monkeypatch):
+    # with every fingerprint equal, the exactness check must see a
+    # difference in any one word and fall back to the 64-byte keys
+    monkeypatch.setattr(nets, "_fingerprints", lambda words: np.zeros(len(words), np.uint64))
+    rows = np.zeros((3, 8), dtype=np.uint64)
+    rows[1, word] = 1
+    first, inverse = nets._group_rows(rows)
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
 
 
 def test_qubit_net_points_is_a_lazy_sequence():
@@ -469,3 +536,87 @@ def test_covering_distances_match_one_at_a_time_path():
         b = assemble_two_local(spec.covering_map(t)).matrix
         assert dist == np.linalg.norm(a - b, 2)
         assert dist <= spec.mu + 1e-12
+
+
+def _oracle_qubit_elements(rng, count, m):
+    """The per-element draw loop: two (2, 2) normal calls and random(2)."""
+    g = np.empty((count * m, 2, 2), dtype=complex)
+    lam = np.empty((count * m, 2))
+    for i in range(count * m):
+        g[i] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        lam[i] = rng.random(2)
+    return validate_povm_stack(nets._qubit_elements(g, lam)).reshape(count, m, 2, 2)
+
+
+def _oracle_two_local_stack(m, d, count, rng):
+    """The per-factor draw loop: integers per layer, then two (4, 4) normal
+    calls and random(4) per factor."""
+    npairings = len(_pairings(m))
+    choice = np.empty((count, d), dtype=np.int64)
+    g = np.empty((count, d, m // 2, 4, 4), dtype=complex)
+    sv = np.empty((count, d, m // 2, 4))
+    for k in range(count):
+        for layer in range(d):
+            choice[k, layer] = rng.integers(0, npairings)
+            for j in range(m // 2):
+                g[k, layer, j] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                sv[k, layer, j] = rng.random(4)
+    return choice, nets._contractions(g, sv)
+
+
+@pytest.mark.parametrize("count", [1, 7, 5000])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sample_qubit_elements_match_per_element_loop(count, m):
+    rng, oracle = np.random.default_rng(100 * count + m), np.random.default_rng(100 * count + m)
+    got = sample_qubit_elements(rng, count, m)
+    want = _oracle_qubit_elements(oracle, count, m)
+    assert got.shape == (count, m, 2, 2)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_two_local_stack_matches_per_factor_loop(m, d):
+    rng, oracle = np.random.default_rng(10 * m + d), np.random.default_rng(10 * m + d)
+    choice, factors = _sample_two_local_stack(m, d, 300, rng)
+    want_choice, want_factors = _oracle_two_local_stack(m, d, 300, oracle)
+    assert choice.tobytes() == want_choice.tobytes()
+    assert factors.tobytes() == want_factors.tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+_README_NETS = [
+    ["--family", "separable", "--m", "2", "--mu", "0.8", "--samples", "5000", "--seed", "3"],
+    ["--family", "two-local", "--m", "2", "--d", "1", "--mu", "1.0", "--samples", "2000",
+     "--seed", "3", "--out", "tl"],
+]
+
+
+def test_nets_artifacts_are_pinned(tmp_path):
+    # the README's two nets commands; the digests are those of the
+    # per-element samplers, LAPACK 2x2 spectra and 64-byte-key grouping
+    for args in _README_NETS:
+        result = CliRunner().invoke(main, ["nets", "--output-dir", str(tmp_path)] + args)
+        assert result.exit_code == 0, result.output
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("nets.csv", "nets.json", "tl.csv", "tl.json")} == {
+        "nets.csv": "e535e60e6f1c0f1cca916b148cef6706f1157334cb49213178212d31e8cc4f95",
+        "nets.json": "0b75846b48945d07ed6865d559e54a352d688e8483869e5556294f06f694851b",
+        "tl.csv": "2b1a6930f80456d46784e91fd9c96047f59ca724cc71b2408fa3cd64659c006c",
+        "tl.json": "92f49b19bb6e20a9f5dfedd57df2a9fb2e82f2fa4e34620385c0d34b5eba1352",
+    }
+
+
+def test_nets_manifest_counts_samples_and_net_members(tmp_path):
+    for args in _README_NETS:
+        result = CliRunner().invoke(main, ["nets", "--output-dir", str(tmp_path)] + args)
+        assert result.exit_code == 0, result.output
+    separable = json.loads((tmp_path / "nets_manifest.json").read_text())
+    assert separable["counters"] == {
+        "samples": 5000, "grid_points": 20 ** 4, "members": 70526,
+        "dedup_ratio": 70526 / 20 ** 4}
+    assert json.loads((tmp_path / "tl_manifest.json").read_text())["counters"] == {
+        "samples": 2000}
+    # the counters live in the manifest only
+    assert "samples" not in json.loads((tmp_path / "nets.json").read_text())

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from otmlab.quantum import (
+    POVM_SPECTRUM_TOL,
     KrausLayer,
     NumericalConsistencyError,
     PovmElement,
     SeparableOutcome,
     TwoLocalOutcome,
+    _herm2_spectrum,
     _layer_operators,
     assemble_two_local,
     born_probability,
@@ -14,6 +17,7 @@ from otmlab.quantum import (
     negligible_mass,
     norms,
     tensor_stack,
+    validate_povm_stack,
 )
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -220,6 +224,47 @@ def test_povm_element_validation():
     m = PovmElement(np.diag([1.0, 0.0]))
     assert m.dim == 2
     assert not m.matrix.flags.writeable
+
+
+_ENTRY = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermitian_2x2(draw):
+    """[[a, b], [conj(b), d]]: general, diagonal (b = 0) or degenerate
+    (a = d, b = 0, so the radius is 0)."""
+    kind = draw(st.sampled_from(["general", "diagonal", "degenerate"]))
+    a = draw(_ENTRY)
+    d = a if kind == "degenerate" else draw(_ENTRY)
+    b = 0j if kind != "general" else complex(draw(_ENTRY), draw(_ENTRY))
+    return np.array([[a, b], [np.conj(b), d]], dtype=complex)
+
+
+@seed(14)
+@settings(max_examples=300, deadline=None)
+@given(_hermitian_2x2())
+def test_herm2_spectrum_matches_eigvalsh(x):
+    mean, _, rad = _herm2_spectrum(x[0, 0].real, x[1, 1].real, x[0, 1])
+    # eigvalsh's own error grows with the entries, so 1e-13 is relative to them
+    tol = 1e-13 * max(1.0, float(np.abs(x).max()))
+    assert np.abs(np.array([mean - rad, mean + rad]) - np.linalg.eigvalsh(x)).max() <= tol
+
+
+def test_two_by_two_spectrum_check_keeps_its_tolerance():
+    rng = np.random.default_rng(14)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    good = np.stack([(q * lam) @ q.conj().T for lam in ([0.0, 1.0], [0.5, 1.0 + 5e-11],
+                                                         [-5e-11, 0.25])])
+    assert validate_povm_stack(good).shape == (3, 2, 2)
+    message = r"POVM element spectrum \[.*\] outside \[0, 1\] to %g" % POVM_SPECTRUM_TOL
+    for lam in ([0.5, 1.0 + 2e-10], [-2e-10, 0.5]):
+        bad = np.concatenate([good, ((q * lam) @ q.conj().T)[None]])
+        with pytest.raises(ValueError, match=message):
+            validate_povm_stack(bad)
+        with pytest.raises(ValueError, match=message):
+            PovmElement(np.diag(lam))
+    with pytest.raises(ValueError, match="not Hermitian to %g" % POVM_SPECTRUM_TOL):
+        validate_povm_stack(np.array([[[0.5, 0.1], [0.1 + 2e-10, 0.5]]]))
 
 
 def test_separable_outcome_materializes_to_povm_element():
