@@ -160,6 +160,15 @@ def _smoothing_error(fault, eps):
                        "smoothing removed the entire distribution (eps=%r)" % (eps,))[fault - 1])
 
 
+def _cap_weights(level, t):
+    """min(1, level / t) for tables t (B, ny, nx), one level per row; 1 where t = 0."""
+    pos = t > 0
+    weights = np.ones_like(t)
+    np.minimum(1.0, np.divide(level[:, None, None], t, out=np.full_like(t, np.inf), where=pos),
+               out=weights, where=pos)
+    return weights
+
+
 def _smooth(t, p_y, eps):
     """Optimal eps-smoothing of conditional tables t (B, ny, nx) with
     marginals p_y (B, ny).  Returns (value, weights, pr_event, fault): per
@@ -172,10 +181,7 @@ def _smooth(t, p_y, eps):
     h = _waterfill_level(masses, np.repeat(p_y, nx, axis=1), live, eps)
     top = h if eps <= 0 else np.max(masses, axis=1, where=live, initial=0.0)
     fault = np.where(live_y.any(axis=1), np.where(top > 0, np.where(h > 0, 0, 3), 2), 1)
-    weights = np.ones_like(t)
-    pos = t > 0
-    np.minimum(1.0, np.divide(h[:, None, None], t, out=np.full_like(t, np.inf), where=pos),
-               out=weights, where=pos)
+    weights = _cap_weights(h, t)
     weights[~live_y] = 1.0  # dead slices carry no probability; keep E there
     pr_event = (p_y[:, :, None] * t * weights).sum(axis=(1, 2))
     value = np.array([-math.log2(x) if x > 0 else math.inf for x in h.tolist()])
@@ -265,10 +271,7 @@ def _certify(joint, p_z, q, eps_total, bound):
     # still holds, with equality to 1 whenever the raw masses already
     # satisfy the bound.
     thresh = np.array([2.0 ** (-b) for b in bound.tolist()])
-    pos = hidden > 0
-    cheap = np.ones_like(hidden)
-    np.minimum(1.0, np.divide(thresh[:, None, None], hidden, out=np.full_like(hidden, np.inf),
-                              where=pos), out=cheap, where=pos)
+    cheap = _cap_weights(thresh, hidden)
     retained = (hidden * cheap).max(axis=(1, 2))
     cheap_value = [-math.log2(r) if 0 < r < 1 else max(b, 0.0)
                    for r, b in zip(retained.tolist(), bound.tolist())]

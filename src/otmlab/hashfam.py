@@ -8,8 +8,7 @@ low bit of a uniform field element is unbiased, so the induced {0,1}-valued
 family is *exactly* r-wise independent (not just approximately so).
 
 Sampling a function consumes r*l seed bits, and a sampled function is an
-immutable value object that can be evaluated concurrently and serialized to a
-pinned byte format (see `HashFunction.to_bytes`).
+immutable value object that can be evaluated concurrently.
 
 Whole output tables are computed by one vectorized path.  The output bit is
 GF(2)-linear in each coefficient, so lowbit(c * x^i) = parity(c & m_i(x))
@@ -21,6 +20,10 @@ table row per seed byte, XORed together.  `seed_bits` writes a sampled
 hash's coefficients in that seed layout.  Scalar Horner evaluation
 (`HashFunction.__call__`) serves single lookups and is the reference oracle
 for the tables.
+
+`verify_independence` audits exactness by one GF(2) rank per tuple of
+points, as the output bits are linear in the seed bits; the enumeration of
+all 2^(r*l) seeds is its oracle in the test suite (`tests/hash_oracle.py`).
 """
 
 import functools
@@ -198,29 +201,6 @@ class HashFunction:
     def __call__(self, x):
         return self.eval_field(x) & 1
 
-    def to_bytes(self):
-        """Serialize to the pinned format: l (1 byte), r (2 bytes, big-endian),
-        then the r coefficients, constant term first, each ceil(l/8) bytes
-        big-endian.  Format version 1; bit-exact across platforms."""
-        nb = (self.field.ell + 7) // 8
-        out = bytes([self.field.ell]) + self.r.to_bytes(2, "big")
-        for c in self.coefficients:
-            out += c.to_bytes(nb, "big")
-        return out
-
-    @classmethod
-    def from_bytes(cls, data):
-        if len(data) < 3:
-            raise ValueError("truncated hash seed: %d bytes" % len(data))
-        ell = data[0]
-        r = int.from_bytes(data[1:3], "big")
-        nb = (ell + 7) // 8
-        if len(data) != 3 + r * nb:
-            raise ValueError("hash seed length %d does not match ell=%d, r=%d" % (len(data), ell, r))
-        field = BinaryField(ell)
-        coeffs = [int.from_bytes(data[3 + i * nb:3 + (i + 1) * nb], "big") for i in range(r)]
-        return cls(field, coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, HashFunction) and self.field == other.field
                 and self.coefficients == other.coefficients)
@@ -375,18 +355,16 @@ def _tuples_up_to(n, size):
 
 def _gf2_rank(vectors):
     basis = []
-    rank = 0
     for v in vectors:
         for b in basis:
             v = min(v, v ^ b)
         if v:
             basis.append(v)
             basis.sort(reverse=True)
-            rank += 1
-    return rank
+    return len(basis)
 
 
-def verify_independence(ell, r, ncoeffs=None, method="auto"):
+def verify_independence(ell, r, ncoeffs=None):
     """Exact r-wise uniformity audit of the polynomial family on {0,1}^ell.
 
     For every tuple of at most r distinct domain points, the joint output
@@ -395,14 +373,12 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
     deviation over tuples and output patterns is reported.  The exact family
     (ncoeffs = r) must report max_bias = 0.
 
-    Two equivalent evaluation strategies are provided.  "direct" literally
-    enumerates every seed and histograms the joint outputs.  "rank" uses the
-    GF(2)-linearity of the output bits in the seed bits: on a tuple whose
-    point functionals span rank rho <= t, the joint output is uniform on a
-    rank-rho affine subspace, so the worst pattern deviation is exactly
-    2^-rho - 2^-t (and 0 when rho = t).  Both walk the same tuple set and
-    agree exactly; "auto" picks "direct" for small seed spaces and "rank"
-    otherwise.
+    The output bit at x is the GF(2) inner product of the seed with x's
+    functional (its `point_masks`, concatenated).  On t points whose
+    functionals span rank rho, the joint output is uniform on a rank-rho
+    affine subspace of {0,1}^t, so the worst pattern deviation is exactly
+    2^-rho - 2^-t (0 when rho = t).  `tests/hash_oracle.py` enumerates every
+    seed instead and agrees exactly.
 
     Parameters
     ----------
@@ -414,7 +390,6 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
         Number of polynomial coefficients in the family; defaults to r
         (the exact construction).  Passing ncoeffs < r audits a deliberately
         truncated family, which fails with max_bias > 0.
-    method : {"auto", "direct", "rank"}
 
     Returns
     -------
@@ -422,7 +397,6 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
         max_bias : float  -- worst |Pr(pattern) - 2^-t| over tuples/patterns
         worst_tuple : tuple of ints or None
         tuples_checked : int
-        method : str
     """
     if not (1 <= ell <= 5 and 1 <= r <= 4):
         raise ValueError("exhaustive regime requires ell <= 5 and r <= 4, got ell=%d r=%d" % (ell, r))
@@ -433,38 +407,16 @@ def verify_independence(ell, r, ncoeffs=None, method="auto"):
     if ncoeffs < 1:
         raise ValueError("ncoeffs must be >= 1")
     n = 1 << ell
-    nbits = ncoeffs * ell
-    if method == "auto":
-        method = "direct" if nbits <= 12 else "rank"
-
+    # the seed functional of point x: its masks concatenated into one int
+    masks = point_masks(ell, ncoeffs, np.arange(n))
+    funcs = [sum(int(m) << (i * ell) for i, m in enumerate(masks[:, x])) for x in range(n)]
     max_bias = 0.0
     worst = None
     count = 0
-    if method == "rank":
-        # the seed functional of point x: its masks concatenated into one int
-        masks = point_masks(ell, ncoeffs, np.arange(n))
-        funcs = [sum(int(m) << (i * ell) for i, m in enumerate(masks[:, x])) for x in range(n)]
-        for t in _tuples_up_to(n, r):
-            count += 1
-            rho = _gf2_rank([funcs[x] for x in t])
-            bias = 2.0 ** (-rho) - 2.0 ** (-len(t)) if rho < len(t) else 0.0
-            if bias > max_bias:
-                max_bias, worst = bias, t
-    elif method == "direct":
-        nseeds = 1 << nbits
-        seeds = np.arange(nseeds, dtype=np.uint64)
-        bits = ((seeds[:, None] >> np.arange(nbits, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
-        tables = HashTables(ell, ncoeffs, np.arange(n)).hash_bits(bits)  # (nseeds, n)
-        for t in _tuples_up_to(n, r):
-            count += 1
-            tt = len(t)
-            patt = np.zeros(nseeds, dtype=np.int64)
-            for j, x in enumerate(t):
-                patt |= tables[:, x].astype(np.int64) << j
-            freqs = np.bincount(patt, minlength=1 << tt) / nseeds
-            bias = float(np.abs(freqs - 2.0 ** (-tt)).max())
-            if bias > max_bias:
-                max_bias, worst = bias, t
-    else:
-        raise ValueError("unknown method %r" % (method,))
-    return {"max_bias": max_bias, "worst_tuple": worst, "tuples_checked": count, "method": method}
+    for t in _tuples_up_to(n, r):
+        count += 1
+        rho = _gf2_rank([funcs[x] for x in t])
+        bias = 2.0 ** (-rho) - 2.0 ** (-len(t)) if rho < len(t) else 0.0
+        if bias > max_bias:
+            max_bias, worst = bias, t
+    return {"max_bias": max_bias, "worst_tuple": worst, "tuples_checked": count}

@@ -581,9 +581,10 @@ def _split_outcome(P, alpha_k, eta):
 
     Refuses a posterior that is not finite and nonnegative with total 1
     (within entropy.SLICE_TOL).  Returns the C table in the hidden-string
-    convention (Pr(C=1 | s, t), C = c hides s for c=0 / t for c=1), per-c
-    event weight tables, the kept event probability and the log2 of the
-    certified collision level.
+    convention (Pr(C=1 | s, t), C = c hides s for c=0 / t for c=1), the
+    event weights E, the kept event probability and the log2 of the
+    certified collision level.  E_c weighs only the hidden string, so E holds
+    views of shape (n, 1) and (1, n) that broadcast against the posterior.
     """
     P = np.asarray(P, dtype=float)
     if not np.isfinite(P).all() or (P < 0).any() or abs(P.sum() - 1.0) > SLICE_TOL:
@@ -593,11 +594,9 @@ def _split_outcome(P, alpha_k, eta):
     ev = split["event"][0]                  # rows: C_split=0, C_split=1
     w0 = ev[1, :n]                          # hidden s weights (C_split=1 <-> c=0)
     w1 = ev[0, n:]                          # hidden t weights
-    E = np.stack([np.repeat(w0[:, None], n, axis=1),
-                  np.repeat(w1[None, :], n, axis=0)])
     return {
         "C": 1.0 - split["C"][0, 0],        # C_split=0 iff s heavy, so C = 1 - C_split
-        "E": E,
+        "E": (w0[:, None], w1[None, :]),
         "event_probability": float(split["event_probability"][0]),
         "collision_log2": -float(split["value"][0]),
     }

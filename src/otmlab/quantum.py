@@ -121,7 +121,7 @@ class TwoLocalOutcome:
     """
 
     def __init__(self, layers):
-        self.layers = [l if isinstance(l, KrausLayer) else KrausLayer(*l) for l in layers]
+        self.layers = list(layers)
         if not self.layers:
             raise ValueError("need at least one layer")
         self.m = self.layers[0].m
@@ -176,8 +176,9 @@ def _herm2_spectrum(a, d, b):
 def validate_povm_stack(mats):
     """Check a stack of POVM elements at once: the checks of `PovmElement`.
 
-    Each matrix must be Hermitian to 1e-10 in entrywise l-inf and have its
-    spectrum in [0, 1] to 1e-10; it is then replaced by its Hermitian part.
+    Each matrix must be finite, Hermitian to 1e-10 in entrywise l-inf and
+    have its spectrum in [0, 1] to 1e-10; it is then replaced by its
+    Hermitian part.
     A 2x2 spectrum is taken in closed form (mean +/- radius), any other by
     LAPACK `eigvalsh`.
 
@@ -193,6 +194,8 @@ def validate_povm_stack(mats):
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("expected a (K, d, d) stack, got shape %r" % (m.shape,))
+    if not np.isfinite(m).all():
+        raise ValueError("POVM element has non-finite entries")
     if m.size:
         mh = _dagger(m)
         if np.abs(m - mh).max() > POVM_SPECTRUM_TOL:
@@ -362,8 +365,6 @@ def assemble_two_local(t):
     -------
     PovmElement of dimension 2^m
     """
-    if not isinstance(t, TwoLocalOutcome):
-        t = TwoLocalOutcome(t)
     factors = np.array([[layer.factors for layer in t.layers]])
     stack = assemble_two_local_stack([[layer.pairing for layer in t.layers]], factors)
     return PovmElement.from_validated(stack[0])

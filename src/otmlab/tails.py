@@ -263,8 +263,6 @@ def empirical_tail_linear(inst, ell, r, lambda_grid, trials, rng):
     dict with lambdas, freqs, upper_cl_99 (one-sided 99% Clopper-Pearson),
     trials, sample_mean, sample_std.
     """
-    if not isinstance(inst, LinearInstance):
-        inst = LinearInstance(inst)
     if trials < MIN_TRIALS:
         raise ValueError("trials=%d below the Monte Carlo floor %d" % (trials, MIN_TRIALS))
     if inst.n > (1 << ell):
@@ -293,8 +291,6 @@ def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"
     -------
     dict as in empirical_tail_linear
     """
-    if not isinstance(inst, QuadraticInstance):
-        inst = QuadraticInstance(inst)
     if trials < MIN_TRIALS:
         raise ValueError("trials=%d below the Monte Carlo floor %d" % (trials, MIN_TRIALS))
     a = inst.a

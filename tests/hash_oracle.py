@@ -1,13 +1,16 @@
-"""Reference pipeline for `hashfam.HashTables`: seed bits packed into
-coefficients, then evaluated from one byte table per coefficient byte.
+"""Reference oracles for `hashfam`.
 
-This is the batched hash evaluator the seed-byte tables replaced, kept here
-unchanged so that tests can compare the library against it bit for bit.
+- A pipeline for `hashfam.HashTables`: seed bits packed into coefficients,
+  then evaluated from one byte table per coefficient byte.  This is the
+  batched hash evaluator the seed-byte tables replaced, kept here unchanged
+  so that tests can compare the library against it bit for bit.
+- `enumerate_independence`: the literal seed enumeration behind
+  `hashfam.verify_independence`, which audits the same tuples by GF(2) rank.
 """
 
 import numpy as np
 
-from otmlab.hashfam import point_masks
+from otmlab.hashfam import HashTables, _tuples_up_to, point_masks
 
 
 def coeffs_from_seed_bits(bits, ell):
@@ -53,3 +56,32 @@ def coefficient_hash_bits(coeffs, masks):
 def seed_hash_bits(ell, r, points, seeds):
     """(K, n) output bits of the hashes with (K, r*ell) 0/1 seed rows."""
     return coefficient_hash_bits(coeffs_from_seed_bits(seeds, ell), point_masks(ell, r, points))
+
+
+def enumerate_independence(ell, r, ncoeffs=None):
+    """`hashfam.verify_independence` by enumeration: every one of the
+    2^(ncoeffs*ell) seeds is evaluated, and each tuple's joint outputs are
+    histogrammed and compared to uniform.  Walks the same tuples in the same
+    order, so all three result fields must agree exactly."""
+    if ncoeffs is None:
+        ncoeffs = r
+    n = 1 << ell
+    nbits = ncoeffs * ell
+    nseeds = 1 << nbits
+    seeds = np.arange(nseeds, dtype=np.uint64)
+    bits = ((seeds[:, None] >> np.arange(nbits, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
+    tables = HashTables(ell, ncoeffs, np.arange(n)).hash_bits(bits)  # (nseeds, n)
+    max_bias = 0.0
+    worst = None
+    count = 0
+    for t in _tuples_up_to(n, r):
+        count += 1
+        tt = len(t)
+        patt = np.zeros(nseeds, dtype=np.int64)
+        for j, x in enumerate(t):
+            patt |= tables[:, x].astype(np.int64) << j
+        freqs = np.bincount(patt, minlength=1 << tt) / nseeds
+        bias = float(np.abs(freqs - 2.0 ** (-tt)).max())
+        if bias > max_bias:
+            max_bias, worst = bias, t
+    return {"max_bias": max_bias, "worst_tuple": worst, "tuples_checked": count}

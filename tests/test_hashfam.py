@@ -14,7 +14,7 @@ from otmlab.hashfam import (
     verify_independence,
 )
 
-from hash_oracle import coeffs_from_seed_bits, seed_hash_bits
+from hash_oracle import coeffs_from_seed_bits, enumerate_independence, seed_hash_bits
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +191,18 @@ def test_exact_family_has_zero_bias_small_cases():
 
 
 def test_direct_and_rank_methods_agree():
-    for ell, r in [(2, 3), (3, 4), (2, 4)]:
-        d = verify_independence(ell, r, method="direct")
-        g = verify_independence(ell, r, method="rank")
-        assert d["max_bias"] == g["max_bias"] == 0.0
-        assert d["tuples_checked"] == g["tuples_checked"]
-    # and on a broken family both methods report the identical nonzero bias
-    d = verify_independence(2, 4, ncoeffs=2, method="direct")
-    g = verify_independence(2, 4, ncoeffs=2, method="rank")
-    assert d["max_bias"] == g["max_bias"] > 0.0
+    # the seed enumeration oracle against the rank audit, on every (ell, r)
+    # of the exhaustive regime with a seed space of at most 2^12, each also
+    # with every truncated coefficient count below r
+    cases = [(ell, r, ncoeffs) for ell in range(1, 6) for r in range(1, min(4, 1 << ell) + 1)
+             if r * ell <= 12 for ncoeffs in range(1, r + 1)]
+    assert len(cases) == 32
+    for ell, r, ncoeffs in cases:
+        got = verify_independence(ell, r, ncoeffs=ncoeffs)
+        assert got == enumerate_independence(ell, r, ncoeffs=ncoeffs), (ell, r, ncoeffs)
+        if ncoeffs == r:
+            assert got["max_bias"] == 0.0
+    assert verify_independence(2, 4, ncoeffs=2)["max_bias"] > 0.0
 
 
 def test_truncated_family_fails_independence():
@@ -225,8 +228,6 @@ def test_verify_independence_guards():
         verify_independence(3, 5)
     with pytest.raises(ValueError):
         verify_independence(1, 3)  # r > domain
-    with pytest.raises(ValueError):
-        verify_independence(2, 2, method="bogus")
 
 
 def test_single_point_output_is_unbiased():
@@ -386,35 +387,6 @@ def test_field_irreducibility_check_is_cached_and_still_rejects(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="reducible"):
             BinaryField(4)
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-# ---------------------------------------------------------------------------
-
-def test_serialization_known_bytes():
-    h = HashFunction(BinaryField(9), [0x1FF, 0x002])
-    blob = h.to_bytes()
-    assert blob == bytes([9]) + (2).to_bytes(2, "big") + b"\x01\xff" + b"\x00\x02"
-    assert HashFunction.from_bytes(blob) == h
-
-
-@seed(1)
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=6), st.integers(min_value=0))
-def test_serialization_round_trip(ell, r, entropy):
-    h = sample_hash(ell, min(r, 1 << min(ell, 3)), np.random.default_rng(entropy))
-    assert HashFunction.from_bytes(h.to_bytes()) == h
-
-
-def test_from_bytes_rejects_garbage():
-    with pytest.raises(ValueError):
-        HashFunction.from_bytes(b"\x04")
-    good = sample_hash(4, 3, np.random.default_rng(1)).to_bytes()
-    with pytest.raises(ValueError):
-        HashFunction.from_bytes(good + b"\x00")
-    with pytest.raises(ValueError):
-        HashFunction.from_bytes(good[:-1])
 
 
 def test_coefficient_range_enforced():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -674,9 +675,13 @@ def test_split_outcome_equals_cond_dist_route(model):
             got = otm_module._split_outcome(P, alpha_k, eta)
             want = _split_outcome_oracle(P, alpha_k, eta)
             assert got.keys() == want.keys()
-            for key in ("C", "E"):
-                assert got[key].shape == want[key].shape
-                assert got[key].tobytes() == want[key].tobytes(), key
+            n = P.shape[0]
+            assert got["C"].shape == want["C"].shape
+            assert got["C"].tobytes() == want["C"].tobytes()
+            assert got["E"][0].shape == (n, 1) and got["E"][1].shape == (1, n)
+            for c in (0, 1):
+                full = np.broadcast_to(got["E"][c], (n, n))
+                assert full.tobytes() == want["E"][c].tobytes(), c
             for key in ("event_probability", "collision_log2"):
                 assert type(got[key]) is float and repr(got[key]) == repr(want[key]), key
 
@@ -816,3 +821,23 @@ def test_continuity_check_refuses_hashes_on_another_domain():
         with pytest.raises(ValueError, match="hash domain"):
             continuity_check(model, F, G, M, M, mu=0.01, tau=0.1, delta=0.2,
                              alpha_k=1.0, eta=0.5)
+
+
+def _digest(doc):
+    text = json.dumps(doc, sort_keys=True, default=lambda o: o.tolist())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_hash_bias_tail_and_continuity_check_are_pinned():
+    # hash_bias_tail at the hash-bias benchmark's configuration
+    out = hash_bias_tail(ClassicalLeakSim(8, 0.125), 0.25, 8, 1000, np.random.default_rng(9),
+                         alpha_k=12.0, eta=2.0 ** -1.5)
+    assert _digest(out) == "4a44316e16dc833272e42937d344bcb4bc2e05cbe9c173af53e64ac784124efc"
+    # a Wiesner m=2 report with both c good, so both transferred E tables count
+    rng = np.random.default_rng(2)
+    F, G = sample_hash(2, 4, rng), sample_hash(2, 4, rng)
+    M = np.diag([1.0, 0.0, 0.0, 0.0])
+    rep = continuity_check(WiesnerToyOtm(2), F, G, M, 0.996 * M + 0.001 * np.eye(4), mu=0.01,
+                           tau=0.1, delta=0.1, alpha_k=2.5, eta=0.5)
+    assert rep["hypothesis_ok"] and rep["bad_c_count"] == 0
+    assert _digest(rep) == "d116dda1eb232c766da0d5a40ee04eeeb9cc0e662e6d6851ddec53f023f0c173"

@@ -226,6 +226,19 @@ def test_povm_element_validation():
     assert not m.matrix.flags.writeable
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_povm_validation_refuses_nonfinite_entries(dim, bad):
+    # a 2x2 spectrum in closed form and a LAPACK one alike: one ValueError
+    # before any spectrum is taken
+    m = np.eye(dim, dtype=complex) / 2.0
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_povm_stack(m[None])
+    with pytest.raises(ValueError, match="non-finite"):
+        PovmElement(m)
+
+
 _ENTRY = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
