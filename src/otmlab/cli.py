@@ -392,22 +392,18 @@ def _nets_rules(v):
 def nets(family, m, mu, samples, seed, d=None):
     """Covering-radius sampling and cardinality accounting for the nets."""
     rng = np.random.default_rng(seed)
-    if family == "separable":
-        spec = nets_mod.separable_net(m, mu)
-        bounds = nets_mod.cardinality_bounds(m, mu)
-        log2_bound, delta = bounds["separable_log2"], spec.delta
-    else:
-        spec = nets_mod.two_local_net(m, d, mu)
-        bounds = nets_mod.cardinality_bounds(m, mu, d=d)
-        log2_bound, delta = bounds["two_local_log2"], spec.kraus_net.delta
+    separable = family == "separable"  # _nets_rules: d is None exactly then
+    spec = nets_mod.separable_net(m, mu) if separable else nets_mod.two_local_net(m, d, mu)
+    bounds = nets_mod.cardinality_bounds(m, mu, d=d)
+    log2_bound = bounds["separable_log2" if separable else "two_local_log2"]
     dists = spec.covering_distances(samples, rng)
     p99 = float(np.quantile(dists, 0.99))
     counters = {"samples": samples}
-    if family == "separable":
+    if separable:
         grid, members = len(spec.qubit_net.grid_params), len(spec.qubit_net)
         counters.update(grid_points=grid, members=members, dedup_ratio=members / grid)
     return [_cells({
-        "m": m, "d": d, "mu": mu, "delta": delta,
+        "m": m, "d": d, "mu": mu, "delta": spec.delta,
         "log2_bound": log2_bound, "log2_enumerated": spec.log2_size,
         "covering_radius_p99": p99, "samples": samples, "seed": seed,
     })], _json({
@@ -474,13 +470,21 @@ def entropy(count, n0, n1, nz, eps, eps_prime, seed, alpha=None):
     return [_cells(record) for record in records], _json({"instances": records}), counters
 
 
+def _security_rules(v):
+    ell = v["model"].ell
+    if v["params"].ell != ell:
+        raise ValueError("params ell=%d does not match the model's ell=%d" % (v["params"].ell, ell))
+    if v["hash_r"] > 1 << ell:
+        raise ValueError("parameter 'hash_r'=%d exceeds 2^ell=%d" % (v["hash_r"], 1 << ell))
+
+
 @_command("otm-security", [
     _Param("model", _model, True),
     _Param("params", _reduction_params, True),
     _Param("hash_r", _POSITIVE, True, "Independence order of the sampled F, G."),
     _Param("delta", _FINITE, False, "Outcome-negligibility level; defaults to params delta."),
     _Param("seed", _SEED, True),
-], SECURITY_CSV_COLUMNS)
+], SECURITY_CSV_COLUMNS, _security_rules)
 def otm_security(model, params, hash_r, seed, delta=None):
     """Evaluate the per-outcome security report for one model + parameters."""
     rng = np.random.default_rng(seed)

@@ -29,8 +29,8 @@ The single-qubit net is built on first use and held as one read-only
 keys on a collision) and one closed-form batched POVM check;
 `QubitNet.points` hands out `PovmElement`s on access.  Covering is
 batched, one path per family: `SeparableNetSpec.covering_indices` snaps a
-(K, m, 2, 2) stack by index arithmetic, `KrausNet.snap_batch` snaps a
-(K, 4, 4) stack in one array operation, and
+(K, m, 2, 2) stack by index arithmetic, `_snap_kraus` snaps a (K, 4, 4)
+stack onto the Kraus grid axis `TwoLocalNetSpec` holds, and
 `SeparableNetSpec.covering_index` and `TwoLocalNetSpec.covering_map` cover
 one outcome through them.
 `covering_distances` samples random outcomes in stacks, in the same draw
@@ -54,6 +54,7 @@ from .quantum import (
     TwoLocalOutcome,
     _herm2_spectrum,
     assemble_two_local_stack,
+    opnorms,
     tensor_stack,
     validate_povm_stack,
 )
@@ -296,8 +297,8 @@ class SeparableNetSpec:
         for count in _chunk_counts(samples, 2 ** self.m):
             factors = sample_qubit_elements(rng, count, self.m)
             near = self.qubit_net.members[self._snap_factors(factors)]
-            out.append(_opnorms(validate_povm_stack(tensor_stack(factors))
-                                - validate_povm_stack(tensor_stack(near))))
+            out.append(opnorms(validate_povm_stack(tensor_stack(factors))
+                               - validate_povm_stack(tensor_stack(near))))
         return np.concatenate(out)
 
     def __repr__(self):
@@ -342,36 +343,15 @@ def svd_clamp(x):
     return out.reshape(x.shape)
 
 
-class KrausNet:
-    """Grid-plus-clamp net over 4x4 contractions, lazily indexed.
-
-    The 32-real-parameter grid has axis_count^32 points, which is beyond
-    materialization for every axis_count >= 2, so no member is ever stored:
-    log2_size is the exact index space size and `snap_batch` is the
-    constructive membership map.
-    """
-
-    def __init__(self, delta, axis):
-        self.delta = delta
-        self.axis = axis
-
-    @property
-    def log2_size(self):
-        return 32.0 * math.log2(self.axis.size)
-
-    def snap_batch(self, xs):
-        """Snap all 32 real parameters of each matrix of a (K, 4, 4) stack
-        to the grid, then clamp; each result is a net member within 8*delta
-        of its matrix whenever that matrix is a contraction."""
-        x = np.asarray(xs, dtype=complex)
-        if x.ndim != 3 or x.shape[1:] != (4, 4):
-            raise ValueError("expected a (K, 4, 4) stack, got shape %r" % (x.shape,))
-        vals = self.axis[_snap(self.axis, np.stack([x.real, x.imag]))]
-        return svd_clamp(vals[0] + 1j * vals[1])
-
-    def __repr__(self):
-        return "KrausNet(delta=%g, axis=%d, log2_size=%g)" % (
-            self.delta, self.axis.size, self.log2_size)
+def _snap_kraus(axis, xs):
+    """Snap all 32 real parameters of each matrix of a (K, 4, 4) stack to the
+    Kraus grid on `axis`, then clamp; each result is a net member within
+    8*delta of its matrix whenever that matrix is a contraction."""
+    x = np.asarray(xs, dtype=complex)
+    if x.ndim != 3 or x.shape[1:] != (4, 4):
+        raise ValueError("expected a (K, 4, 4) stack, got shape %r" % (x.shape,))
+    vals = axis[_snap(axis, np.stack([x.real, x.imag]))]
+    return svd_clamp(vals[0] + 1j * vals[1])
 
 
 def _perfect_matchings(items):
@@ -388,19 +368,21 @@ class TwoLocalNetSpec:
     """Lazy mu-net over depth-d 2-local outcomes on m qubits.
 
     Per-layer index space: a perfect matching of the qubits times one Kraus
-    net member per pair; d layers multiply.  delta = mu/(8dm).
+    net member per pair, on the grid `axis` (axis.size^32 points per
+    factor); d layers multiply.  delta = mu/(8dm).
     """
 
-    def __init__(self, m, d, mu, kraus_net, pairings):
+    def __init__(self, m, d, mu):
         self.m = m
         self.d = d
         self.mu = mu
-        self.kraus_net = kraus_net
-        self.pairings = pairings
+        self.delta = mu / (8.0 * d * m)
+        self.axis = _axis_values(KRAUS_BOX, self.delta * math.sqrt(2.0))
+        self.pairings = _pairings(m)
 
     @property
     def log2_size(self):
-        per_layer = math.log2(len(self.pairings)) + (self.m / 2) * self.kraus_net.log2_size
+        per_layer = math.log2(len(self.pairings)) + (self.m / 2) * (32.0 * math.log2(self.axis.size))
         return self.d * per_layer
 
     def covering_map(self, outcome):
@@ -411,7 +393,7 @@ class TwoLocalNetSpec:
             raise ValueError("outcome shape (m=%d, d=%d) does not match net (m=%d, d=%d)"
                              % (outcome.m, outcome.d, self.m, self.d))
         factors = np.array([layer.factors for layer in outcome.layers])
-        snapped = self.kraus_net.snap_batch(factors.reshape(-1, 4, 4)).reshape(factors.shape)
+        snapped = _snap_kraus(self.axis, factors.reshape(-1, 4, 4)).reshape(factors.shape)
         return TwoLocalOutcome([KrausLayer(layer.pairing, s)
                                 for layer, s in zip(outcome.layers, snapped)])
 
@@ -422,9 +404,9 @@ class TwoLocalNetSpec:
         for count in _chunk_counts(samples, 2 ** self.m):
             choice, factors = _sample_two_local_stack(self.m, self.d, count, rng)
             pairings = [[self.pairings[i] for i in row] for row in choice]
-            snapped = self.kraus_net.snap_batch(factors.reshape(-1, 4, 4)).reshape(factors.shape)
-            out.append(_opnorms(assemble_two_local_stack(pairings, factors)
-                                - assemble_two_local_stack(pairings, snapped)))
+            snapped = _snap_kraus(self.axis, factors.reshape(-1, 4, 4)).reshape(factors.shape)
+            out.append(opnorms(assemble_two_local_stack(pairings, factors)
+                               - assemble_two_local_stack(pairings, snapped)))
         return np.concatenate(out)
 
     def __repr__(self):
@@ -455,9 +437,7 @@ def two_local_net(m, d, mu):
     if m > TWO_LOCAL_MAX_QUBITS or d > TWO_LOCAL_MAX_DEPTH:
         raise ValueError("2-local nets are capped at m <= %d and d <= %d, got m=%d, d=%d"
                          % (TWO_LOCAL_MAX_QUBITS, TWO_LOCAL_MAX_DEPTH, m, d))
-    delta = mu / (8.0 * d * m)
-    axis = _axis_values(KRAUS_BOX, delta * math.sqrt(2.0))
-    return TwoLocalNetSpec(m, d, mu, KrausNet(delta, axis), _pairings(m))
+    return TwoLocalNetSpec(m, d, mu)
 
 
 def cardinality_bounds(m, mu, d=None, envelope=None):
@@ -507,11 +487,6 @@ CHUNK_ENTRIES = 1 << 18
 def _chunk_counts(samples, dim):
     size = max(1, CHUNK_ENTRIES // (dim * dim))
     return [min(size, samples - start) for start in range(0, samples, size)]
-
-
-def _opnorms(x):
-    """Operator norms of a stack of matrices (as `np.linalg.norm(., 2)`)."""
-    return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
 def _qubit_elements(g, lam):

@@ -44,11 +44,12 @@ import numpy as np
 
 from .entropy import SLICE_TOL, split_joints
 from .hashfam import HashFunction, HashTables, sample_hash, seed_bits
-from .quantum import (NumericalConsistencyError, PovmElement, is_delta_non_negligible, norms,
+from .quantum import (NumericalConsistencyError, PovmElement, is_delta_non_negligible, opnorms,
                       tensor_stack)
 from .tails import (
     BOUND_DPS,
     CHUNK,
+    _to_float,
     clopper_pearson_upper,
     crayfish_bound,
     kite_bound,
@@ -227,8 +228,7 @@ def r_tail_bound(r, collision, lam):
         log = (mpmath.log(8) + 1 / (3 * r_) + mpmath.log(mpmath.pi * r_) / 2
                + (r_ / 4) * (mpmath.log(8 * mpmath.mpf(collision)) + 2 * mpmath.log(r_)
                              - 2 - 2 * mpmath.log(mpmath.mpf(lam))))
-        value = mpmath.e ** log
-        return float(value) if value < mpmath.mpf(10) ** 300 else math.inf
+        return _to_float(mpmath.e ** log)
 
 
 class LeakyOtmModel:
@@ -307,8 +307,6 @@ class ClassicalLeakSim(LeakyOtmModel):
                 raise ValueError("got %d positions for |J| = floor(beta*2*ell) = %d"
                                  % (len(positions), count))
         self.positions = positions
-        self._s_bits = [p // 2 for p in positions if p % 2 == 0]
-        self._t_bits = [p // 2 for p in positions if p % 2 == 1]
 
     @property
     def leak_count(self):
@@ -798,7 +796,7 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     del r_instances  # only the stack is kept through the trials
     v_linear = [float((u ** 2).sum()) for u, _ in q_instances]
     frob_half = [math.sqrt(float((V ** 2).sum()) / 2.0) for V in V_stack]
-    op_half = [float(np.linalg.norm(V, 2)) / 2.0 for V in V_stack]
+    op_half = [float(op) / 2.0 for op in opnorms(V_stack)]
 
     tables = HashTables(model.ell, r, np.arange(n))
     max_q = np.empty(trials)
@@ -885,8 +883,8 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
     mat = M.matrix if isinstance(M, PovmElement) else np.asarray(M, dtype=complex)
     mat_t = M_tilde.matrix if isinstance(M_tilde, PovmElement) else np.asarray(M_tilde, dtype=complex)
     avg = model.average_state()
-    norm_m = norms(mat)["operator"]
-    dist = norms(mat - mat_t)["operator"]
+    norm_m = float(opnorms(mat))
+    dist = float(opnorms(mat - mat_t))
     hyp = {
         "norm": norm_m,
         "norm_one": abs(norm_m - 1.0) <= 1e-9,

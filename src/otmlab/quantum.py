@@ -1,10 +1,12 @@
 r"""Dense complex-matrix quantum core.
 
-POVM elements, tensor structure, matrix norms, the Born rule,
+POVM elements, tensor structure, operator norms, the Born rule,
 delta-non-negligibility of measurement outcomes, and the separable /
 2-local-depth-d outcome representations used by the net and security
 modules.  Everything is dense and desk-scale: operators live in dimension
 at most 2^12, and 2-local assembly is capped at m <= 6 qubits.
+`opnorms` is the one operator-norm computation; the 4x4 contractions
+(|K| <= 1) of 2-local outcomes are checked through it, a stack at a time.
 
 States are plain density matrices.  POVM elements may be passed either as
 raw numpy arrays or as `PovmElement`, which validates 0 <= M <= I at
@@ -86,7 +88,8 @@ class SeparableOutcome:
 
 class KrausLayer:
     """One layer of a 2-local operation: a perfect matching of the m qubits
-    and one 4x4 operator of operator norm <= 1 per matched pair."""
+    and one 4x4 operator of operator norm <= 1 per matched pair, held as
+    the (m/2, 4, 4) array `factors` in pairing order."""
 
     def __init__(self, pairing, factors):
         pairing = [tuple(int(q) for q in p) for p in pairing]
@@ -96,15 +99,12 @@ class KrausLayer:
         m = 2 * len(pairing)
         if sorted(touched) != list(range(m)):
             raise ValueError("pairing %r is not a perfect matching of %d qubits" % (pairing, m))
-        factors = [np.asarray(f, dtype=complex) for f in factors]
+        factors = np.asarray(factors, dtype=complex)
         if len(factors) != len(pairing):
             raise ValueError("got %d factors for %d pairs" % (len(factors), len(pairing)))
-        for f in factors:
-            if f.shape != (4, 4):
-                raise ValueError("2-local factors must be 4x4, got shape %r" % (f.shape,))
-            s = np.linalg.norm(f, 2)
-            if s > 1.0 + POVM_SPECTRUM_TOL:
-                raise ValueError("factor operator norm %g exceeds 1 + %g" % (s, POVM_SPECTRUM_TOL))
+        if factors.shape[1:] != (4, 4):
+            raise ValueError("2-local factors must be 4x4, got shape %r" % (factors.shape[1:],))
+        _check_contractions(factors)
         self.pairing = pairing
         self.factors = factors
         self.m = m
@@ -232,25 +232,21 @@ def _layer_operators(factors, pairing):
     return np.ascontiguousarray(t.reshape(len(op), 1 << m, 1 << m))
 
 
-def norms(x):
-    """All four norms used by the net constructions and tail bounds.
-
-    Returns
-    -------
-    dict with keys "operator" (largest singular value), "frobenius",
-    "trace" (singular-value sum), and "entrywise_linf" (largest |entry|,
-    the matrix viewed as a flat complex vector).
-    """
-    x = _as_matrix(x)
+def opnorms(x):
+    """Operator norms (largest singular values) of a matrix, or of each
+    matrix of a (..., p, q) stack; per matrix, bit for bit what
+    `np.linalg.norm(matrix, 2)` gives.  Non-finite entries are refused."""
+    x = np.asarray(x)
     if not np.isfinite(x).all():
         raise ValueError("matrix has non-finite entries")
-    sv = np.linalg.svd(x, compute_uv=False)
-    return {
-        "operator": float(sv[0]) if sv.size else 0.0,
-        "frobenius": float(np.linalg.norm(x)),
-        "trace": float(sv.sum()),
-        "entrywise_linf": float(np.abs(x).max()),
-    }
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
+def _check_contractions(factors):
+    """Refuse a stack of operators if any has operator norm above 1 + 1e-10."""
+    s = opnorms(factors).max(initial=0.0)
+    if s > 1.0 + POVM_SPECTRUM_TOL:
+        raise ValueError("factor operator norm %g exceeds 1 + %g" % (s, POVM_SPECTRUM_TOL))
 
 
 def born_probability(m, rho):
@@ -393,10 +389,7 @@ def assemble_two_local_stack(pairings, factors):
         raise ValueError("2-local assembly capped at m <= %d, got m=%d" % (TWO_LOCAL_MAX_QUBITS, 2 * half))
     if d > TWO_LOCAL_MAX_DEPTH:
         raise ValueError("2-local assembly capped at depth d <= %d, got d=%d" % (TWO_LOCAL_MAX_DEPTH, d))
-    if count:
-        s = np.linalg.svd(f, compute_uv=False)[..., 0].max()
-        if s > 1.0 + POVM_SPECTRUM_TOL:
-            raise ValueError("factor operator norm %g exceeds 1 + %g" % (s, POVM_SPECTRUM_TOL))
+    _check_contractions(f)
     dim = 1 << (2 * half)
     k = np.repeat(np.eye(dim, dtype=complex)[None], count, axis=0)
     for layer in range(d):

@@ -278,7 +278,7 @@ def _scalar_separable_distances(spec, samples, seed):
 
 def _scalar_two_local_distances(spec, samples, seed):
     """m = 2, d = 1, one sample at a time: M = K^dag K assembled by hand."""
-    axis = spec.kraus_net.axis
+    axis = spec.axis
 
     def snap(v):
         return axis[np.clip(np.round((v - axis[0]) / (axis[1] - axis[0])), 0, axis.size - 1).astype(int)]
@@ -626,9 +626,14 @@ _LEAK_PARAMS = {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.5, "alpha": 1.5, "ep
      "not iterable"),
     ({"params": dict(_LEAK_PARAMS, gamma=math.inf)}, "gamma=inf"),
     ({"params": dict(_LEAK_PARAMS, colour=1)}, "bad reduction parameter"),
+    ({"params": dict(_LEAK_PARAMS, ell=8)}, "params ell=8 does not match the model's ell=4"),
+    ({"model": {"name": "wiesner", "m": 2}, "params": dict(_LEAK_PARAMS, k=2, ell=3)},
+     "params ell=3 does not match the model's ell=2"),
+    ({"hash_r": 32}, "parameter 'hash_r'=32 exceeds 2^ell=16"),
 ], ids=["string-hash-r", "bool-hash-r", "zero-hash-r", "string-delta", "inf-delta",
         "unknown-model", "bad-wiesner-m", "unknown-model-field", "scalar-positions",
-        "inf-gamma", "unknown-param"])
+        "inf-gamma", "unknown-param", "params-ell-8-for-leak-ell-4",
+        "params-ell-3-for-wiesner-m-2", "hash-r-past-domain"])
 def test_bad_otm_security_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
     from otmlab import cli
 

@@ -17,10 +17,12 @@ from otmlab.nets import (
     _pairings,
     _qubit_axis,
     _sample_two_local_stack,
+    _snap,
+    _snap_kraus,
     build_qubit_net,
     cardinality_bounds,
     KRAUS_BOX,
-    KrausNet,
+    TwoLocalNetSpec,
     sample_qubit_element,
     sample_qubit_elements,
     sample_two_local_outcome,
@@ -65,8 +67,28 @@ def _clamp(x):
                                 np.array(x[0, 1]))
 
 
-def _kraus_net(delta):
-    return KrausNet(delta, _axis_values(KRAUS_BOX, delta * math.sqrt(2.0)))
+def _kraus_axis(delta):
+    return _axis_values(KRAUS_BOX, delta * math.sqrt(2.0))
+
+
+class _KrausNetOracle:
+    """The `KrausNet` class the private `_snap_kraus` replaced, as it was:
+    the oracle for the snap and for the index-space size."""
+
+    def __init__(self, delta, axis):
+        self.delta = delta
+        self.axis = axis
+
+    @property
+    def log2_size(self):
+        return 32.0 * math.log2(self.axis.size)
+
+    def snap_batch(self, xs):
+        x = np.asarray(xs, dtype=complex)
+        if x.ndim != 3 or x.shape[1:] != (4, 4):
+            raise ValueError("expected a (K, 4, 4) stack, got shape %r" % (x.shape,))
+        vals = self.axis[_snap(self.axis, np.stack([x.real, x.imag]))]
+        return svd_clamp(vals[0] + 1j * vals[1])
 
 
 def test_axis_values_spacing_and_coverage():
@@ -203,30 +225,40 @@ def test_svd_clamp_behaviour():
 
 def test_kraus_net_snap_covering_radius():
     rng = np.random.default_rng(13)
-    net = _kraus_net(0.1)
-    axis = net.axis
+    axis = _kraus_axis(0.1)
     xs = np.stack([_random_contraction(rng) for _ in range(100)])
-    for x, y in zip(xs, net.snap_batch(xs)):
+    for x, y in zip(xs, _snap_kraus(axis, xs)):
         assert _opnorm(y - x) <= 8.0 * 0.1 + 1e-12
         assert _opnorm(y) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
-        net.snap_batch(np.eye(2)[None])
+        _snap_kraus(axis, np.eye(2)[None])
     # snapping a grid-aligned contraction leaves its parameters on the grid
     vals = axis[np.abs(axis) <= 0.2]
     aligned = np.diag(vals[:1].repeat(4) if vals.size else np.zeros(4))
-    snapped = net.snap_batch(aligned[None])[0]
+    snapped = _snap_kraus(axis, aligned[None])[0]
     for entry in snapped.ravel():
         assert np.abs(axis - entry.real).min() < 1e-9 or _opnorm(snapped) <= 1.0
 
 
 def test_two_local_net_structure():
     spec = two_local_net(2, 1, 1.0)
-    assert spec.kraus_net.delta == pytest.approx(1.0 / 16.0)
+    assert spec.delta == pytest.approx(1.0 / 16.0)
     assert spec.pairings == [((0, 1),)]
-    n = spec.kraus_net.axis.size
+    n = spec.axis.size
     assert n == int(math.floor(2.0 * math.sqrt(2.0) * 16.0)) + 1 == 46
     assert spec.log2_size == pytest.approx(32.0 * math.log2(46))
     assert len(two_local_net(4, 1, 1.0).pairings) == 3
+    # delta, axis and log2_size are those the spec held through KrausNet
+    for m in (2, 4, 6):
+        for d in (1, 2, 8):
+            for mu in (1.0, 0.5, 0.1):
+                spec = two_local_net(m, d, mu)
+                delta = mu / (8.0 * d * m)
+                oracle = _KrausNetOracle(delta, _kraus_axis(delta))
+                assert spec.delta == oracle.delta
+                assert spec.axis.tobytes() == oracle.axis.tobytes()
+                per_layer = math.log2(len(_pairings(m))) + (m / 2) * oracle.log2_size
+                assert spec.log2_size == d * per_layer
 
 
 def test_two_local_net_argument_guards(monkeypatch):
@@ -481,29 +513,32 @@ def test_covering_indices_equal_batch_of_one(entropy, shape):
 
 def test_build_kraus_net_tiny_grid_materializes():
     # delta = 3 spaces the axis wider than the Kraus box: one point, zero
-    net = _kraus_net(3.0)
-    assert net.axis.size == 1
-    assert net.axis[0] == 0.0
-    assert net.log2_size == 0.0
+    spec = TwoLocalNetSpec(2, 1, 48.0)  # delta = mu/(8dm) = 3
+    assert spec.delta == 3.0
+    assert spec.axis.size == 1
+    assert spec.axis[0] == 0.0
+    assert spec.log2_size == 0.0
     rng = np.random.default_rng(4)
     stack = np.stack([_random_contraction(rng) for _ in range(3)] + [np.eye(4)])
-    assert np.allclose(net.snap_batch(stack), np.zeros((4, 4, 4)))
+    assert np.allclose(_snap_kraus(spec.axis, stack), np.zeros((4, 4, 4)))
 
 
 @seed(7)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0), st.sampled_from([0.1, 0.5, 3.0]))
 def test_snap_batch_equals_batch_of_one(entropy, delta):
-    net = _kraus_net(delta)
+    axis = _kraus_axis(delta)
     rng = np.random.default_rng(entropy)
     k = 10
-    axis = net.axis if net.axis.size > 1 else np.array([-1.0, 0.0, 1.0])
-    stack = _edge_values(axis, rng, (k, 4, 4)) + 1j * _edge_values(axis, rng, (k, 4, 4))
+    pool = axis if axis.size > 1 else np.array([-1.0, 0.0, 1.0])
+    stack = _edge_values(pool, rng, (k, 4, 4)) + 1j * _edge_values(pool, rng, (k, 4, 4))
     stack[:k // 2] = [_random_contraction(rng) for _ in range(k // 2)]
-    got = net.snap_batch(stack)
-    assert got.shape == (k, 4, 4)
+    got = _snap_kraus(axis, stack)
+    assert got.dtype == complex and got.shape == (k, 4, 4)
+    # the private snap is the deleted KrausNet.snap_batch, byte for byte
+    assert got.tobytes() == _KrausNetOracle(delta, axis).snap_batch(stack).tobytes()
     for i, snapped in enumerate(got):
-        assert snapped.tobytes() == net.snap_batch(stack[i:i + 1])[0].tobytes()
+        assert snapped.tobytes() == _snap_kraus(axis, stack[i:i + 1])[0].tobytes()
         assert _opnorm(snapped) <= 1.0 + 1e-12
 
 
@@ -513,9 +548,10 @@ def test_batched_snaps_reject_bad_stacks():
         spec.covering_indices(np.zeros((3, 1, 2, 2)))
     with pytest.raises(ValueError):
         spec.covering_indices(np.full((1, 2, 2, 2), np.nan))
-    net = two_local_net(2, 1, 1.0).kraus_net
-    with pytest.raises(ValueError):
-        net.snap_batch(np.zeros((4, 4)))
+    axis = two_local_net(2, 1, 1.0).axis
+    for bad in (np.zeros((4, 4)), np.zeros((1, 2, 2)), np.full((1, 4, 4), np.nan)):
+        with pytest.raises(ValueError):
+            _snap_kraus(axis, bad)
 
 
 def test_covering_distances_match_one_at_a_time_path():

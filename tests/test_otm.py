@@ -152,6 +152,16 @@ def test_tail_bound_closed_forms():
     for bad in [(6, 0.01, 1.0), (4, -0.1, 1.0), (4, 0.01, 0.0)]:
         with pytest.raises(ValueError):
             r_tail_bound(*bad)
+    # about 5.34e300 at lam = 1e-149: finite, though above 1e300; inf only
+    # past float overflow
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(1e-149)
+        oracle = (mpmath.mpf(8) * mpmath.e ** (mpmath.mpf(1) / 12)
+                  * mpmath.sqrt(4 * mpmath.pi)
+                  * (8 * mpmath.mpf(1) * 16 / (mpmath.e ** 2 * lam ** 2)))
+    assert 5e300 < float(oracle) < 6e300
+    assert r_tail_bound(4, 1.0, 1e-149) == pytest.approx(float(oracle), rel=1e-10)
+    assert r_tail_bound(4, 1.0, 1e-160) == math.inf
 
 
 def test_classical_leak_construction_and_reads():
@@ -199,8 +209,12 @@ def test_classical_leak_validation():
         ClassicalLeakSim(4, 0.25, positions=(0, 1, 2))  # wrong count
     with pytest.raises(ValueError):
         ClassicalLeakSim(4, 0.25, positions=(0, 9))
+    # position 2 leaks bit 1 of s, position 5 bit 2 of t, as outcome bits 0, 1
     custom = ClassicalLeakSim(4, 0.25, positions=(2, 5))
-    assert custom._s_bits == [1] and custom._t_bits == [2]
+    s, t = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    for v in custom.outcome_set(1.0):
+        live = custom.conditional_joint(v) > 0
+        assert np.array_equal(live, (((s >> 1) & 1) == (v & 1)) & (((t >> 2) & 1) == (v >> 1)))
 
 
 def test_wiesner_posterior_hand_values():

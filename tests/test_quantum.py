@@ -12,10 +12,11 @@ from otmlab.quantum import (
     _herm2_spectrum,
     _layer_operators,
     assemble_two_local,
+    assemble_two_local_stack,
     born_probability,
     is_delta_non_negligible,
     negligible_mass,
-    norms,
+    opnorms,
     tensor_stack,
     validate_povm_stack,
 )
@@ -71,7 +72,7 @@ def test_tensor_operator_norm_multiplicative():
     for _ in range(20):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = norms(tensor_stack([[a, b]])[0])["operator"]
+        lhs = float(opnorms(tensor_stack([[a, b]])[0]))
         rhs = np.linalg.svd(a, compute_uv=False)[0] * np.linalg.svd(b, compute_uv=False)[0]
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
@@ -94,36 +95,52 @@ def test_tensor_rejects_non_square():
 
 
 # ---------------------------------------------------------------------------
-# norms
+# opnorms
 # ---------------------------------------------------------------------------
 
 def test_norms_identity_and_zero():
-    n = norms(I2)
-    assert n["operator"] == pytest.approx(1.0)
-    assert n["frobenius"] == pytest.approx(np.sqrt(2.0))
-    assert n["trace"] == pytest.approx(2.0)
-    assert n["entrywise_linf"] == pytest.approx(1.0)
-    z = norms(np.zeros((3, 3)))
-    assert all(v == 0.0 for v in z.values())
+    assert opnorms(I2) == pytest.approx(1.0)
+    assert opnorms(np.zeros((3, 3))) == 0.0
+    assert opnorms(np.stack([I2, 2.0 * I2, np.zeros((2, 2))])) == pytest.approx([1.0, 2.0, 0.0])
 
 
 def test_norms_hermitian_eigen_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        h = _random_hermitian(rng, 4)
+    hs = np.stack([_random_hermitian(rng, 4) for _ in range(30)])
+    got = opnorms(hs)
+    assert got.shape == (30,)
+    for h, op in zip(hs, got):
         ev = np.linalg.eigvalsh(h)
-        n = norms(h)
-        assert n["operator"] == pytest.approx(np.abs(ev).max(), rel=1e-12, abs=1e-12)
-        assert n["trace"] == pytest.approx(np.abs(ev).sum(), rel=1e-12, abs=1e-12)
-        assert n["frobenius"] == pytest.approx(np.sqrt((ev ** 2).sum()), rel=1e-12, abs=1e-12)
-        assert n["operator"] <= n["frobenius"] + 1e-12
-        assert n["frobenius"] <= n["trace"] + 1e-12
+        assert op == pytest.approx(np.abs(ev).max(), rel=1e-12, abs=1e-12)
+        assert opnorms(h) == op
 
 
 def test_norms_rejects_nonfinite():
-    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        norms(bad)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        m = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            opnorms(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            opnorms(np.stack([I2, m]))
+
+
+def _stacks():
+    rng = np.random.default_rng(19)
+    yield rng.random((4, 256, 256)) / 256.0  # real, as the bilinear forms' V
+    yield rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    for n in (2, 3, 4, 8, 16, 32):
+        yield rng.normal(size=(5, n, n))
+        yield rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+
+
+def test_opnorms_bit_equal_to_linalg_norm():
+    for stack in _stacks():
+        got = opnorms(stack)
+        assert got.shape == stack.shape[:1]
+        for x, op in zip(stack, got):
+            want = np.linalg.norm(x, 2)
+            assert op.tobytes() == want.tobytes()
+            assert opnorms(x).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +194,7 @@ def test_non_negligible_scaling_invariance():
         m = _random_povm_element(rng, 4)
         rho = _random_state(rng, 4)
         base = is_delta_non_negligible(m, rho, 0.3)
-        top = 1.0 / norms(m.matrix)["operator"]
+        top = 1.0 / float(opnorms(m.matrix))
         for c in (1e-6, 0.01, 0.5, 0.999 * top, top):
             assert is_delta_non_negligible(c * m.matrix, rho, 0.3) == base
 
@@ -303,10 +320,40 @@ def test_kraus_layer_validation():
         KrausLayer([(0, 1), (1, 2)], [np.eye(4), np.eye(4)])  # overlap
     with pytest.raises(ValueError):
         KrausLayer([(0, 2)], [np.eye(4)])  # qubit 1 missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"exceeds 1 \+"):
         KrausLayer([(0, 1)], [2.0 * np.eye(4)])  # operator norm 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must be 4x4, got shape \(2, 2\)"):
         KrausLayer([(0, 1)], [np.eye(2)])
+    with pytest.raises(ValueError, match="got 2 factors for 1 pairs"):
+        KrausLayer([(0, 1)], [np.eye(4), np.eye(4)])
+
+
+def test_kraus_layer_holds_factors_as_one_array():
+    rng = np.random.default_rng(43)
+    fs = [_random_hermitian(rng, 4) for _ in range(2)]
+    fs = [f / np.linalg.norm(f, 2) for f in fs]
+    layer = KrausLayer([(0, 2), (1, 3)], fs)
+    assert layer.factors.shape == (2, 4, 4) and layer.factors.dtype == complex
+    assert layer.factors.tobytes() == np.asarray(fs, dtype=complex).tobytes()
+    assert layer.m == 4 and layer.pairing == [(0, 2), (1, 3)]
+
+
+def test_contraction_check_refuses_norm_one_plus_1e9():
+    # a unitary scaled to norm 1 + 1e-9 is refused by the layer and by the
+    # stacked assembly; 1 + 5e-11 is inside the 1e-10 tolerance of both
+    rng = np.random.default_rng(47)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for scale, refused in ((1.0 + 1e-9, True), (1.0 + 5e-11, False)):
+        f = np.stack([q, scale * q])
+        stack = np.stack([np.eye(4), f[1]])[None, None]
+        if refused:
+            with pytest.raises(ValueError, match=r"factor operator norm .* exceeds 1 \+ 1e-10"):
+                KrausLayer([(0, 1), (2, 3)], f)
+            with pytest.raises(ValueError, match=r"factor operator norm .* exceeds 1 \+ 1e-10"):
+                assemble_two_local_stack([[[(0, 1), (2, 3)]]], stack)
+        else:
+            KrausLayer([(0, 1), (2, 3)], f)
+            assemble_two_local_stack([[[(0, 1), (2, 3)]]], stack)
 
 
 def test_two_local_identity_layers():
