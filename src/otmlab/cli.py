@@ -476,6 +476,9 @@ def _security_rules(v):
         raise ValueError("params ell=%d does not match the model's ell=%d" % (v["params"].ell, ell))
     if v["hash_r"] > 1 << ell:
         raise ValueError("parameter 'hash_r'=%d exceeds 2^ell=%d" % (v["hash_r"], 1 << ell))
+    delta = v["params"].delta if v.get("delta") is None else v["delta"]
+    if not 0.0 < 2.0 * delta <= 1.0:
+        raise ValueError("delta=%r leaves 2*delta outside (0, 1]" % (delta,))
 
 
 @_command("otm-security", [

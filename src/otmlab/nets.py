@@ -52,6 +52,7 @@ from .quantum import (
     PovmElement,
     SeparableOutcome,
     TwoLocalOutcome,
+    _as_matrix,
     _herm2_spectrum,
     assemble_two_local_stack,
     opnorms,
@@ -285,8 +286,7 @@ class SeparableNetSpec:
         (PovmElements or matrices)."""
         if len(factors) != self.m:
             raise ValueError("expected %d factors, got %d" % (self.m, len(factors)))
-        mats = np.stack([f.matrix if isinstance(f, PovmElement) else np.asarray(f, dtype=complex)
-                         for f in factors])
+        mats = np.stack([_as_matrix(f) for f in factors])
         return int(self.covering_indices(mats[None])[0])
 
     def covering_distances(self, samples, rng):

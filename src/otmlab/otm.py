@@ -2,12 +2,12 @@ r"""Ideal-bit one-time memories built from leaky string OTMs, and the
 security accounting that relates the two.
 
 A leaky string OTM stores a pair of ell-bit strings (s, t) and leaks a
-measurement outcome Z to the adversary; the models here are simulations
-that expose exact posteriors P(s, t | Z=M).  The ideal-bit wrapper programs
-two single bits (a0, a1) by rejection-sampling s in F^{-1}(a0) and t in
-G^{-1}(a1) for a pair of r-wise independent hashes, so the adversary's
-knowledge of the bit pair (F(S), G(T)) is governed by hash-averaged
-exponential sums.
+measurement outcome Z to the adversary; the models here are stateless
+simulations that expose exact posteriors P(s, t | Z=M).  The ideal-bit
+wrapper programs two single bits (a0, a1) by rejection-sampling s in
+F^{-1}(a0) and t in G^{-1}(a1) for a pair of r-wise independent hashes and
+holds (s, t) itself, so the adversary's knowledge of the bit pair
+(F(S), G(T)) is governed by hash-averaged exponential sums.
 
 Security is measured per adversary outcome M through a choice bit C and a
 smoothing event E produced by the min-entropy splitting machinery: with
@@ -44,8 +44,8 @@ import numpy as np
 
 from .entropy import SLICE_TOL, split_joints
 from .hashfam import HashFunction, HashTables, sample_hash, seed_bits
-from .quantum import (NumericalConsistencyError, PovmElement, is_delta_non_negligible, opnorms,
-                      tensor_stack)
+from .quantum import (NumericalConsistencyError, PovmElement, _as_matrix, is_delta_non_negligible,
+                      opnorms, tensor_stack)
 from .tails import (
     BOUND_DPS,
     CHUNK,
@@ -234,25 +234,10 @@ def r_tail_bound(r, collision, lam):
 class LeakyOtmModel:
     """Interface for a leaky string OTM storing ell-bit strings (s, t).
 
-    Implementations expose a finite advertised outcome set with exact
-    posteriors and a self-certified min-entropy per outcome; the device
-    state (`program`, `honest_read`) is shared.
+    Implementations set `ell` and expose a finite advertised outcome set with
+    exact posteriors and a self-certified min-entropy per outcome.  Models
+    are stateless; `IdealBitOtm` holds the programmed strings.
     """
-
-    ell = None
-    _stored = None
-
-    def program(self, s, t):
-        self._check_strings(s, t)
-        self._stored = (int(s), int(t))
-
-    def honest_read(self, which):
-        """The stored string: which=0 reads s, which=1 reads t."""
-        if self._stored is None:
-            raise ValueError("device is not programmed")
-        if which not in (0, 1):
-            raise ValueError("which=%r must be 0 (read s) or 1 (read t)" % (which,))
-        return self._stored[which]
 
     def outcome_set(self, delta):
         """Tokens of every advertised delta-non-negligible outcome."""
@@ -268,12 +253,6 @@ class LeakyOtmModel:
     def certified_entropy(self, outcome):
         """A proven lower bound on H_inf(S, T | Z=outcome)."""
         raise NotImplementedError
-
-    def _check_strings(self, s, t):
-        n = 1 << self.ell
-        for name, v in (("s", s), ("t", t)):
-            if int(v) != v or not (0 <= v < n):
-                raise ValueError("%s=%r outside {0,...,%d}" % (name, v, n - 1))
 
 
 class ClassicalLeakSim(LeakyOtmModel):
@@ -295,17 +274,17 @@ class ClassicalLeakSim(LeakyOtmModel):
         self.ell = int(ell)
         self.beta = float(beta)
         count = int(math.floor(beta * 2 * ell))
-        if positions is None:
-            positions = tuple(range(count))
-        else:
-            positions = tuple(sorted(int(p) for p in positions))
-            if len(set(positions)) != len(positions):
-                raise ValueError("leak positions repeat")
-            if positions and not (0 <= positions[0] and positions[-1] < 2 * ell):
-                raise ValueError("leak positions outside 0..%d" % (2 * ell - 1))
-            if len(positions) != count:
-                raise ValueError("got %d positions for |J| = floor(beta*2*ell) = %d"
-                                 % (len(positions), count))
+        positions = tuple(range(count) if positions is None else positions)
+        if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in positions):
+            raise ValueError("leak positions %r must be integers" % (positions,))
+        positions = tuple(sorted(int(p) for p in positions))
+        if len(set(positions)) != len(positions):
+            raise ValueError("leak positions repeat")
+        if positions and not (0 <= positions[0] and positions[-1] < 2 * ell):
+            raise ValueError("leak positions outside 0..%d" % (2 * ell - 1))
+        if len(positions) != count:
+            raise ValueError("got %d positions for |J| = floor(beta*2*ell) = %d"
+                             % (len(positions), count))
         self.positions = positions
 
     @property
@@ -390,7 +369,7 @@ class WiesnerToyOtm(LeakyOtmModel):
         Accepts any PovmElement (or matrix) on the m qubits, advertised or
         not; rejects elements of zero total mass.
         """
-        mat = element.matrix if isinstance(element, PovmElement) else np.asarray(element)
+        mat = _as_matrix(element)
         n = 1 << self.ell
         born = np.trace(mat @ self._stack, axis1=1, axis2=2).real.reshape(n, n)
         table = np.where(born < 0.0, 0.0, born)
@@ -443,8 +422,11 @@ class IdealBitOtm:
 
     def read_bit(self, which):
         """Honest read: recover a0 (which=0) or a1 (which=1) exactly."""
-        x = self.inner.honest_read(which)
-        return self.F(x) if which == 0 else self.G(x)
+        if self.programmed is None:
+            raise ValueError("device is not programmed")
+        if which not in (0, 1):
+            raise ValueError("which=%r must be 0 (read s) or 1 (read t)" % (which,))
+        return self.F(self.s) if which == 0 else self.G(self.t)
 
     def __repr__(self):
         return "IdealBitOtm(ell=%d, programmed=%r)" % (self.inner.ell, self.programmed)
@@ -460,8 +442,8 @@ def _has_preimage(h, bit):
 def program_ideal(otm, a0, a1, rng):
     """Program (a0, a1) into the ideal-bit OTM by rejection sampling.
 
-    Draws s uniformly until F(s) = a0, then t until G(t) = a1, programs
-    the inner model, and records the total number of rejected draws.
+    Draws s uniformly until F(s) = a0, then t until G(t) = a1, stores both
+    strings on `otm`, and records the total number of rejected draws.
 
     Parameters
     ----------
@@ -496,38 +478,32 @@ def program_ideal(otm, a0, a1, rng):
                 raise DegenerateHashError("degenerate-hash: %s rejected %d draws for value %d"
                                           % (name, rejections, bit))
     otm.s, otm.t = strings
-    otm.inner.program(otm.s, otm.t)
     otm.programmed = (int(a0), int(a1))
     otm.rejections = rejections
     return otm
 
 
-def hash_signs(h, npoints):
-    """(-1)^{h(x)} for x = 0..npoints-1, as a float array."""
-    if isinstance(h, HashFunction):
-        return _family_signs([h], npoints)[0]
-    arr = np.asarray(h, dtype=float)
-    if arr.shape != (npoints,):
-        raise ValueError("expected %d sign entries, got shape %r" % (npoints, arr.shape))
-    if not np.all(np.abs(arr) == 1.0):
-        raise ValueError("sign table entries must be +-1")
-    return arr
-
-
-def _sign_pair(F, G, npoints):
-    """`hash_signs` of F and G; two hashes of one family share one table
-    build and one evaluation."""
-    if isinstance(F, HashFunction) and isinstance(G, HashFunction) \
-            and (F.ell, F.r) == (G.ell, G.r):
-        return tuple(_family_signs([F, G], npoints))
-    return hash_signs(F, npoints), hash_signs(G, npoints)
-
-
-def _family_signs(hs, npoints):
-    # one row of +-1 signs per hash of hs, all of one (ell, r)
-    ell, r = hs[0].ell, hs[0].r
-    tables = HashTables(ell, r, np.arange(npoints))
-    return 1.0 - 2.0 * tables.hash_bits(seed_bits([h.coefficients for h in hs], ell))
+def _signs(F, G, ell):
+    """(-1)^{h(x)} for x = 0..2^ell-1 and h = F, G, each a HashFunction on ell
+    bits or a +-1 table of length 2^ell.  The hashes share one `HashTables`
+    build at the larger r; zero coefficients pad the shorter polynomial."""
+    n = 1 << ell
+    hashes = [h for h in (F, G) if isinstance(h, HashFunction)]
+    for h in hashes:
+        if h.ell != ell:
+            raise ValueError("hash domain 2^%d does not match model ell=%d" % (h.ell, ell))
+    if hashes:
+        r = max(h.r for h in hashes)
+        bits = iter(HashTables(ell, r, np.arange(n)).hash_bits(
+            seed_bits([h.coefficients + (0,) * (r - h.r) for h in hashes], ell)))
+    signs = [1.0 - 2.0 * next(bits) if isinstance(h, HashFunction) else np.asarray(h, dtype=float)
+             for h in (F, G)]
+    for arr in signs:
+        if arr.shape != (n,):
+            raise ValueError("expected %d sign entries, got shape %r" % (n, arr.shape))
+        if not np.all(np.abs(arr) == 1.0):
+            raise ValueError("sign table entries must be +-1")
+    return signs
 
 
 def _weights(P, C, E):
@@ -659,8 +635,7 @@ def evaluate_security(otm, delta, params):
         raise ValueError("delta=%r leaves 2*delta outside (0, 1]" % (delta,))
     level = params.alpha * params.k
     outcomes = model.outcome_set(2.0 * delta)
-    n = 1 << model.ell
-    sF, sG = _sign_pair(otm.F, otm.G, n)
+    sF, sG = _signs(otm.F, otm.G, model.ell)
     bitsF = ((1.0 - sF) / 2.0).astype(np.uint8)[:, None]
     bitsG = ((1.0 - sG) / 2.0).astype(np.uint8)[None, :]
     # per c, the code 2 * (hidden bit) + (other bit) of every (s, t)
@@ -829,15 +804,10 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
            "union_bound_sharp": [], "union_bound_theorem": []}
     coll = 2.0 ** max(collision_log2s)
     for lam in lambdas:
-        kq = int((max_q >= lam).sum())
-        kr = int((max_r >= lam).sum())
-        km = int((stat >= lam).sum())
-        out["exceed_q"].append(kq / trials)
-        out["exceed_r"].append(kr / trials)
-        out["exceed"].append(km / trials)
-        out["ucl_q"].append(clopper_pearson_upper(kq, trials))
-        out["ucl_r"].append(clopper_pearson_upper(kr, trials))
-        out["ucl"].append(clopper_pearson_upper(km, trials))
+        for key, series in (("_q", max_q), ("_r", max_r), ("", stat)):
+            k = int((series >= lam).sum())
+            out["exceed" + key].append(k / trials)
+            out["ucl" + key].append(clopper_pearson_upper(k, trials))
         sharp = math.fsum(kite_bound(r, v, lam) for v in v_linear)
         sharp += math.fsum(crayfish_bound(r // 2, f, o, lam)
                            for f, o in zip(frob_half, op_half))
@@ -876,12 +846,9 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
     lemma6 conclusion fields
     """
     m = model.m
-    for h in (F, G):
-        if isinstance(h, HashFunction) and h.field.ell != model.ell:
-            raise ValueError("hash domain 2^%d does not match model ell=%d" % (h.field.ell, model.ell))
-    sF, sG = _sign_pair(F, G, 1 << model.ell)
-    mat = M.matrix if isinstance(M, PovmElement) else np.asarray(M, dtype=complex)
-    mat_t = M_tilde.matrix if isinstance(M_tilde, PovmElement) else np.asarray(M_tilde, dtype=complex)
+    sF, sG = _signs(F, G, model.ell)
+    mat = _as_matrix(M)
+    mat_t = _as_matrix(M_tilde)
     avg = model.average_state()
     norm_m = float(opnorms(mat))
     dist = float(opnorms(mat - mat_t))

@@ -630,10 +630,20 @@ _LEAK_PARAMS = {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.5, "alpha": 1.5, "ep
     ({"model": {"name": "wiesner", "m": 2}, "params": dict(_LEAK_PARAMS, k=2, ell=3)},
      "params ell=3 does not match the model's ell=2"),
     ({"hash_r": 32}, "parameter 'hash_r'=32 exceeds 2^ell=16"),
+    ({"delta": 2.0}, "delta=2.0 leaves 2*delta outside (0, 1]"),
+    ({"delta": 0}, "delta=0 leaves 2*delta outside (0, 1]"),
+    ({"delta": -0.5}, "delta=-0.5 leaves 2*delta outside (0, 1]"),
+    ({"params": dict(_LEAK_PARAMS, k=1, delta0=0.5)}, "leaves 2*delta outside (0, 1]"),
+    ({"model": {"name": "classical-leak", "ell": 4, "beta": 0.25, "positions": [0.5, 3]}},
+     "leak positions (0.5, 3) must be integers"),
+    ({"model": {"name": "classical-leak", "ell": 4, "beta": 0.25, "positions": [True, 2]}},
+     "leak positions (True, 2) must be integers"),
 ], ids=["string-hash-r", "bool-hash-r", "zero-hash-r", "string-delta", "inf-delta",
         "unknown-model", "bad-wiesner-m", "unknown-model-field", "scalar-positions",
         "inf-gamma", "unknown-param", "params-ell-8-for-leak-ell-4",
-        "params-ell-3-for-wiesner-m-2", "hash-r-past-domain"])
+        "params-ell-3-for-wiesner-m-2", "hash-r-past-domain", "delta-2", "delta-0",
+        "negative-delta", "params-delta-above-half", "fractional-positions",
+        "bool-positions"])
 def test_bad_otm_security_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
     from otmlab import cli
 

@@ -15,7 +15,6 @@ from otmlab.otm import (
     DegenerateHashError,
     evaluate_security,
     hash_bias_tail,
-    hash_signs,
     hummingbird_distance,
     IdealBitOtm,
     program_ideal,
@@ -168,16 +167,22 @@ def test_classical_leak_construction_and_reads():
     model = ClassicalLeakSim(4, 0.25)
     assert model.leak_count == 2
     assert model.positions == (0, 1)
-    model.program(0b0011, 0b0101)
-    assert model.honest_read(0) == 0b0011
-    assert model.honest_read(1) == 0b0101
     assert _leak_value(model, 0b0011, 0b0101) == 0b11  # s_0 = 1, t_0 = 1
-    with pytest.raises(ValueError):
-        model.honest_read(2)
-    with pytest.raises(ValueError):
-        ClassicalLeakSim(4, 0.25).honest_read(0)
-    with pytest.raises(ValueError):
-        model.program(16, 0)
+    _check_reads(model)
+
+
+def _check_reads(model):
+    """An IdealBitOtm over `model` refuses reads until programmed and a
+    `which` other than 0 or 1, and reads back what it was programmed with."""
+    low_bit = HashFunction(BinaryField(model.ell), (0, 1))
+    otm = IdealBitOtm(low_bit, low_bit, model)
+    with pytest.raises(ValueError, match="device is not programmed"):
+        otm.read_bit(0)
+    program_ideal(otm, 1, 0, np.random.default_rng(3))
+    assert otm.s & 1 == 1 and otm.t & 1 == 0
+    assert otm.read_bit(0) == 1 and otm.read_bit(1) == 0
+    with pytest.raises(ValueError, match=r"which=2 must be 0 \(read s\) or 1 \(read t\)"):
+        otm.read_bit(2)
 
 
 def test_classical_leak_posteriors_exact():
@@ -242,8 +247,7 @@ def test_wiesner_validation_and_reads():
     with pytest.raises(ValueError):
         WiesnerToyOtm(1).born_joint(np.zeros((2, 2)))
     model = WiesnerToyOtm(2)
-    model.program(2, 1)
-    assert model.honest_read(0) == 2 and model.honest_read(1) == 1
+    _check_reads(model)
     assert model.outcome_set(1.0) == [0, 1, 2, 3]
 
 
@@ -311,6 +315,24 @@ def test_ideal_bit_otm_programs_and_reads_back():
         program_ideal(otm, 2, 0, rng)
 
 
+@pytest.mark.parametrize("model", [ClassicalLeakSim(8, 0.125), WiesnerToyOtm(2)],
+                         ids=["leak-8", "wiesner-2"])
+def test_ideal_bit_otms_over_one_model_read_their_own_bits(model):
+    # the model holds no strings, so wrappers sharing it stay independent;
+    # lowbit(c * x) with c != 0 is balanced, so every program succeeds
+    rng = np.random.default_rng(5)
+    field = BinaryField(model.ell)
+
+    def linear():
+        return HashFunction(field, (0, int(rng.integers(1, 1 << model.ell))))
+
+    for _ in range(200):
+        pair = [IdealBitOtm(linear(), linear(), model) for _ in range(2)]
+        program_ideal(pair[0], 0, 1, rng)
+        program_ideal(pair[1], 1, 0, rng)
+        assert [(o.read_bit(0), o.read_bit(1)) for o in pair] == [(0, 1), (1, 0)]
+
+
 def test_program_ideal_degenerate_hash():
     rng = np.random.default_rng(6)
     field = BinaryField(4)
@@ -346,7 +368,7 @@ def test_compute_Q_R_against_double_sum_oracle():
         F = sample_hash(2, 2, rng)
         G = sample_hash(2, 2, rng)
         pc, weights = otm_module._weights(P, C, E)
-        Q, R = otm_module._fourier(pc, weights, hash_signs(F, n), hash_signs(G, n))
+        Q, R = otm_module._fourier(pc, weights, *otm_module._signs(F, G, 2))
         for c in (0, 1):
             qc = C if c == 1 else 1.0 - C
             num_q = num_r = den = 0.0
@@ -384,23 +406,31 @@ def test_compute_Q_R_edge_conventions():
     assert pc[1] == 0.0 and Q[1] == 0.0 and R[1] == 0.0
 
 
-def test_hash_signs_forms():
-    field = BinaryField(2)
-    h = HashFunction(field, (0, 1))  # low bit of x
-    signs = hash_signs(h, 4)
-    assert list(signs) == [1.0, -1.0, 1.0, -1.0]
-    assert list(hash_signs(np.array([1.0, -1.0, 1.0, 1.0]), 4)) == [1.0, -1.0, 1.0, 1.0]
-    with pytest.raises(ValueError):
-        hash_signs(np.array([1.0, 0.5, 1.0, 1.0]), 4)
-    with pytest.raises(ValueError):
-        hash_signs(h, 5)  # beyond the domain
+def test_signs_forms():
+    low_bit = HashFunction(BinaryField(2), (0, 1))
+    table = np.array([1.0, -1.0, -1.0, 1.0])
+    sF, sG = otm_module._signs(low_bit, table, 2)
+    assert sF.tolist() == [1.0, -1.0, 1.0, -1.0] and sG.tolist() == table.tolist()
+    with pytest.raises(ValueError, match="sign table entries must be"):
+        otm_module._signs(low_bit, np.array([1.0, 0.5, 1.0, 1.0]), 2)
+    with pytest.raises(ValueError, match="expected 4 sign entries"):
+        otm_module._signs(np.ones(5), low_bit, 2)
+    with pytest.raises(ValueError, match="hash domain 2\\^2 does not match model ell=3"):
+        otm_module._signs(table, low_bit, 3)
 
 
-def test_hash_signs_match_scalar_evaluation():
+def _horner_signs(h):
+    return np.array([1.0 - 2.0 * h(x) for x in range(1 << h.ell)])
+
+
+def test_signs_match_scalar_evaluation():
+    # unequal r pads the shorter hash with zero coefficients in one evaluation
     rng = np.random.default_rng(21)
-    for ell, r, n in ((1, 2, 2), (4, 3, 16), (8, 8, 256), (9, 4, 300), (17, 5, 64)):
-        h = sample_hash(ell, r, rng)
-        assert list(hash_signs(h, n)) == [1.0 - 2.0 * h(x) for x in range(n)]
+    for ell, rF, rG in ((1, 2, 2), (4, 3, 3), (8, 8, 8), (4, 4, 3), (8, 8, 3), (8, 2, 16)):
+        F, G = sample_hash(ell, rF, rng), sample_hash(ell, rG, rng)
+        for h, signs in zip((F, G), otm_module._signs(F, G, ell)):
+            assert signs.dtype == np.float64
+            assert signs.tobytes() == _horner_signs(h).tobytes()
 
 
 def _count_table_builds(monkeypatch):
@@ -415,21 +445,21 @@ def _count_table_builds(monkeypatch):
     return builds
 
 
-def test_sign_pair_builds_one_table_per_family(monkeypatch):
+def test_signs_build_one_table_per_call(monkeypatch):
     builds = _count_table_builds(monkeypatch)
     rng = np.random.default_rng(22)
-    for ell, rF, rG, n in ((1, 2, 2, 2), (4, 4, 4, 16), (9, 4, 4, 300), (4, 4, 3, 16)):
-        F, G = sample_hash(ell, rF, rng), sample_hash(ell, rG, rng)
+    table = np.array([1.0, -1.0, -1.0, 1.0] * 4)
+    for F, G, want in (
+            (sample_hash(4, 4, rng), sample_hash(4, 4, rng), [(4, 4)]),
+            (sample_hash(4, 3, rng), sample_hash(4, 5, rng), [(4, 5)]),
+            (table, sample_hash(4, 3, rng), [(4, 3)]),
+            (table, -table, [])):
         builds.clear()
-        sF, sG = otm_module._sign_pair(F, G, n)
-        assert builds == ([(ell, rF)] if rF == rG else [(ell, rF), (ell, rG)])
+        sF, sG = otm_module._signs(F, G, 4)
+        assert builds == want
         for h, signs in ((F, sF), (G, sG)):
-            assert signs.dtype == np.float64
-            assert signs.tobytes() == np.array([1.0 - 2.0 * h(x) for x in range(n)]).tobytes()
-    # a sign table passes through unchanged beside a hash
-    table = np.array([1.0, -1.0, -1.0, 1.0])
-    sF, sG = otm_module._sign_pair(table, HashFunction(BinaryField(2), (0, 1)), 4)
-    assert sF.tolist() == table.tolist() and sG.tolist() == [1.0, -1.0, 1.0, -1.0]
+            want_signs = _horner_signs(h) if isinstance(h, HashFunction) else h
+            assert signs.tobytes() == want_signs.tobytes()
 
 
 def test_security_and_continuity_build_the_tables_once(monkeypatch):
