@@ -123,17 +123,19 @@ def _json(doc):
 
 
 def write_csv(path, columns, rows):
-    """Write a header of `columns`, then one line per row mapping; the csv
-    module writes None as an empty cell and any other value as its str()."""
+    """Write a header of `columns`, then one line per row, a sequence of cells
+    in column order; the csv module writes None as an empty cell and any
+    other value as its str()."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(columns)
         writer.writerows(rows)
 
 
 def _cells(values):
-    """A CSV row with every float written as "%.17g" (exact round trip)."""
-    return {k: "%.17g" % v if isinstance(v, float) else v for k, v in values.items()}
+    """The CSV cells of a row or a column of values, with every float written
+    as "%.17g" (exact round trip)."""
+    return ["%.17g" % v if isinstance(v, float) else v for v in values]
 
 
 class _Check:
@@ -369,8 +371,10 @@ def tails(kind, ell, r, n, trials, lambda_grid, seed, mode="hash"):
                   for lam in lambda_grid]
         result = tails_mod.empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng,
                                                     mode=mode)
+    fixed = {"bound_name": bound_name, "t": t, "trials": trials, "seed": seed}
     per_lambda = zip(result["lambdas"], result["freqs"], result["upper_cl_99"], bounds)
-    return [_cells(dict(zip(TAIL_CSV_COLUMNS, (lam, freq, ucl, bound, bound_name, t, trials, seed))))
+    return [_cells({"lambda": lam, "empirical_freq": freq, "upper_cl_99": ucl,
+                    "closed_form_bound": bound, **fixed}[k] for k in TAIL_CSV_COLUMNS)
             for lam, freq, ucl, bound in per_lambda], None, None
 
 
@@ -402,11 +406,10 @@ def nets(family, m, mu, samples, seed, d=None):
     if separable:
         grid, members = len(spec.qubit_net.grid_params), len(spec.qubit_net)
         counters.update(grid_points=grid, members=members, dedup_ratio=members / grid)
-    return [_cells({
-        "m": m, "d": d, "mu": mu, "delta": spec.delta,
-        "log2_bound": log2_bound, "log2_enumerated": spec.log2_size,
-        "covering_radius_p99": p99, "samples": samples, "seed": seed,
-    })], _json({
+    row = {"m": m, "d": d, "mu": mu, "delta": spec.delta,
+           "log2_bound": log2_bound, "log2_enumerated": spec.log2_size,
+           "covering_radius_p99": p99, "samples": samples, "seed": seed}
+    return [_cells(row[k] for k in NET_CSV_COLUMNS)], _json({
         "family": family,
         "cardinality_bounds": bounds,
         "log2_enumerated": spec.log2_size,
@@ -452,22 +455,30 @@ def entropy(count, n0, n1, nz, eps, eps_prime, seed, alpha=None):
     """Smoothed min-entropy and splitting certificates on random joints."""
     rng = np.random.default_rng(seed)
     chunk = max(1, entropy_mod.STACK_CELLS // (nz * n0 * n1))
-    records, fallback = [], 0
+    split = {key: [] for key in ("joint_entropy", "bound", "value", "rule", "event_probability")}
+    fallback = 0
     for start in range(0, count, chunk):
         tables, pz = _random_joints(rng, min(chunk, count - start), nz, n0, n1)
         res = entropy_mod.split_joints(tables, pz, alpha, eps, eps_prime)
         fallback += res["fallback_candidates"]
-        columns = zip(res["joint_entropy"].tolist(), res["bound"].tolist(),
-                      res["value"].tolist(), res["rule"], res["event_probability"].tolist())
-        records += [{"instance": i, "joint_entropy": joint,
-                     "alpha": joint if alpha is None else alpha, "bound": bound,
-                     "value": value, "rule": rule, "event_probability": pr_event,
-                     "certified": bool(value >= bound - 1e-9)}
-                    for i, (joint, bound, value, rule, pr_event) in enumerate(columns, start)]
-    counters = {"instances": len(records), "rules": dict(Counter(r["rule"] for r in records)),
-                "fallback_candidates": fallback,
-                "certified": sum(r["certified"] for r in records)}
-    return [_cells(record) for record in records], _json({"instances": records}), counters
+        for key, values in split.items():
+            values += res[key].tolist()
+    joint, bound, value, rule, pr_event = split.values()
+    certified = [v >= b - 1e-9 for v, b in zip(value, bound)]
+    columns = dict(zip(ENTROPY_CSV_COLUMNS, (range(count), joint, [alpha] * count, bound, value,
+                                             rule, pr_event, certified)))
+    if alpha is None:
+        columns["alpha"] = joint
+    keys = sorted(columns)  # inserted in this order, sort_keys finds each record sorted
+    records = [dict(zip(keys, row)) for row in zip(*(columns[k] for k in keys))]
+    counters = {"instances": count, "rules": dict(Counter(rule)),
+                "fallback_candidates": fallback, "certified": sum(certified)}
+    # the CSV cells column by column: one "%.17g" list per float column
+    cells = {k: ["%.17g" % v for v in columns[k]]
+             for k in ("joint_entropy", "bound", "value", "event_probability")}
+    cells["alpha"] = cells["joint_entropy"] if alpha is None else _cells([alpha]) * count
+    rows = zip(*(cells.get(k, columns[k]) for k in ENTROPY_CSV_COLUMNS))
+    return rows, _json({"instances": records}), counters
 
 
 def _security_rules(v):
@@ -501,7 +512,7 @@ def otm_security(model, params, hash_r, seed, delta=None):
         cells = dict(row, flags=";".join(row["flags"]))
         for key, column in (("pr_c", "pr_c"), ("Q", "Q"), ("R", "R"), ("l1", "l1_c")):
             cells[column + "0"], cells[column + "1"] = row[key]
-        rows.append({k: cells[k] for k in SECURITY_CSV_COLUMNS})
+        rows.append([cells[k] for k in SECURITY_CSV_COLUMNS])
     return rows, report.to_json(), None
 
 
@@ -513,7 +524,7 @@ def theorem_bounds(points):
         result = otm_mod.theorem_bound(params)
         records.append({"params": params.as_dict(), "bound": result})
         values = params.as_dict() | result | result["terms"]
-        rows.append(_cells({k: values[k] for k in THEOREM_CSV_COLUMNS}))
+        rows.append(_cells(values[k] for k in THEOREM_CSV_COLUMNS))
     return rows, _json({"points": records}), None
 
 

@@ -32,7 +32,12 @@ split-not-certified error is raised.
 
 Both work on stacks: the water-filling runs row-wise over a stack of
 tables, and `split_joints` splits a stack of joints, each exactly as
-`entropy_split` (its one-joint form) splits it alone.
+`entropy_split` (its one-joint form) splits it alone.  The `entropy`
+sweep hands it at most STACK_CELLS cells a call (at least one joint);
+`otm` hands it one posterior a call.  C is 0 or 1 and
+measurable in (z, x0) or in (z, x1), so it is carried as one value per
+(z, x0) or per (z, x1), and each hidden table is read off the two
+C-weighted joints, formed one at a time.
 """
 
 import math
@@ -161,12 +166,27 @@ def _smoothing_error(fault, eps):
 
 
 def _cap_weights(level, t):
-    """min(1, level / t) for tables t (B, ny, nx), one level per row; 1 where t = 0."""
-    pos = t > 0
-    weights = np.ones_like(t)
-    np.minimum(1.0, np.divide(level[:, None, None], t, out=np.full_like(t, np.inf), where=pos),
-               out=weights, where=pos)
-    return weights
+    """min(1, level / t) for tables t (B, ny, nx), one level per row; 1 where t = 0.
+
+    fmin drops the inf and nan that level / 0 gives, so no cell is masked."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.divide(level[:, None, None], t)
+    return np.fmin(weights, 1.0, out=weights)
+
+
+def _level(t, p_y, eps):
+    """The optimal eps-smoothing level of conditional tables t (B, ny, nx)
+    with marginals p_y (B, ny), per row with its entropy in bits and 0 or the
+    code of its first fault (_smoothing_error).  At eps <= 0 the level is
+    the live maximum."""
+    n_rows, ny, nx = t.shape
+    live_y = p_y > 0
+    live = np.repeat(live_y, nx, axis=1)
+    masses = t.reshape(n_rows, ny * nx)
+    top = np.max(masses, axis=1, where=live, initial=0.0)  # the live maximum
+    h = top if eps <= 0 else _waterfill_level(masses, np.repeat(p_y, nx, axis=1), live, eps)
+    fault = np.where(live_y.any(axis=1), np.where(top > 0, np.where(h > 0, 0, 3), 2), 1)
+    return h, np.array([-math.log2(x) if x > 0 else math.inf for x in h.tolist()]), fault
 
 
 def _smooth(t, p_y, eps):
@@ -174,17 +194,10 @@ def _smooth(t, p_y, eps):
     marginals p_y (B, ny).  Returns (value, weights, pr_event, fault): per
     row the entropy in bits, the witnessing retention weights, the event
     probability, and 0 or the code of its first fault (_smoothing_error)."""
-    n_rows, ny, nx = t.shape
-    live_y = p_y > 0
-    live = np.repeat(live_y, nx, axis=1)
-    masses = t.reshape(n_rows, ny * nx)
-    h = _waterfill_level(masses, np.repeat(p_y, nx, axis=1), live, eps)
-    top = h if eps <= 0 else np.max(masses, axis=1, where=live, initial=0.0)
-    fault = np.where(live_y.any(axis=1), np.where(top > 0, np.where(h > 0, 0, 3), 2), 1)
+    h, value, fault = _level(t, p_y, eps)
     weights = _cap_weights(h, t)
-    weights[~live_y] = 1.0  # dead slices carry no probability; keep E there
+    weights[~(p_y > 0)] = 1.0  # dead slices carry no probability; keep E there
     pr_event = (p_y[:, :, None] * t * weights).sum(axis=(1, 2))
-    value = np.array([-math.log2(x) if x > 0 else math.inf for x in h.tolist()])
     return value, weights, pr_event, fault
 
 
@@ -244,16 +257,20 @@ class SplitNotCertifiedError(ValueError):
 def _hidden_tables(joint, p_z, q):
     """Tables (K, 2 nz, n0 + n1) of the hidden X_{1-C} given (Z, C), and their
     (K, 2 nz) marginals, for joints P(x0, x1 | z) stacked (or broadcast) like
-    q[k, z, x0, x1] = Pr(C=1 | x0, x1, z).  Columns are the X0 values (hidden
-    under C=1), then the X1 values; rows are (z, C=0), (z, C=1) for each z.
+    q[k, z, x0, x1] = Pr(C=1 | x0, x1, z).  q may be any array that broadcasts
+    to (K, nz, n0, n1); a choice measurable in (z, x0) comes as (K, nz, n0, 1)
+    and one measurable in (z, x1) as (K, nz, 1, n1), so only the two weighted
+    joints are full-size.  Columns are the X0 values (hidden under C=1), then
+    the X1 values; rows are (z, C=0), (z, C=1) for each z.
     """
-    k, nz, n0, n1 = q.shape
-    w0 = joint * (1.0 - q)  # P(x0, x1, C=0 | z)
-    w1 = joint * q
-    pc = np.stack([w0.sum(axis=(2, 3)), w1.sum(axis=(2, 3))], axis=2)
+    k, nz, n0, n1 = np.broadcast_shapes(np.shape(joint), q.shape)
     marg = np.zeros((k, nz, 2, n0 + n1))
-    marg[:, :, 0, n0:] = w0.sum(axis=2)  # hidden X1
-    marg[:, :, 1, :n0] = w1.sum(axis=3)  # hidden X0
+    pc = np.zeros((k, nz, 2))
+    w = joint * q  # P(x0, x1, C=1 | z)
+    pc[:, :, 1], marg[:, :, 1, :n0] = w.sum(axis=(2, 3)), w.sum(axis=3)  # hidden X0
+    del w  # one full-size temporary at a time
+    w = joint * (1.0 - q)  # P(x0, x1, C=0 | z)
+    pc[:, :, 0], marg[:, :, 0, n0:] = w.sum(axis=(2, 3)), w.sum(axis=2)  # hidden X1
     table = np.divide(marg, pc[..., None], out=np.zeros_like(marg), where=pc[..., None] > 0)
     return table.reshape(k, 2 * nz, n0 + n1), (p_z[:, :, None] * pc).reshape(k, 2 * nz)
 
@@ -297,8 +314,7 @@ def _fallback(joint, p_z, eps_total, bound, best):
         codes = np.arange(1 << (size * nz))
         for start in range(0, codes.size, block):
             bits = (codes[start:start + block, None] >> np.arange(size * nz)) & 1
-            bits = bits.reshape(-1, nz, size, 1) if axis == "x0" else bits.reshape(-1, nz, 1, size)
-            q = np.ascontiguousarray(np.broadcast_to(bits, (len(bits), nz, n0, n1)), dtype=float)
+            q = bits.reshape((-1, nz, size, 1) if axis == "x0" else (-1, nz, 1, size)).astype(float)
             cert = _certify(joint, p_z[None], q, eps_total, np.full(len(q), bound))
             stop = np.flatnonzero(cert["ok"] | (cert["fault"] > 0))
             j = int(stop[0]) if stop.size else len(q)
@@ -319,19 +335,29 @@ def split_joints(tables, p_z, alpha, eps, eps_prime):
     once, and the fallback runs only for the joints it fails.  The first
     joint that `entropy_split` would refuse raises its error.
 
+    C is carried as one 0/1 value per (z, x0) -- the heaviness rule and the
+    x0 fallback -- or per (z, x1), the x1 fallback.
+
     Returns a dict of per-joint arrays: joint_entropy, alpha, bound, value,
-    rule and event_probability (B,); C (B, nz, n0, n1), Pr(C=1 | z, x0, x1);
-    hidden (B, 2 nz, n0 + n1), hidden_p (B, 2 nz) and event, the table of
-    X_{1-C} given (Z, C) with its certifying weights; and
-    fallback_candidates, the number of fallback assignments certified.
+    rule and event_probability (B,); C (B, nz, n0, n1), Pr(C=1 | z, x0, x1),
+    read-only: a broadcast of the per-(z, x0) values, or one full table when
+    the fallback ran for a joint of the stack; hidden (B, 2 nz, n0 + n1),
+    hidden_p (B, 2 nz) and event, the table of X_{1-C} given (Z, C) with its
+    certifying weights; and fallback_candidates, the number of fallback
+    assignments certified.
     """
     if not (0.0 < eps_prime < 1.0):
         raise ValueError("eps_prime=%r outside (0, 1)" % (eps_prime,))
     if not (0.0 <= eps < 1.0):
         raise ValueError("eps=%r outside [0, 1)" % (eps,))
-    t, pz = np.asarray(tables, dtype=float), np.asarray(p_z, dtype=float)
+    t, pz = np.ascontiguousarray(tables, dtype=float), np.asarray(p_z, dtype=float)
     n_rows, nz, n0, n1 = t.shape
-    joint_h, joint_w, _, fault = _smooth(t.reshape(n_rows, nz, n0 * n1), pz, eps)
+    if eps <= 0:  # every smoothing weight is 1, so t is its own smoothing
+        _, joint_h, fault = _level(t.reshape(n_rows, nz, n0 * n1), pz, eps)
+        smoothed = t
+    else:
+        joint_h, joint_w, _, fault = _smooth(t.reshape(n_rows, nz, n0 * n1), pz, eps)
+        smoothed = t * joint_w.reshape(t.shape)
     levels = joint_h.tolist() if alpha is None else [alpha] * n_rows
     bad = np.flatnonzero((fault > 0) | (joint_h < np.array(levels, dtype=float) - CERT_TOL))
     first = bad[0] if bad.size else n_rows  # the first joint that is refused
@@ -343,12 +369,11 @@ def split_joints(tables, p_z, alpha, eps, eps_prime):
     bound = np.array([a / 2.0 - 1.0 - lg for a in levels[:first]])
     # C = 0 exactly where the smoothed marginal mass of the realized x0
     # exceeds 2^{-alpha/2} (a heavy x0 forces the residual entropy into X1)
-    marg0 = (t[:first] * joint_w[:first].reshape(first, nz, n0, n1)).sum(axis=3)  # P(E, x0 | z)
+    marg0 = smoothed[:first].sum(axis=3)  # P(E, x0 | z)
     heavy = marg0 > np.array([2.0 ** (-a / 2.0) for a in levels[:first]])[:, None, None]
-    q = np.repeat(np.where(heavy, 0.0, 1.0)[..., None], n1, axis=3)
-    cert = _certify(t[:first], pz[:first], q, eps_total, bound)
+    cert = _certify(t[:first], pz[:first], np.where(heavy, 0.0, 1.0)[..., None], eps_total, bound)
     cert["rule"] = np.full(first, "heaviness", dtype=object)
-    tried = 0
+    fallback_c, tried = {}, 0
     for i in np.flatnonzero(~cert.pop("ok")):
         fail = cert["fault"][i]
         if not fail:
@@ -358,8 +383,8 @@ def split_joints(tables, p_z, alpha, eps, eps_prime):
             if block is None:
                 raise SplitNotCertifiedError("split-not-certified: best value %g falls short "
                                              "of bound %g" % (best, bound[i]), best)
-            fail, cert["rule"][i] = block["fault"][j], rule
-            for key in ("C", "hidden", "hidden_p", "value", "event", "event_probability"):
+            fail, cert["rule"][i], fallback_c[i] = block["fault"][j], rule, block["C"][j]
+            for key in ("hidden", "hidden_p", "value", "event", "event_probability"):
                 cert[key][i] = block[key][j]
         if fail:
             raise _smoothing_error(fail, eps_total)
@@ -369,6 +394,12 @@ def split_joints(tables, p_z, alpha, eps, eps_prime):
         raise ValueError("joint smoothed min-entropy %g is below alpha=%g"
                          % (joint_h[first], levels[first]))
     del cert["fault"]
+    cert["C"] = np.broadcast_to(cert["C"], (first, nz, n0, n1))
+    if fallback_c:  # an x1 assignment does not fit the (z, x0) form
+        cert["C"] = np.array(cert["C"])
+        for i, choice in fallback_c.items():
+            cert["C"][i] = choice
+        cert["C"].setflags(write=False)
     return dict(cert, joint_entropy=joint_h, alpha=np.array(levels, dtype=float), bound=bound,
                 fallback_candidates=tried)
 
@@ -418,4 +449,4 @@ def entropy_split(p, alpha, eps, eps_prime):
             for key in ("value", "bound", "joint_entropy", "event_probability")}
     cert.update(rule=res["rule"][0], event=res["event"][0],
                 hidden=CondDist(res["hidden"][0], res["hidden_p"][0]))
-    return {"C": np.moveaxis(res["C"][0], 0, 2), "certificate": cert}
+    return {"C": np.moveaxis(np.array(res["C"][0]), 0, 2), "certificate": cert}

@@ -18,12 +18,14 @@ c = 0, t when c = 1) is the hidden, high-entropy string,
     R_c(M) = E(1_E (-1)^{A_0 + A_1} | C=c, Z=M),
 
 and the distance of (A_C, given the revealed bit) from uniform obeys the
-exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.  Each
-outcome runs one pipeline: `_split_outcome` gives (C, E), `_weights` gives
-Pr(C=c | Z=M) and the weights P(s,t|M) Pr(C=c|s,t) E_c(s,t) once per
-posterior, and `_fourier` sums them against the hash signs; the direct scan
-of `evaluate_security` and the instances of `hash_bias_tail` read the same
-weights.  Over the hash family, Q_c is a linear form and R_c a
+exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.  The outcomes
+of `evaluate_security`, `hash_bias_tail` and `continuity_check` run one
+pipeline: `_split_outcome` gives (C, E) as (n, 1)/(1, n) views, `_weights`
+forms each P(s,t|M) Pr(C=c|s,t) once and gives Pr(C=c | Z=M) and the
+weights P(s,t|M) Pr(C=c|s,t) E_c(s,t), and `_fourier` sums them against
+the hash signs; the direct scan of `evaluate_security` and the instances of
+`hash_bias_tail` read the same weights.  Over the hash family, Q_c is a
+linear form and R_c a
 bilinear form in r-wise independent signs, so the moment tail bounds from
 `tails` control both; aggregating over outcomes and adding the smoothing
 and negligible-outcome losses gives the closed-form bound
@@ -63,6 +65,13 @@ class DegenerateHashError(ValueError):
     """Raised when a requested hash value has an empty preimage."""
 
 
+def _refuse_bools(**values):
+    """Refuse a bool for a number: int() and range checks take True for 1."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError("%s=%r must be a number, not a bool" % (name, value))
+
+
 class ReductionParams:
     """Scalar parameters of the ideal-bit reduction, validated together.
 
@@ -89,6 +98,8 @@ class ReductionParams:
 
     def __init__(self, k, ell, theta, delta0, alpha, eps0, gamma,
                  m=None, phi=None, d=None, depth_mode=False):
+        _refuse_bools(k=k, ell=ell, theta=theta, delta0=delta0, alpha=alpha, eps0=eps0,
+                      gamma=gamma, m=m, phi=phi, d=d)
         if int(k) != k or k < 1:
             raise ValueError("k=%r must be a positive integer" % (k,))
         if int(ell) != ell or ell < k:
@@ -267,6 +278,7 @@ class ClassicalLeakSim(LeakyOtmModel):
     """
 
     def __init__(self, ell, beta, positions=None):
+        _refuse_bools(ell=ell, beta=beta)
         if int(ell) != ell or not (1 <= ell <= 12):
             raise ValueError("ell=%r outside the desk-scale range 1..12" % (ell,))
         if not (0.0 <= beta <= 1.0):
@@ -312,8 +324,8 @@ class ClassicalLeakSim(LeakyOtmModel):
         if not (0 <= outcome < (1 << self.leak_count)):
             raise ValueError("outcome %r outside the advertised set" % (outcome,))
         mask_s, mask_t = self._consistency_masks(outcome)
-        table = np.outer(mask_s, mask_t).astype(float)
-        return table / table.sum()
+        # uniform over the consistent pairs: each of them holds 1 / (their count)
+        return np.outer(mask_s, mask_t * (1.0 / (int(mask_s.sum()) * int(mask_t.sum()))))
 
     def outcome_probability(self, outcome):
         if not (0 <= outcome < (1 << self.leak_count)):
@@ -345,6 +357,7 @@ class WiesnerToyOtm(LeakyOtmModel):
     """
 
     def __init__(self, m):
+        _refuse_bools(m=m)
         if int(m) != m or not (1 <= m <= 3):
             raise ValueError("m=%r outside the desk-scale range 1..3" % (m,))
         self.m = int(m)
@@ -507,23 +520,29 @@ def _signs(F, G, ell):
 
 
 def _weights(P, C, E):
-    """Pr(C=c | Z=M) for c = 0, 1, and the two tables P * Pr(C=c | s, t) * E[c]."""
-    q = (1.0 - C, C)
-    return [float((P * q[c]).sum()) for c in (0, 1)], [P * q[c] * E[c] for c in (0, 1)]
+    """Pr(C=c | Z=M) for c = 0, 1, and the two tables P * Pr(C=c | s, t) * E[c];
+    each P * Pr(C=c | s, t) is formed once, then weighted in place."""
+    tables = [P * (1.0 - C), P * C]
+    return ([float(w.sum()) for w in tables],
+            [np.multiply(w, e, out=w) for w, e in zip(tables, E)])
 
 
 def _fourier(pc, weights, sF, sG):
     """Q_c and R_c (each a length-2 list indexed by c) from the output of
     `_weights` and the +-1 signs of F and G; a c of zero probability yields
-    exactly 0.0 for both."""
+    exactly 0.0 for both.  Multiplying by +-1 is exact, so one temporary per
+    c holds the weights times the hidden string's signs (Q) and then, in
+    place, times the other's (R): the bits of a product with sF x sG, which
+    is never formed."""
     q_out = [0.0, 0.0]
     r_out = [0.0, 0.0]
     for c in (0, 1):
         if pc[c] <= 0.0:
             continue
-        sign_hidden = sF[:, None] if c == 0 else sG[None, :]
-        q_out[c] = float((weights[c] * sign_hidden).sum()) / pc[c]
-        r_out[c] = float((weights[c] * sF[:, None] * sG[None, :]).sum()) / pc[c]
+        hidden, other = (sF[:, None], sG[None, :]) if c == 0 else (sG[None, :], sF[:, None])
+        signed = weights[c] * hidden
+        q_out[c] = float(signed.sum()) / pc[c]
+        r_out[c] = float(np.multiply(signed, other, out=signed).sum()) / pc[c]
     return q_out, r_out
 
 
@@ -557,8 +576,9 @@ def _split_outcome(P, alpha_k, eta):
     (within entropy.SLICE_TOL).  Returns the C table in the hidden-string
     convention (Pr(C=1 | s, t), C = c hides s for c=0 / t for c=1), the
     event weights E, the kept event probability and the log2 of the
-    certified collision level.  E_c weighs only the hidden string, so E holds
-    views of shape (n, 1) and (1, n) that broadcast against the posterior.
+    certified collision level.  C is measurable in s (in t after the x1
+    fallback) and E_c weighs only the hidden string, so C and E hold views
+    of shape (n, 1) or (1, n) that broadcast against the posterior.
     """
     P = np.asarray(P, dtype=float)
     if not np.isfinite(P).all() or (P < 0).any() or abs(P.sum() - 1.0) > SLICE_TOL:
@@ -566,11 +586,11 @@ def _split_outcome(P, alpha_k, eta):
     n = P.shape[0]
     split = split_joints(P[None, None], np.ones((1, 1)), alpha_k, 0.0, eta)
     ev = split["event"][0]                  # rows: C_split=0, C_split=1
-    w0 = ev[1, :n]                          # hidden s weights (C_split=1 <-> c=0)
-    w1 = ev[0, n:]                          # hidden t weights
+    C = split["C"][0, 0]                    # per s, or per t after an x1 fallback
+    C = C[:1] if split["rule"][0] == "exhaustive-x1" else C[:, :1]
     return {
-        "C": 1.0 - split["C"][0, 0],        # C_split=0 iff s heavy, so C = 1 - C_split
-        "E": (w0[:, None], w1[None, :]),
+        "C": 1.0 - C,                       # C_split=0 iff s heavy, so C = 1 - C_split
+        "E": (ev[1, :n][:, None], ev[0, n:][None, :]),  # hidden s, hidden t weights
         "event_probability": float(split["event_probability"][0]),
         "collision_log2": -float(split["value"][0]),
     }
@@ -638,8 +658,9 @@ def evaluate_security(otm, delta, params):
     sF, sG = _signs(otm.F, otm.G, model.ell)
     bitsF = ((1.0 - sF) / 2.0).astype(np.uint8)[:, None]
     bitsG = ((1.0 - sG) / 2.0).astype(np.uint8)[None, :]
-    # per c, the code 2 * (hidden bit) + (other bit) of every (s, t)
-    codes = (2 * bitsF + bitsG, 2 * bitsG + bitsF)
+    # per c, the flat row-major cells of each code 2 * (hidden bit) + (other bit)
+    cells = [[np.flatnonzero(code == k) for k in range(4)]
+             for code in (2 * bitsF + bitsG, 2 * bitsG + bitsF)]
 
     rows = []
     violations = []
@@ -673,8 +694,8 @@ def evaluate_security(otm, delta, params):
                 continue
             # path one: the Fourier identity on the sign-weighted sums
             l1[c] = 0.5 * (abs(Q[c] + R[c]) + abs(Q[c] - R[c]))
-            # path two: the 2x2 bit table, one masked sum of the weights per code
-            table = np.array([weights[c][codes[c] == k].sum() for k in range(4)]).reshape(2, 2)
+            # path two: the 2x2 bit table, one gathered sum of the weights per code
+            table = np.array([weights[c].take(idx).sum() for idx in cells[c]]).reshape(2, 2)
             table /= pc[c]
             hb = hummingbird_distance(table)
             if abs(hb["Q"] - Q[c]) > 1e-9 or abs(hb["R"] - R[c]) > 1e-9:

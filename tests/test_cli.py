@@ -638,12 +638,21 @@ _LEAK_PARAMS = {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.5, "alpha": 1.5, "ep
      "leak positions (0.5, 3) must be integers"),
     ({"model": {"name": "classical-leak", "ell": 4, "beta": 0.25, "positions": [True, 2]}},
      "leak positions (True, 2) must be integers"),
+    ({"model": {"name": "classical-leak", "ell": True, "beta": 0.5},
+      "params": dict(_LEAK_PARAMS, k=1, ell=1)}, "ell=True must be a number, not a bool"),
+    ({"model": {"name": "classical-leak", "ell": 4, "beta": True}},
+     "beta=True must be a number, not a bool"),
+    ({"model": {"name": "wiesner", "m": True}, "params": dict(_LEAK_PARAMS, k=1, ell=1)},
+     "m=True must be a number, not a bool"),
+    ({"params": dict(_LEAK_PARAMS, k=True)}, "k=True must be a number, not a bool"),
+    ({"params": dict(_LEAK_PARAMS, m=True, k=1)}, "m=True must be a number, not a bool"),
 ], ids=["string-hash-r", "bool-hash-r", "zero-hash-r", "string-delta", "inf-delta",
         "unknown-model", "bad-wiesner-m", "unknown-model-field", "scalar-positions",
         "inf-gamma", "unknown-param", "params-ell-8-for-leak-ell-4",
         "params-ell-3-for-wiesner-m-2", "hash-r-past-domain", "delta-2", "delta-0",
         "negative-delta", "params-delta-above-half", "fractional-positions",
-        "bool-positions"])
+        "bool-positions", "bool-leak-ell", "bool-leak-beta", "bool-wiesner-m", "bool-params-k",
+        "bool-params-m"])
 def test_bad_otm_security_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
     from otmlab import cli
 

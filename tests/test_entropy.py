@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import otmlab.entropy as entropy_mod
+import split_oracle
 from otmlab.entropy import (
     CondDist,
     SplitNotCertifiedError,
@@ -16,6 +17,7 @@ from otmlab.entropy import (
     min_entropy,
     smoothed_min_entropy,
 )
+from otmlab.otm import ClassicalLeakSim
 
 
 def _random_cond_dist(rng, nx, ny):
@@ -709,3 +711,162 @@ def test_split_joints_equals_per_instance_oracle(data):
         assert np.array_equal(got["event"][i], cert["event"])
         assert np.array_equal(got["hidden"][i], cert["hidden"].p_x_given_y)
         assert np.array_equal(got["hidden_p"][i], cert["hidden"].p_y)
+
+
+# ---------------------------------------------------------------------------
+# the smoothing and hidden-table kernels against the ones they replaced
+# ---------------------------------------------------------------------------
+
+def _random_stack(rng, rows, ny, nx, dead):
+    """rows tables (ny, nx) with zero cells, and a dead slice (P(y) = 0) in
+    every row when `dead`; a dead slice holds a normalised or an empty row."""
+    t = rng.random((rows, ny, nx)) + 0.01
+    t[rng.random(t.shape) < 0.3] = 0.0
+    t[:, :, 0] += 0.01
+    t /= t.sum(axis=2, keepdims=True)
+    p_y = rng.random((rows, ny)) + 0.1
+    if dead:
+        p_y[:, -1] = 0.0
+        t[rng.random(rows) < 0.5, -1] = 0.0
+    return t, p_y / p_y.sum(axis=1, keepdims=True)
+
+
+def _assert_smooth_equal(got, want):
+    value, weights, pr_event, fault = got
+    assert value.tobytes() == want[0].tobytes()
+    assert weights.tobytes() == want[1].tobytes()
+    assert pr_event.tobytes() == want[2].tobytes()
+    assert np.array_equal(fault, want[3])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.05, 0.2, 0.6])
+def test_smooth_equals_masked_oracle(eps):
+    # random stacks with zero cells and dead slices, the dyadic classical
+    # posteriors, and rows that fault, bit for bit
+    rng = np.random.default_rng([17, int(eps * 1000)])
+    for _ in range(40):
+        ny, nx = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        t, p_y = _random_stack(rng, int(rng.integers(1, 6)), ny, nx, ny > 1 and rng.random() < 0.5)
+        _assert_smooth_equal(entropy_mod._smooth(t, p_y, eps), split_oracle.smooth(t, p_y, eps))
+    for ell, beta in ((2, 0.5), (5, 0.3), (8, 0.25)):
+        model = ClassicalLeakSim(ell, beta)
+        t = np.stack([model.conditional_joint(o).reshape(1, -1) for o in model.outcome_set(1.0)])
+        p_y = np.ones((len(t), 1))
+        _assert_smooth_equal(entropy_mod._smooth(t, p_y, eps), split_oracle.smooth(t, p_y, eps))
+    faulty = np.zeros((2, 2, 3))
+    faulty[1, 1] = 1.0 / 3.0  # row 0: nothing live; row 1: only zeros live
+    p_y = np.array([[0.0, 0.0], [1.0, 0.0]])
+    _assert_smooth_equal(entropy_mod._smooth(faulty, p_y, eps),
+                         split_oracle.smooth(faulty, p_y, eps))
+
+
+def test_cap_weights_equals_masked_oracle():
+    rng = np.random.default_rng(18)
+    t = rng.random((6, 3, 7))
+    t[rng.random(t.shape) < 0.3] = 0.0
+    level = np.array([0.0, 1e-300, 0.1, 0.5, 1.0, 2.0])
+    got = entropy_mod._cap_weights(level, t)
+    assert got.tobytes() == split_oracle.cap_weights(level, t).tobytes()
+
+
+@pytest.mark.parametrize("nz, n0, n1", [(1, 256, 256), (3, 8, 8), (2, 5, 3), (3, 1, 7)])
+def test_hidden_tables_equal_full_c_oracle(nz, n0, n1):
+    # C per (z, x0), per (z, x1), fractional, and one joint against a stack
+    # of assignments as the fallback hands them over, bit for bit
+    rng = np.random.default_rng([nz, n0, n1])
+    k = 4
+    joint, _ = _random_stack(rng, k * nz, 1, n0 * n1, dead=False)
+    joint = joint.reshape(k, nz, n0, n1)
+    p_z = rng.random((k, nz)) + 0.1
+    p_z[:, -1] = 0.0 if nz > 1 else p_z[:, -1]
+    p_z /= p_z.sum(axis=1, keepdims=True)
+    choices = [(rng.random((k, nz, n0, 1)) < 0.5).astype(float),
+               (rng.random((k, nz, 1, n1)) < 0.5).astype(float),
+               rng.random((k, nz, n0, 1)), rng.random((k, nz, n0, n1))]
+    for q in choices:
+        for j, pz in ((joint, p_z), (joint[0], p_z[:1])):
+            got = entropy_mod._hidden_tables(j, pz, q)
+            want = split_oracle.hidden_tables(j, pz, q)
+            assert all(g.shape == w.shape and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
+
+
+def _assert_split_results_equal(got, want):
+    assert got.keys() == want.keys()
+    for key in got:
+        if key in ("rule", "fallback_candidates"):
+            assert np.array_equal(got[key], want[key]), key
+        else:
+            assert got[key].shape == want[key].shape, key
+            assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes(), key
+
+
+def _split_both_ways(monkeypatch, tables, p_z, alpha, eps, eps_prime, sabotage=None):
+    """split_joints with the library's kernels, then with the replaced ones; each
+    run starts the sabotage (nz, lower, reset) afresh."""
+    results = []
+    for old in (False, True):
+        with monkeypatch.context() as mp:
+            if old:
+                split_oracle.use_old_kernels(mp)
+            if sabotage is not None:
+                nz, lower, reset = sabotage
+                reset()
+                _sabotage(mp, nz, lower)
+            results.append(entropy_mod.split_joints(tables, p_z, alpha, eps, eps_prime))
+    return results
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+def test_split_joints_equals_old_kernels_on_stacks(monkeypatch, eps):
+    # stacked random joints, each with a dead z slice, at each joint's own
+    # level and at a common lower one
+    rng = np.random.default_rng([19, int(eps * 100)])
+    for nz, n0, n1 in ((3, 8, 8), (2, 4, 5), (1, 16, 3)):
+        t, _ = _random_stack(rng, 6 * nz, 1, n0 * n1, dead=False)
+        p_z = rng.random((6, nz)) + 0.1
+        if nz > 1:
+            p_z[:, -1] = 0.0
+        p_z /= p_z.sum(axis=1, keepdims=True)
+        tables = t.reshape(6, nz, n0, n1)
+        for alpha in (None, 1.0):
+            got, want = _split_both_ways(monkeypatch, tables, p_z, alpha, eps, 0.25)
+            _assert_split_results_equal(got, want)
+
+
+@pytest.mark.parametrize("ell, beta, positions", [
+    (2, 0.5, None), (3, 0.25, None), (4, 0.25, (1, 6)), (5, 0.3, None),
+    (6, 0.5, (0, 3, 4, 7, 9, 10)), (7, 0.25, None), (8, 0.125, (2, 15)), (8, 0.25, None)])
+def test_split_joints_equals_old_kernels_on_classical_posteriors(monkeypatch, ell, beta, positions):
+    # the dyadic posteriors otm splits, stacked as otm stacks them
+    model = ClassicalLeakSim(ell, beta, positions)
+    tables = np.stack([model.conditional_joint(o) for o in model.outcome_set(1.0)])[:, None]
+    level = model.certified_entropy(0)
+    for alpha, eta in ((level, 2.0 ** -1.5), (0.5 * level, 0.5)):
+        got, want = _split_both_ways(monkeypatch, tables, np.ones((len(tables), 1)), alpha, 0.0,
+                                     eta)
+        _assert_split_results_equal(got, want)
+
+
+@pytest.mark.parametrize("skip, rule", [(1, "exhaustive-x0"), (3, "exhaustive-x0"),
+                                        (5, "exhaustive-x1"), (7, "exhaustive-x1")])
+def test_split_joints_equals_old_kernels_in_the_fallback(monkeypatch, skip, rule):
+    # sabotaged certificates: the first `skip` hidden-table smoothings read
+    # 100 bits low, so with nz = 1 and n0 = 2 (1 heaviness + 4 x0
+    # assignments) the fallback certifies on the x0 axis or on the x1 axis
+    state = {"calls": 0}
+
+    def lower(t, p_y):
+        state["calls"] += 1
+        return state["calls"] <= skip
+
+    def reset():
+        state["calls"] = 0
+
+    monkeypatch.setattr(entropy_mod, "STACK_CELLS", 3 * 2 * 3)
+    rng = np.random.default_rng(skip)
+    t, _ = _random_stack(rng, 1, 1, 2 * 3, dead=False)
+    tables, p_z = t.reshape(1, 1, 2, 3), np.ones((1, 1))
+    got, want = _split_both_ways(monkeypatch, tables, p_z, None, 0.0, 0.25, (1, lower, reset))
+    assert got["rule"][0] == rule
+    _assert_split_results_equal(got, want)

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import split_oracle
+from otmlab import entropy as entropy_mod
 from otmlab import otm as otm_module
 from otmlab.entropy import entropy_split, joint_cond_dist
 from otmlab.hashfam import BinaryField, HashFunction, sample_hash
@@ -220,6 +222,28 @@ def test_classical_leak_validation():
     for v in custom.outcome_set(1.0):
         live = custom.conditional_joint(v) > 0
         assert np.array_equal(live, (((s >> 1) & 1) == (v & 1)) & (((t >> 2) & 1) == (v >> 1)))
+
+
+_PARAMS = dict(k=4, ell=4, theta=1.0, delta0=0.5, alpha=1.5, eps0=0.5, gamma=1.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: ClassicalLeakSim(True, 0.5), "ell"),
+    (lambda: ClassicalLeakSim(4, True), "beta"),
+    (lambda: ClassicalLeakSim(np.bool_(True), 0.5), "ell"),
+    (lambda: WiesnerToyOtm(True), "m"),
+    (lambda: ReductionParams(**dict(_PARAMS, k=True)), "k"),
+    (lambda: ReductionParams(**dict(_PARAMS, ell=True, k=1)), "ell"),
+    (lambda: ReductionParams(**dict(_PARAMS, m=True, k=1, ell=1)), "m"),
+    (lambda: ReductionParams(**dict(_PARAMS, theta=True)), "theta"),
+    (lambda: ReductionParams(**dict(_PARAMS, gamma=True)), "gamma"),
+    (lambda: ReductionParams(**dict(_PARAMS, depth_mode=True, phi=1.0, d=True)), "d"),
+], ids=["leak-ell", "leak-beta", "leak-numpy-bool-ell", "wiesner-m", "params-k", "params-ell",
+        "params-m", "params-theta", "params-gamma", "params-d"])
+def test_models_and_params_refuse_bools(build, name):
+    # True passes int(x) == x and every range check as 1, so each would build
+    with pytest.raises(ValueError, match="^%s=.*True.* must be a number, not a bool" % name):
+        build()
 
 
 def test_wiesner_posterior_hand_values():
@@ -720,8 +744,8 @@ def test_split_outcome_equals_cond_dist_route(model):
             want = _split_outcome_oracle(P, alpha_k, eta)
             assert got.keys() == want.keys()
             n = P.shape[0]
-            assert got["C"].shape == want["C"].shape
-            assert got["C"].tobytes() == want["C"].tobytes()
+            assert got["C"].shape in ((n, 1), (1, n))
+            assert np.broadcast_to(got["C"], (n, n)).tobytes() == want["C"].tobytes()
             assert got["E"][0].shape == (n, 1) and got["E"][1].shape == (1, n)
             for c in (0, 1):
                 full = np.broadcast_to(got["E"][c], (n, n))
@@ -885,3 +909,51 @@ def test_hash_bias_tail_and_continuity_check_are_pinned():
                            tau=0.1, delta=0.1, alpha_k=2.5, eta=0.5)
     assert rep["hypothesis_ok"] and rep["bad_c_count"] == 0
     assert _digest(rep) == "d116dda1eb232c766da0d5a40ee04eeeb9cc0e662e6d6851ddec53f023f0c173"
+
+
+def _old_split_outcome(P, alpha_k, eta):
+    """One posterior through `split_joints` alone, C as a full table."""
+    n = P.shape[0]
+    split = entropy_mod.split_joints(P[None, None], np.ones((1, 1)), alpha_k, 0.0, eta)
+    ev = split["event"][0]
+    return 1.0 - split["C"][0, 0], (ev[1, :n][:, None], ev[0, n:][None, :])
+
+
+@pytest.mark.parametrize("model", [
+    ClassicalLeakSim(2, 0.5), ClassicalLeakSim(3, 0.25), ClassicalLeakSim(4, 0.25, (1, 6)),
+    ClassicalLeakSim(5, 0.3), ClassicalLeakSim(6, 0.5, (0, 3, 4, 7, 9, 10)),
+    ClassicalLeakSim(7, 0.25), ClassicalLeakSim(8, 0.125, (2, 15)), ClassicalLeakSim(8, 0.25),
+    WiesnerToyOtm(2), WiesnerToyOtm(3)],
+    ids=["leak-2", "leak-3", "leak-4-positions", "leak-5", "leak-6-positions", "leak-7",
+         "leak-8-positions", "leak-8", "wiesner-2", "wiesner-3"])
+def test_outcome_pass_equals_old_kernels(monkeypatch, model):
+    # `_split_outcome`, `_weights` and `_fourier` against the same split on
+    # the replaced entropy kernels and the replaced `_weights` and
+    # `_fourier`: bit for bit on the dyadic classical posteriors, to 1e-12
+    # on random Wiesner posteriors
+    rng = np.random.default_rng([78, model.ell])
+    tables = _posteriors(model, rng)
+    sF, sG = otm_module._signs(sample_hash(model.ell, 2, rng), sample_hash(model.ell, 2, rng),
+                               model.ell)
+    exact = isinstance(model, ClassicalLeakSim)
+    for alpha_k, eta in ((min(-math.log2(P.max()) for P in tables), 0.25), (1.0, 0.5)):
+        got = []
+        for P in tables:
+            art = otm_module._split_outcome(P, alpha_k, eta)
+            pc, weights = otm_module._weights(P, art["C"], art["E"])
+            got.append((pc, weights) + otm_module._fourier(pc, weights, sF, sG))
+        with monkeypatch.context() as mp:
+            split_oracle.use_old_kernels(mp)
+            want = []
+            for P in tables:
+                pc, weights = split_oracle.weights(P, *_old_split_outcome(P, alpha_k, eta))
+                want.append((pc, weights) + split_oracle.fourier(pc, weights, sF, sG))
+        assert len(got) == len(want) == len(tables)
+        for (pc, weights, Q, R), (pc_w, weights_w, Q_w, R_w) in zip(got, want):
+            if exact:
+                assert repr((pc, Q, R)) == repr((pc_w, Q_w, R_w))
+                assert all(w.tobytes() == v.tobytes() for w, v in zip(weights, weights_w))
+            else:
+                assert np.allclose(pc + Q + R, pc_w + Q_w + R_w, rtol=0.0, atol=1e-12)
+                assert all(np.allclose(w, v, rtol=0.0, atol=1e-12)
+                           for w, v in zip(weights, weights_w))
