@@ -464,7 +464,7 @@ def entropy(count, n0, n1, nz, eps, eps_prime, seed, alpha=None):
         for key, values in split.items():
             values += res[key].tolist()
     joint, bound, value, rule, pr_event = split.values()
-    certified = [v >= b - 1e-9 for v, b in zip(value, bound)]
+    certified = [v >= b - entropy_mod.CERT_TOL for v, b in zip(value, bound)]
     columns = dict(zip(ENTROPY_CSV_COLUMNS, (range(count), joint, [alpha] * count, bound, value,
                                              rule, pr_event, certified)))
     if alpha is None:
@@ -487,9 +487,7 @@ def _security_rules(v):
         raise ValueError("params ell=%d does not match the model's ell=%d" % (v["params"].ell, ell))
     if v["hash_r"] > 1 << ell:
         raise ValueError("parameter 'hash_r'=%d exceeds 2^ell=%d" % (v["hash_r"], 1 << ell))
-    delta = v["params"].delta if v.get("delta") is None else v["delta"]
-    if not 0.0 < 2.0 * delta <= 1.0:
-        raise ValueError("delta=%r leaves 2*delta outside (0, 1]" % (delta,))
+    otm_mod._check_delta(v["params"].delta if v.get("delta") is None else v["delta"])
 
 
 @_command("otm-security", [

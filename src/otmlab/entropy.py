@@ -115,13 +115,10 @@ def min_entropy(p):
     -------
     float (bits)
     """
-    live = p.p_y > 0
-    if not live.any():
-        raise ValueError("no y value has positive probability")
-    top = p.p_x_given_y[live].max()
-    if top <= 0:
-        raise ValueError("empty support: all conditional masses are zero")
-    return -math.log2(top)
+    _, value, fault = _level(p.p_x_given_y[None], p.p_y[None], 0.0)
+    if fault[0]:
+        raise _smoothing_error(fault[0], 0.0)
+    return float(value[0])
 
 
 def _waterfill_level(masses, budgets, live, eps):
@@ -277,10 +274,10 @@ def _hidden_tables(joint, p_z, q):
 
 def _certify(joint, p_z, q, eps_total, bound):
     """Certify C assignments q (stacked as in _hidden_tables, one bound each):
-    recompute H_inf^{eps_total}(X_{1-C} | Z, C) from scratch and, where it
-    meets the bound, witness it with the cheapest event."""
+    recompute H_inf^{eps_total}(X_{1-C} | Z, C) from scratch and witness the
+    bound with the cheapest event (split_joints keeps only rows that meet it)."""
     hidden, hidden_p = _hidden_tables(joint, p_z, q)
-    value, weights, pr_event, fault = _smooth(hidden, hidden_p, eps_total)
+    _, value, fault = _level(hidden, hidden_p, eps_total)
     ok = (fault == 0) & (value >= bound - CERT_TOL)
     # Witness the bound with the cheapest event: clip only the masses above
     # 2^{-bound}.  This removes no more than the optimal water-filling did
@@ -292,11 +289,9 @@ def _certify(joint, p_z, q, eps_total, bound):
     retained = (hidden * cheap).max(axis=(1, 2))
     cheap_value = [-math.log2(r) if 0 < r < 1 else max(b, 0.0)
                    for r, b in zip(retained.tolist(), bound.tolist())]
-    cheap_pr = (hidden_p[:, :, None] * hidden * cheap).sum(axis=(1, 2))
     return {"C": q, "hidden": hidden, "hidden_p": hidden_p, "ok": ok, "fault": fault,
-            "value": np.where(ok, cheap_value, value),
-            "event": np.where(ok[:, None, None], cheap, weights),
-            "event_probability": np.where(ok, cheap_pr, pr_event)}
+            "value": np.where(ok, cheap_value, value), "event": cheap,
+            "event_probability": (hidden_p[:, :, None] * hidden * cheap).sum(axis=(1, 2))}
 
 
 def _fallback(joint, p_z, eps_total, bound, best):

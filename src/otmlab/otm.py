@@ -33,9 +33,9 @@ and negligible-outcome losses gives the closed-form bound
     4*2^{-delta0 k} + 2*2^{-eps0 k} + 2*2^{-(alpha/8) k}
         + 4 (r+1) * 2^{-(alpha/6) k}.
 
-Outcomes below the non-negligibility threshold are assigned C = 0 by
-convention and flagged; outcomes failing the alpha*k entropy hypothesis
-are flagged and carry no security numbers.
+Outcomes below the non-negligibility threshold are not visited: their
+mass is reported as unadvertised.  Outcomes failing the alpha*k entropy
+hypothesis are flagged and carry no security numbers.
 """
 
 import json
@@ -65,11 +65,14 @@ class DegenerateHashError(ValueError):
     """Raised when a requested hash value has an empty preimage."""
 
 
-def _refuse_bools(**values):
-    """Refuse a bool for a number: int() and range checks take True for 1."""
+def _refuse_bad_numbers(integers, **values):
+    """Refuse a bool for a number (int() and range checks take True for 1), and
+    nan or inf for one of the `integers` (int() fails on them without a name)."""
     for name, value in values.items():
         if isinstance(value, (bool, np.bool_)):
             raise ValueError("%s=%r must be a number, not a bool" % (name, value))
+        if name in integers and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("%s=%r must be a finite integer" % (name, value))
 
 
 class ReductionParams:
@@ -98,13 +101,13 @@ class ReductionParams:
 
     def __init__(self, k, ell, theta, delta0, alpha, eps0, gamma,
                  m=None, phi=None, d=None, depth_mode=False):
-        _refuse_bools(k=k, ell=ell, theta=theta, delta0=delta0, alpha=alpha, eps0=eps0,
-                      gamma=gamma, m=m, phi=phi, d=d)
+        _refuse_bad_numbers(("k", "ell", "m", "d"), k=k, ell=ell, theta=theta, delta0=delta0,
+                      alpha=alpha, eps0=eps0, gamma=gamma, m=m, phi=phi, d=d)
         if int(k) != k or k < 1:
             raise ValueError("k=%r must be a positive integer" % (k,))
         if int(ell) != ell or ell < k:
             raise ValueError("ell=%r must be an integer >= k=%d" % (ell, k))
-        if theta < 1.0:
+        if not (theta >= 1.0):
             raise ValueError("theta=%r must be >= 1" % (theta,))
         if not (alpha > 0):
             raise ValueError("alpha=%r must be positive" % (alpha,))
@@ -242,31 +245,7 @@ def r_tail_bound(r, collision, lam):
         return _to_float(mpmath.e ** log)
 
 
-class LeakyOtmModel:
-    """Interface for a leaky string OTM storing ell-bit strings (s, t).
-
-    Implementations set `ell` and expose a finite advertised outcome set with
-    exact posteriors and a self-certified min-entropy per outcome.  Models
-    are stateless; `IdealBitOtm` holds the programmed strings.
-    """
-
-    def outcome_set(self, delta):
-        """Tokens of every advertised delta-non-negligible outcome."""
-        raise NotImplementedError
-
-    def conditional_joint(self, outcome):
-        """Exact P(s, t | Z=outcome) as a (2^ell, 2^ell) array."""
-        raise NotImplementedError
-
-    def outcome_probability(self, outcome):
-        raise NotImplementedError
-
-    def certified_entropy(self, outcome):
-        """A proven lower bound on H_inf(S, T | Z=outcome)."""
-        raise NotImplementedError
-
-
-class ClassicalLeakSim(LeakyOtmModel):
+class ClassicalLeakSim:
     """String OTM that leaks a fixed subset of the interleaved bits.
 
     The 2*ell physical bit positions alternate [s_0, t_0, s_1, t_1, ...];
@@ -278,7 +257,7 @@ class ClassicalLeakSim(LeakyOtmModel):
     """
 
     def __init__(self, ell, beta, positions=None):
-        _refuse_bools(ell=ell, beta=beta)
+        _refuse_bad_numbers(("ell",), ell=ell, beta=beta)
         if int(ell) != ell or not (1 <= ell <= 12):
             raise ValueError("ell=%r outside the desk-scale range 1..12" % (ell,))
         if not (0.0 <= beta <= 1.0):
@@ -344,7 +323,7 @@ _KET = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 _HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-class WiesnerToyOtm(LeakyOtmModel):
+class WiesnerToyOtm:
     """Conjugate-coding string OTM on m qubits (ell = m).
 
     Qubit i carries bit s_i in the computational basis and bit t_i in the
@@ -357,7 +336,7 @@ class WiesnerToyOtm(LeakyOtmModel):
     """
 
     def __init__(self, m):
-        _refuse_bools(m=m)
+        _refuse_bad_numbers(("m",), m=m)
         if int(m) != m or not (1 <= m <= 3):
             raise ValueError("m=%r outside the desk-scale range 1..3" % (m,))
         self.m = int(m)
@@ -393,8 +372,6 @@ class WiesnerToyOtm(LeakyOtmModel):
         return table / table.sum(), prob
 
     def outcome_set(self, delta):
-        if not (0.0 < delta <= 1.0):
-            raise ValueError("delta=%r outside (0, 1]" % (delta,))
         avg = self.average_state()
         return [i for i, p in enumerate(self.povm)
                 if is_delta_non_negligible(p, avg, delta)]
@@ -596,6 +573,29 @@ def _split_outcome(P, alpha_k, eta):
     }
 
 
+def _check_delta(delta):
+    """Refuse a delta that leaves the advertisement level 2*delta outside (0, 1]."""
+    if not (0.0 < 2.0 * delta <= 1.0):
+        raise ValueError("delta=%r leaves 2*delta outside (0, 1]" % (delta,))
+
+
+def _admitted(model, delta, level, eta):
+    """(token, certified entropy, P, split) for each outcome `model` advertises
+    at 2*delta (_check_delta first); the posterior P(s, t | Z=token) and its
+    `_split_outcome` are None for an entropy below level - 1e-9.  A model is
+    stateless and has `ell`, `outcome_set(delta)` and, per token,
+    `conditional_joint` (a (2^ell, 2^ell) array), `outcome_probability` and
+    `certified_entropy` (a proven lower bound on H_inf(S, T | Z=token))."""
+    _check_delta(delta)
+    for token in model.outcome_set(2.0 * delta):
+        entropy = model.certified_entropy(token)
+        if entropy < level - 1e-9:
+            yield token, entropy, None, None
+        else:
+            P = model.conditional_joint(token)
+            yield token, entropy, P, _split_outcome(P, level, eta)
+
+
 class SecurityReport:
     """Per-outcome and aggregated security numbers for one evaluated OTM."""
 
@@ -651,10 +651,7 @@ def evaluate_security(otm, delta, params):
     SecurityReport
     """
     model = otm.inner
-    if not (0.0 < 2.0 * delta <= 1.0):
-        raise ValueError("delta=%r leaves 2*delta outside (0, 1]" % (delta,))
     level = params.alpha * params.k
-    outcomes = model.outcome_set(2.0 * delta)
     sF, sG = _signs(otm.F, otm.G, model.ell)
     bitsF = ((1.0 - sF) / 2.0).astype(np.uint8)[:, None]
     bitsG = ((1.0 - sG) / 2.0).astype(np.uint8)[None, :]
@@ -668,11 +665,10 @@ def evaluate_security(otm, delta, params):
     advertised_mass = 0.0
     weighted_l1 = []      # per-outcome aggregation path
     direct_abs = []       # independent direct-scan path
-    for token in outcomes:
+    for token, entropy, P, art in _admitted(model, delta, level, params.eta):
         prob = model.outcome_probability(token)
         advertised_mass += prob
-        entropy = model.certified_entropy(token)
-        if entropy < level - 1e-9:
+        if art is None:
             violations.append({"outcome": repr(token), "entropy": entropy})
             rows.append({"outcome": repr(token), "probability": prob,
                          "entropy": entropy, "pr_c": [None, None],
@@ -682,8 +678,6 @@ def evaluate_security(otm, delta, params):
                          "flags": ["hypothesis-violation"]})
             continue
         certified_mass += prob
-        P = model.conditional_joint(token)
-        art = _split_outcome(P, level, params.eta)
         pc, weights = _weights(P, art["C"], art["E"])
         Q, R = _fourier(pc, weights, sF, sG)
         flags = []
@@ -741,8 +735,8 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
 
     Parameters
     ----------
-    model : LeakyOtmModel
-    delta : outcome advertisement level
+    model : ClassicalLeakSim or WiesnerToyOtm (the protocol `_admitted` states)
+    delta : outcomes are advertised at 2*delta, refused outside (0, 1]
     r : hash family independence (multiple of 4, at most 2^ell)
     trials : number of (F, G) samples, >= 10^3 for reportable statistics
     rng : numpy.random.Generator
@@ -771,11 +765,9 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     q_instances = []   # (weights vector, which hash) for linear forms
     r_instances = []   # V matrices for bilinear forms
     collision_log2s = []
-    for token in model.outcome_set(min(1.0, 2.0 * delta)):
-        if model.certified_entropy(token) < alpha_k - 1e-9:
+    for _, _, P, art in _admitted(model, delta, alpha_k, eta):
+        if art is None:
             continue
-        P = model.conditional_joint(token)
-        art = _split_outcome(P, alpha_k, eta)
         collision_log2s.append(art["collision_log2"])
         pc, weights = _weights(P, art["C"], art["E"])
         for c in (0, 1):

@@ -8,6 +8,9 @@ bit:
   and masked cap-weight divide, which builds the weights at every eps;
 - `hidden_tables`: `entropy._hidden_tables` on a full (K, nz, n0, n1) C
   table, with both C-weighted joints alive at once;
+- `certify`: `entropy._certify` on the full smoothing `_smooth`, with the
+  optimal event kept on every row that does not meet its bound;
+- `min_entropy`: `entropy.min_entropy` with its own live-maximum scan;
 - `weights` and `fourier`: `otm._weights`, which forms each P * Pr(C=c)
   twice, and `otm._fourier`, which multiplies by sF then sG per outcome.
 """
@@ -61,11 +64,42 @@ def hidden_tables(joint, p_z, q):
     return table.reshape(k, 2 * nz, n0 + n1), (p_z[:, :, None] * pc).reshape(k, 2 * nz)
 
 
+def certify(joint, p_z, q, eps_total, bound):
+    """Certify C assignments q as `entropy._certify` did: smooth each hidden
+    table in full and, where it meets the bound, swap the event for the
+    cheapest witness."""
+    hidden, hidden_p = entropy_mod._hidden_tables(joint, p_z, q)
+    value, weights, pr_event, fault = entropy_mod._smooth(hidden, hidden_p, eps_total)
+    ok = (fault == 0) & (value >= bound - entropy_mod.CERT_TOL)
+    thresh = np.array([2.0 ** (-b) for b in bound.tolist()])
+    cheap = entropy_mod._cap_weights(thresh, hidden)
+    retained = (hidden * cheap).max(axis=(1, 2))
+    cheap_value = [-math.log2(r) if 0 < r < 1 else max(b, 0.0)
+                   for r, b in zip(retained.tolist(), bound.tolist())]
+    cheap_pr = (hidden_p[:, :, None] * hidden * cheap).sum(axis=(1, 2))
+    return {"C": q, "hidden": hidden, "hidden_p": hidden_p, "ok": ok, "fault": fault,
+            "value": np.where(ok, cheap_value, value),
+            "event": np.where(ok[:, None, None], cheap, weights),
+            "event_probability": np.where(ok, cheap_pr, pr_event)}
+
+
+def min_entropy(p):
+    """-lg of the largest conditional mass over slices with P(y) > 0."""
+    live = p.p_y > 0
+    if not live.any():
+        raise ValueError("no y value has positive probability")
+    top = p.p_x_given_y[live].max()
+    if top <= 0:
+        raise ValueError("empty support: all conditional masses are zero")
+    return -math.log2(top)
+
+
 def use_old_kernels(monkeypatch):
-    """Make `entropy` smooth and build hidden tables with these oracles."""
+    """Make `entropy` smooth, certify and build hidden tables with these oracles."""
     monkeypatch.setattr(entropy_mod, "_smooth", smooth)
     monkeypatch.setattr(entropy_mod, "_cap_weights", cap_weights)
     monkeypatch.setattr(entropy_mod, "_hidden_tables", hidden_tables)
+    monkeypatch.setattr(entropy_mod, "_certify", certify)
 
 
 def weights(P, C, E):

@@ -505,17 +505,17 @@ def test_entropy_manifest_counts_rules_and_fallbacks(runner, tmp_path, monkeypat
     # the heaviness certificates (the first call on hidden tables of 2 nz
     # rows) read 100 bits low, so every instance takes the fallback, whose
     # first assignment (C = 0 everywhere) certifies
-    real, calls = entropy_mod._smooth, []
+    real, calls = entropy_mod._level, []
 
     def lowball(t, p_y, eps):
-        value, weights, pr_event, fault = real(t, p_y, eps)
+        level, value, fault = real(t, p_y, eps)
         if t.shape[1] == 4:
             calls.append(len(t))
             if len(calls) == 1:
                 value = value - 100.0
-        return value, weights, pr_event, fault
+        return level, value, fault
 
-    monkeypatch.setattr(entropy_mod, "_smooth", lowball)
+    monkeypatch.setattr(entropy_mod, "_level", lowball)
     result = runner.invoke(main, args + [str(tmp_path / "b")])
     assert result.exit_code == 0, result.output
     manifest = json.loads((tmp_path / "b" / "entropy_manifest.json").read_text())
@@ -646,13 +646,24 @@ _LEAK_PARAMS = {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.5, "alpha": 1.5, "ep
      "m=True must be a number, not a bool"),
     ({"params": dict(_LEAK_PARAMS, k=True)}, "k=True must be a number, not a bool"),
     ({"params": dict(_LEAK_PARAMS, m=True, k=1)}, "m=True must be a number, not a bool"),
+    ({"params": dict(_LEAK_PARAMS, k=math.inf)}, "k=inf must be a finite integer"),
+    ({"params": dict(_LEAK_PARAMS, ell=-math.inf)}, "ell=-inf must be a finite integer"),
+    ({"params": dict(_LEAK_PARAMS, m=math.nan)}, "m=nan must be a finite integer"),
+    ({"params": dict(_LEAK_PARAMS, theta=math.nan)}, "theta=nan must be >= 1"),
+    ({"params": dict(_LEAK_PARAMS, depth_mode=True, phi=1.0, d=math.inf)},
+     "d=inf must be a finite integer"),
+    ({"model": {"name": "wiesner", "m": math.inf}, "params": dict(_LEAK_PARAMS, k=1, ell=1)},
+     "m=inf must be a finite integer"),
+    ({"model": {"name": "classical-leak", "ell": math.inf, "beta": 0.25}},
+     "ell=inf must be a finite integer"),
 ], ids=["string-hash-r", "bool-hash-r", "zero-hash-r", "string-delta", "inf-delta",
         "unknown-model", "bad-wiesner-m", "unknown-model-field", "scalar-positions",
         "inf-gamma", "unknown-param", "params-ell-8-for-leak-ell-4",
         "params-ell-3-for-wiesner-m-2", "hash-r-past-domain", "delta-2", "delta-0",
         "negative-delta", "params-delta-above-half", "fractional-positions",
         "bool-positions", "bool-leak-ell", "bool-leak-beta", "bool-wiesner-m", "bool-params-k",
-        "bool-params-m"])
+        "bool-params-m", "inf-params-k", "minus-inf-params-ell", "nan-params-m", "nan-theta",
+        "inf-depth-d", "inf-wiesner-m", "inf-leak-ell"])
 def test_bad_otm_security_config_values_are_rejected(runner, tmp_path, monkeypatch, bad, word):
     from otmlab import cli
 
@@ -733,8 +744,9 @@ _POINT = {"k": 16, "ell": 16, "theta": 1.0, "delta0": 0.25, "alpha": 1.0, "eps0"
     ({"points": [_POINT, dict(_POINT, gamma=math.inf)]}, "gamma=inf"),
     ({"points": [dict(_POINT, colour=1)]}, "bad reduction parameter"),
     ({"points": [_POINT], "seed": 1}, "unknown parameters: seed"),
+    ({"points": [dict(_POINT, ell=math.inf)]}, "ell=inf must be a finite integer"),
 ], ids=["empty", "not-a-list", "not-a-mapping", "zero-k", "inf-gamma", "unknown-param",
-        "seed"])
+        "seed", "inf-ell"])
 def test_bad_theorem_points_are_rejected(runner, tmp_path, monkeypatch, config, word):
     from otmlab import otm as otm_mod
 

@@ -1,5 +1,6 @@
 import math
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,6 +118,25 @@ def test_min_entropy_basics():
     assert min_entropy(point) == 0.0
     p = CondDist([[0.5, 0.25, 0.25]], [1.0])
     assert min_entropy(p) == pytest.approx(1.0)
+
+
+def test_min_entropy_equals_live_max_oracle():
+    # random tables with zero cells and dead slices, then the two faults
+    # (no live slice; only zeros live), which CondDist itself never builds
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        ny, nx = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        t, p_y = _random_stack(rng, 1, ny, nx, ny > 1 and rng.random() < 0.5)
+        p = CondDist(t[0], p_y[0])
+        assert repr(min_entropy(p)) == repr(split_oracle.min_entropy(p))
+    for t, p_y in ((np.full((2, 3), 1 / 3), np.zeros(2)),
+                   (np.zeros((2, 3)), np.array([1.0, 0.0]))):
+        p = SimpleNamespace(p_x_given_y=t, p_y=p_y)
+        with pytest.raises(ValueError) as want:
+            split_oracle.min_entropy(p)
+        with pytest.raises(ValueError) as got:
+            min_entropy(p)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_min_entropy_ignores_dead_slices():
@@ -401,19 +421,21 @@ def test_hidden_table_hand_case():
     assert np.allclose(hidden.p_x_given_y[1], [0.0, 1.0, 0.0, 0.0])
 
 
-def _sabotage(monkeypatch, nz, lower):
-    """Patch the stacked smoothing: every hidden table (2 nz rows, where a
-    joint has nz) for which lower(table, p_y) holds reads 100 bits low."""
-    real = entropy_mod._smooth
+def _sabotage(monkeypatch, nz, lower, old=False):
+    """Patch the stacked smoothing level `_level` (or, for the old kernels'
+    `_certify`, `_smooth`): every hidden table (2 nz rows, where a joint has
+    nz) for which lower(table, p_y) holds reads 100 bits low."""
+    name, at = ("_smooth", 0) if old else ("_level", 1)  # where the value sits
+    real = getattr(entropy_mod, name)
 
-    def smooth(t, p_y, eps):
-        value, weights, pr_event, fault = real(t, p_y, eps)
+    def lowered(t, p_y, eps):
+        out = list(real(t, p_y, eps))
         if t.shape[1] == 2 * nz:
             hit = np.array([lower(tk, pk) for tk, pk in zip(t, p_y)], dtype=bool)
-            value = np.where(hit, value - 100.0, value)
-        return value, weights, pr_event, fault
+            out[at] = np.where(hit, out[at] - 100.0, out[at])
+        return tuple(out)
 
-    monkeypatch.setattr(entropy_mod, "_smooth", smooth)
+    monkeypatch.setattr(entropy_mod, name, lowered)
 
 
 def _oracle_sabotaged(lower):
@@ -450,7 +472,7 @@ def test_split_needs_a_pair_shape(monkeypatch):
     def no_smoothing(*args):
         raise AssertionError("smoothing ran before the shape check")
 
-    monkeypatch.setattr(entropy_mod, "_smooth", no_smoothing)
+    monkeypatch.setattr(entropy_mod, "_level", no_smoothing)
     with pytest.raises(ValueError, match="pairs"):
         entropy_split(p, 4.0, 0.0, 0.25)
 
@@ -812,7 +834,7 @@ def _split_both_ways(monkeypatch, tables, p_z, alpha, eps, eps_prime, sabotage=N
             if sabotage is not None:
                 nz, lower, reset = sabotage
                 reset()
-                _sabotage(mp, nz, lower)
+                _sabotage(mp, nz, lower, old)
             results.append(entropy_mod.split_joints(tables, p_z, alpha, eps, eps_prime))
     return results
 
@@ -848,12 +870,16 @@ def test_split_joints_equals_old_kernels_on_classical_posteriors(monkeypatch, el
         _assert_split_results_equal(got, want)
 
 
-@pytest.mark.parametrize("skip, rule", [(1, "exhaustive-x0"), (3, "exhaustive-x0"),
-                                        (5, "exhaustive-x1"), (7, "exhaustive-x1")])
-def test_split_joints_equals_old_kernels_in_the_fallback(monkeypatch, skip, rule):
+@pytest.mark.parametrize("nz, eps, skip, rule", [
+    (1, 0.0, 1, "exhaustive-x0"), (1, 0.0, 3, "exhaustive-x0"), (1, 0.0, 5, "exhaustive-x1"),
+    (1, 0.0, 7, "exhaustive-x1"), (2, 0.05, 2, "exhaustive-x0"), (2, 0.05, 19, "exhaustive-x1")],
+    ids=["1-exhaustive-x0", "3-exhaustive-x0", "5-exhaustive-x1", "7-exhaustive-x1",
+         "dead-z-eps-2-exhaustive-x0", "dead-z-eps-19-exhaustive-x1"])
+def test_split_joints_equals_old_kernels_in_the_fallback(monkeypatch, nz, eps, skip, rule):
     # sabotaged certificates: the first `skip` hidden-table smoothings read
-    # 100 bits low, so with nz = 1 and n0 = 2 (1 heaviness + 4 x0
-    # assignments) the fallback certifies on the x0 axis or on the x1 axis
+    # 100 bits low, so with n0 = 2 (1 heaviness + 4^nz x0 assignments) the
+    # fallback certifies on the x0 axis or on the x1 axis; at nz = 2 the
+    # second z slice is dead and the joint is smoothed at eps > 0
     state = {"calls": 0}
 
     def lower(t, p_y):
@@ -863,10 +889,10 @@ def test_split_joints_equals_old_kernels_in_the_fallback(monkeypatch, skip, rule
     def reset():
         state["calls"] = 0
 
-    monkeypatch.setattr(entropy_mod, "STACK_CELLS", 3 * 2 * 3)
+    monkeypatch.setattr(entropy_mod, "STACK_CELLS", 3 * nz * 2 * 3)
     rng = np.random.default_rng(skip)
-    t, _ = _random_stack(rng, 1, 1, 2 * 3, dead=False)
-    tables, p_z = t.reshape(1, 1, 2, 3), np.ones((1, 1))
-    got, want = _split_both_ways(monkeypatch, tables, p_z, None, 0.0, 0.25, (1, lower, reset))
+    t, _ = _random_stack(rng, nz, 1, 2 * 3, dead=False)
+    tables, p_z = t.reshape(1, nz, 2, 3), np.eye(1, nz)
+    got, want = _split_both_ways(monkeypatch, tables, p_z, None, eps, 0.25, (nz, lower, reset))
     assert got["rule"][0] == rule
     _assert_split_results_equal(got, want)

@@ -810,6 +810,24 @@ def test_hash_bias_tail_rejects_non_finite_thresholds(bad, monkeypatch):
                        alpha_k=4.0, eta=0.5, lambda_grid=[bad, 0.5])
 
 
+@pytest.mark.parametrize("delta", [0.8, -0.1])
+def test_hash_bias_tail_refuses_delta_as_evaluate_security_does(delta):
+    # one admission rule: 2*delta outside (0, 1] is refused, neither clamped
+    # to 1 nor reported doubled
+    model = ClassicalLeakSim(4, 0.25)
+    field = BinaryField(4)
+    otm = IdealBitOtm(HashFunction(field, (0, 1)), HashFunction(field, (1, 1)), model)
+    params = ReductionParams(k=4, ell=4, theta=1.0, delta0=0.5, alpha=1.5, eps0=0.5, gamma=1.0)
+    with pytest.raises(ValueError) as want:
+        evaluate_security(otm, delta, params)
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as got:
+        hash_bias_tail(model, delta, 4, 1000, rng, alpha_k=6.0, eta=0.5)
+    assert str(got.value) == str(want.value) == "delta=%r leaves 2*delta outside (0, 1]" % delta
+    assert rng.bit_generator.state == state
+
+
 def test_hash_bias_tail_refuses_r_above_domain_before_any_work(monkeypatch):
     def no_split(*args):
         raise AssertionError("an outcome was split before r was checked")
