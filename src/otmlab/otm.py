@@ -18,17 +18,22 @@ c = 0, t when c = 1) is the hidden, high-entropy string,
     R_c(M) = E(1_E (-1)^{A_0 + A_1} | C=c, Z=M),
 
 and the distance of (A_C, given the revealed bit) from uniform obeys the
-exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.  The outcomes
-of `evaluate_security`, `hash_bias_tail` and `continuity_check` run one
-pipeline: `_split_outcome` gives (C, E) as (n, 1)/(1, n) views, `_weights`
-forms each P(s,t|M) Pr(C=c|s,t) once and gives Pr(C=c | Z=M) and the
-weights P(s,t|M) Pr(C=c|s,t) E_c(s,t), and `_fourier` sums them against
-the hash signs; the direct scan of `evaluate_security` and the instances of
-`hash_bias_tail` read the same weights.  Over the hash family, Q_c is a
-linear form and R_c a
-bilinear form in r-wise independent signs, so the moment tail bounds from
-`tails` control both; aggregating over outcomes and adding the smoothing
-and negligible-outcome losses gives the closed-form bound
+exact 2x2 Fourier identity l1 = max(|Q|, |R|) <= |Q| + |R|.
+
+Over the hash family, Q_c is a linear and R_c a bilinear form in r-wise
+independent signs: with W_c(s, t) = P(s,t|M) Pr(C=c|s,t) E_c(s,t) and u_c
+the sums of W_c over the revealed string,
+
+    Q_c = u_c . s_hidden / Pr(C=c | Z=M),   R_c = sF . W_c . sG / Pr(C=c | Z=M).
+
+`_admitted` splits each advertised outcome (`_split_outcome`: (C, E) as
+(n, 1)/(1, n) views) and forms its weights once (`_weights`); `_forms`
+states (u_c, W_c) for each c of positive probability.  `_fourier`
+evaluates them at one sign pair, `hash_bias_tail` stacks them for its
+trials, and the direct scan of `evaluate_security` reads the same weights.
+The moment tail bounds from `tails` control both forms; aggregating over
+outcomes and adding the smoothing and negligible-outcome losses gives the
+closed-form bound
 
     4*2^{-delta0 k} + 2*2^{-eps0 k} + 2*2^{-(alpha/8) k}
         + 4 (r+1) * 2^{-(alpha/6) k}.
@@ -48,14 +53,7 @@ from .entropy import SLICE_TOL, split_joints
 from .hashfam import HashFunction, HashTables, sample_hash, seed_bits
 from .quantum import (NumericalConsistencyError, PovmElement, _as_matrix, is_delta_non_negligible,
                       opnorms, tensor_stack)
-from .tails import (
-    BOUND_DPS,
-    CHUNK,
-    _to_float,
-    clopper_pearson_upper,
-    crayfish_bound,
-    kite_bound,
-)
+from .tails import BOUND_DPS, CHUNK, _tally, _to_float, crayfish_bound, kite_bound
 
 MAX_REJECTIONS = 10 ** 6
 PREIMAGE_SCAN_LIMIT = 1 << 20
@@ -397,11 +395,8 @@ class IdealBitOtm:
     """
 
     def __init__(self, F, G, inner):
-        if not isinstance(F, HashFunction) or not isinstance(G, HashFunction):
+        if len(_hashes_on(inner.ell, F, G)) != 2:
             raise ValueError("F and G must be HashFunctions")
-        if F.field.ell != inner.ell or G.field.ell != inner.ell:
-            raise ValueError("hash domain 2^%d/2^%d does not match model ell=%d"
-                             % (F.field.ell, G.field.ell, inner.ell))
         self.F = F
         self.G = G
         self.inner = inner
@@ -473,15 +468,21 @@ def program_ideal(otm, a0, a1, rng):
     return otm
 
 
+def _hashes_on(ell, *candidates):
+    """The HashFunctions among `candidates`, each refused unless it is on ell bits."""
+    hashes = [h for h in candidates if isinstance(h, HashFunction)]
+    for h in hashes:
+        if h.ell != ell:
+            raise ValueError("hash domain 2^%d does not match model ell=%d" % (h.ell, ell))
+    return hashes
+
+
 def _signs(F, G, ell):
     """(-1)^{h(x)} for x = 0..2^ell-1 and h = F, G, each a HashFunction on ell
     bits or a +-1 table of length 2^ell.  The hashes share one `HashTables`
     build at the larger r; zero coefficients pad the shorter polynomial."""
     n = 1 << ell
-    hashes = [h for h in (F, G) if isinstance(h, HashFunction)]
-    for h in hashes:
-        if h.ell != ell:
-            raise ValueError("hash domain 2^%d does not match model ell=%d" % (h.ell, ell))
+    hashes = _hashes_on(ell, F, G)
     if hashes:
         r = max(h.r for h in hashes)
         bits = iter(HashTables(ell, r, np.arange(n)).hash_bits(
@@ -504,22 +505,24 @@ def _weights(P, C, E):
             [np.multiply(w, e, out=w) for w, e in zip(tables, E)])
 
 
+def _forms(pc, weights):
+    """(c, u, W) for each c with Pr(C=c | Z=M) = pc[c] > 0, from `_weights`: W
+    is the weight table and u its sums over the revealed string (t for c=0,
+    s for c=1), so Q_c = u . s_hidden / pc[c] and R_c = sF . W . sG / pc[c]."""
+    for c in (0, 1):
+        if pc[c] > 0.0:
+            yield c, weights[c].sum(axis=1 - c), weights[c]
+
+
 def _fourier(pc, weights, sF, sG):
-    """Q_c and R_c (each a length-2 list indexed by c) from the output of
-    `_weights` and the +-1 signs of F and G; a c of zero probability yields
-    exactly 0.0 for both.  Multiplying by +-1 is exact, so one temporary per
-    c holds the weights times the hidden string's signs (Q) and then, in
-    place, times the other's (R): the bits of a product with sF x sG, which
-    is never formed."""
+    """Q_c and R_c (each a length-2 list indexed by c): the `_forms` at the +-1
+    signs of F and G, exactly 0.0 for a c of zero probability.  R_c is two
+    matrix-vector products, so no (n, n) temporary is made."""
     q_out = [0.0, 0.0]
     r_out = [0.0, 0.0]
-    for c in (0, 1):
-        if pc[c] <= 0.0:
-            continue
-        hidden, other = (sF[:, None], sG[None, :]) if c == 0 else (sG[None, :], sF[:, None])
-        signed = weights[c] * hidden
-        q_out[c] = float(signed.sum()) / pc[c]
-        r_out[c] = float(np.multiply(signed, other, out=signed).sum()) / pc[c]
+    for c, u, W in _forms(pc, weights):
+        q_out[c] = float(u @ (sG if c else sF)) / pc[c]
+        r_out[c] = float(sF @ (W @ sG)) / pc[c]
     return q_out, r_out
 
 
@@ -580,20 +583,22 @@ def _check_delta(delta):
 
 
 def _admitted(model, delta, level, eta):
-    """(token, certified entropy, P, split) for each outcome `model` advertises
-    at 2*delta (_check_delta first); the posterior P(s, t | Z=token) and its
-    `_split_outcome` are None for an entropy below level - 1e-9.  A model is
-    stateless and has `ell`, `outcome_set(delta)` and, per token,
+    """(token, certified entropy, split, pc, weights) for each outcome `model`
+    advertises at 2*delta (_check_delta first): the `_split_outcome` of the
+    posterior P(s, t | Z=token) and its `_weights`, from which `_forms` reads
+    Q_c and R_c; all three are None for an entropy below level - 1e-9.  A
+    model is stateless and has `ell`, `outcome_set(delta)` and, per token,
     `conditional_joint` (a (2^ell, 2^ell) array), `outcome_probability` and
     `certified_entropy` (a proven lower bound on H_inf(S, T | Z=token))."""
     _check_delta(delta)
     for token in model.outcome_set(2.0 * delta):
         entropy = model.certified_entropy(token)
         if entropy < level - 1e-9:
-            yield token, entropy, None, None
+            yield token, entropy, None, None, None
         else:
             P = model.conditional_joint(token)
-            yield token, entropy, P, _split_outcome(P, level, eta)
+            split = _split_outcome(P, level, eta)
+            yield (token, entropy, split) + _weights(P, split["C"], split["E"])
 
 
 class SecurityReport:
@@ -665,10 +670,10 @@ def evaluate_security(otm, delta, params):
     advertised_mass = 0.0
     weighted_l1 = []      # per-outcome aggregation path
     direct_abs = []       # independent direct-scan path
-    for token, entropy, P, art in _admitted(model, delta, level, params.eta):
+    for token, entropy, split, pc, weights in _admitted(model, delta, level, params.eta):
         prob = model.outcome_probability(token)
         advertised_mass += prob
-        if art is None:
+        if split is None:
             violations.append({"outcome": repr(token), "entropy": entropy})
             rows.append({"outcome": repr(token), "probability": prob,
                          "entropy": entropy, "pr_c": [None, None],
@@ -678,30 +683,25 @@ def evaluate_security(otm, delta, params):
                          "flags": ["hypothesis-violation"]})
             continue
         certified_mass += prob
-        pc, weights = _weights(P, art["C"], art["E"])
+        # path one: the Fourier identity on the forms (0.0 for a bad c)
         Q, R = _fourier(pc, weights, sF, sG)
-        flags = []
-        l1 = [0.0, 0.0]
-        for c in (0, 1):
-            if pc[c] <= 0.0:
-                flags.append("bad-c%d" % c)
-                continue
-            # path one: the Fourier identity on the sign-weighted sums
-            l1[c] = 0.5 * (abs(Q[c] + R[c]) + abs(Q[c] - R[c]))
+        l1 = [0.5 * (abs(q + r) + abs(q - r)) for q, r in zip(Q, R)]
+        flags = ["bad-c%d" % c for c in (0, 1) if pc[c] <= 0.0]
+        for c, _, W in _forms(pc, weights):
             # path two: the 2x2 bit table, one gathered sum of the weights per code
-            table = np.array([weights[c].take(idx).sum() for idx in cells[c]]).reshape(2, 2)
+            table = np.array([W.take(idx).sum() for idx in cells[c]]).reshape(2, 2)
             table /= pc[c]
             hb = hummingbird_distance(table)
             if abs(hb["Q"] - Q[c]) > 1e-9 or abs(hb["R"] - R[c]) > 1e-9:
                 raise NumericalConsistencyError("Fourier coefficients disagree with direct sums")
-            direct_abs.append(prob * np.abs(table[0] - table[1]).sum() * pc[c])
+            direct_abs.append(prob * hb["l1"] * pc[c])
         l1_weighted = sum(pc[c] * l1[c] for c in (0, 1))
         weighted_l1.append((prob, l1_weighted))
         rows.append({"outcome": repr(token), "probability": prob,
                      "entropy": entropy, "pr_c": pc,
                      "Q": Q, "R": R, "l1": l1,
                      "l1_weighted": l1_weighted,
-                     "smoothing_deficit": 1.0 - art["event_probability"],
+                     "smoothing_deficit": 1.0 - split["event_probability"],
                      "flags": flags})
     if certified_mass <= 0.0:
         raise ValueError("no advertised outcome satisfies the entropy hypothesis")
@@ -724,11 +724,12 @@ def evaluate_security(otm, delta, params):
 def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None):
     """Monte Carlo tail of max over outcomes of |Q_c|, |R_c| versus bounds.
 
-    Fixes the model's per-outcome splits (C, E), then samples `trials`
-    independent hash pairs (F, G) of independence r and records the
-    maximum over certified (outcome, c) instances of |Q_c(M)| and
-    |R_c(M)|.  Reports, per lambda: the empirical exceedance fraction and
-    its 99% upper confidence limit, the sharp union bound summing the
+    Fixes the model's per-outcome splits (C, E) and stacks their `_forms`,
+    then samples `trials` independent hash pairs (F, G) of independence r
+    and records the maximum over certified (outcome, c) instances of
+    |Q_c(M)| and |R_c(M)|.  Reports, per lambda: the empirical exceedance
+    fraction and its 99% upper confidence limit (`tails._tally`, the tally
+    of the tails Monte Carlo), the sharp union bound summing the
     per-instance moment bounds at the true square-sums and matrix norms,
     and the uniform-collision union bound that replaces every instance by
     its certified 2^{-value} collision level.
@@ -742,12 +743,14 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     rng : numpy.random.Generator
     alpha_k : entropy hypothesis level alpha*k
     eta : split smoothing budget
-    lambda_grid : optional thresholds (default geometric 1/16 .. 2)
+    lambda_grid : optional positive thresholds (default geometric 1/16 .. 2),
+        refused before any draw when not a nonempty finite 1-d grid
 
     Returns
     -------
-    dict with lambdas, exceed counts/fractions/UCLs for Q, R and their
-    max, union_bound_sharp, union_bound_theorem, instances, trials
+    dict with the lambdas array and, as lists over lambda, the exceedance
+    fractions and UCLs for Q, R and their max, union_bound_sharp and
+    union_bound_theorem; also instances, trials, r and collision_log2
     """
     if int(r) != r or r < 4 or r % 4 != 0:
         raise ValueError("r=%r must be a multiple of 4 (the bilinear bound splits it)" % (r,))
@@ -759,24 +762,18 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     if lambda_grid is None:
         lambda_grid = np.geomspace(1.0 / 16.0, 2.0, 6)
     lambdas = np.asarray(lambda_grid, dtype=float)
-    if not np.isfinite(lambdas).all() or (lambdas <= 0).any():
-        raise ValueError("lambda grid must be finite and positive")
+    if lambdas.ndim != 1 or not lambdas.size or not (np.isfinite(lambdas) & (lambdas > 0)).all():
+        raise ValueError("lambda grid must be a nonempty 1-d array, finite and positive")
 
-    q_instances = []   # (weights vector, which hash) for linear forms
-    r_instances = []   # V matrices for bilinear forms
+    q_instances = []   # (u / Pr(C=c), which hash) for linear forms
+    r_instances = []   # W / Pr(C=c) for bilinear forms
     collision_log2s = []
-    for _, _, P, art in _admitted(model, delta, alpha_k, eta):
-        if art is None:
-            continue
-        collision_log2s.append(art["collision_log2"])
-        pc, weights = _weights(P, art["C"], art["E"])
-        for c in (0, 1):
-            if pc[c] <= 0.0:
-                continue
-            weight = weights[c] / pc[c]
-            u = weight.sum(axis=1) if c == 0 else weight.sum(axis=0)
-            q_instances.append((u, c))
-            r_instances.append(weight)
+    for _, _, split, pc, weights in _admitted(model, delta, alpha_k, eta):
+        if split is not None:
+            collision_log2s.append(split["collision_log2"])
+            for c, u, W in _forms(pc, weights):
+                q_instances.append((u / pc[c], c))
+                r_instances.append(W / pc[c])
     if not q_instances:
         raise ValueError("no certified outcome instances to sample")
 
@@ -807,27 +804,22 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
                     best = val
             max_q[i] = best
             max_r[i] = np.abs(np.einsum("s,kst,t->k", sF, V_stack, sG)).max()
-    stat = np.maximum(max_q, max_r)
-
+    tally = [_tally([series], lambdas, trials)
+             for series in (max_q, max_r, np.maximum(max_q, max_r))]
+    coll = 2.0 ** max(collision_log2s)
     out = {"lambdas": lambdas, "trials": trials, "r": r,
            "instances": len(V_stack),
-           "collision_log2": max(collision_log2s),
-           "exceed_q": [], "exceed_r": [], "exceed": [],
-           "ucl_q": [], "ucl_r": [], "ucl": [],
-           "union_bound_sharp": [], "union_bound_theorem": []}
-    coll = 2.0 ** max(collision_log2s)
-    for lam in lambdas:
-        for key, series in (("_q", max_q), ("_r", max_r), ("", stat)):
-            k = int((series >= lam).sum())
-            out["exceed" + key].append(k / trials)
-            out["ucl" + key].append(clopper_pearson_upper(k, trials))
-        sharp = math.fsum(kite_bound(r, v, lam) for v in v_linear)
-        sharp += math.fsum(crayfish_bound(r // 2, f, o, lam)
-                           for f, o in zip(frob_half, op_half))
-        out["union_bound_sharp"].append(min(1.0, sharp))
-        theorem = len(q_instances) * kite_bound(r, coll, lam) \
-            + len(V_stack) * r_tail_bound(r, coll, lam)
-        out["union_bound_theorem"].append(min(1.0, theorem))
+           "collision_log2": max(collision_log2s)}
+    for field, key in (("exceed", "freqs"), ("ucl", "upper_cl_99")):
+        for suffix, counted in zip(("_q", "_r", ""), tally):
+            out[field + suffix] = counted[key].tolist()
+    out["union_bound_sharp"] = [min(1.0, math.fsum(kite_bound(r, v, lam) for v in v_linear)
+                                     + math.fsum(crayfish_bound(r // 2, f, o, lam)
+                                                 for f, o in zip(frob_half, op_half)))
+                                for lam in lambdas]
+    out["union_bound_theorem"] = [min(1.0, len(q_instances) * kite_bound(r, coll, lam)
+                                      + len(V_stack) * r_tail_bound(r, coll, lam))
+                                  for lam in lambdas]
     return out
 
 
@@ -872,7 +864,8 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
         "distance_ok": dist <= mu + 1e-12,
         "delta_range_ok": 0.0 < delta <= 0.5,
         "trace_ok": float(np.trace(mat).real) >= 1.0 - 1e-12,
-        "M_2delta_non_negligible": is_delta_non_negligible(mat, avg, min(1.0, 2.0 * delta)),
+        "M_2delta_non_negligible": (0.0 < 2.0 * delta <= 1.0
+                                    and is_delta_non_negligible(mat, avg, 2.0 * delta)),
         "mu_small_enough": mu <= (2.0 / 3.0) * delta * 2.0 ** (-m) + 1e-15,
     }
     report = {"hypotheses": hyp,
@@ -891,8 +884,9 @@ def continuity_check(model, F, G, M, M_tilde, mu, tau, delta, alpha_k, eta):
     P_m, prob_m = model.born_joint(mat)
     pc_m, weights_m = _weights(P_m, art["C"], art["E"])
     bad = [pc_m[c] < tau for c in (0, 1)]
-    # M keeps M_tilde's split, with E zeroed on every bad c
-    q_m, r_m = _fourier(pc_m, [w * 0.0 if b else w for w, b in zip(weights_m, bad)], sF, sG)
+    # M keeps M_tilde's split, with E zeroed on every bad c: a zero Pr(C=c)
+    # drops that c's forms, so its Q and R are exactly 0.0
+    q_m, r_m = _fourier([0.0 if b else p for p, b in zip(pc_m, bad)], weights_m, sF, sG)
 
     pr_e_t = float(sum(w.sum() for w in weights_t))
     pr_e_m = float(sum(w.sum() for w, b in zip(weights_m, bad) if not b))

@@ -602,42 +602,45 @@ def test_security_report_serialization():
 
 
 def test_hash_bias_tail_matches_scalar_oracle():
-    model = ClassicalLeakSim(4, 0.25)
-    alpha_k, eta, r, trials = 6.0, 0.25, 4, 1000
     grid = np.geomspace(1.0 / 64.0, 2.0, 40)
-    out = hash_bias_tail(model, 0.25, r, trials, np.random.default_rng(404),
-                         alpha_k=alpha_k, eta=eta, lambda_grid=grid)
-    # oracle: the same instances, and per-trial signs from scalar Horner
-    u_list, v_list = [], []
-    for token in model.outcome_set(0.5):
-        if model.certified_entropy(token) < alpha_k - 1e-9:
-            continue
-        P = model.conditional_joint(token)
-        art = otm_module._split_outcome(P, alpha_k, eta)
-        for c in (0, 1):
-            q_c = art["C"] if c == 1 else (1.0 - art["C"])
-            pc = float((P * q_c).sum())
-            if pc > 0.0:
-                weight = P * q_c * art["E"][c] / pc
-                u_list.append((weight.sum(axis=1) if c == 0 else weight.sum(axis=0), c))
-                v_list.append(weight)
-    assert out["instances"] == len(v_list) > 0
-    V = np.stack(v_list)
-    rng = np.random.default_rng(404)
-    max_q, max_r = [], []
-    for _ in range(trials):
-        F = sample_hash(4, r, rng)
-        G = sample_hash(4, r, rng)
-        sF = np.array([1.0 - 2.0 * F(x) for x in range(16)])
-        sG = np.array([1.0 - 2.0 * G(x) for x in range(16)])
-        max_q.append(max(abs(float(u @ (sF if c == 0 else sG))) for u, c in u_list))
-        max_r.append(np.abs(np.einsum("s,kst,t->k", sF, V, sG)).max())
-    max_q, max_r = np.array(max_q), np.array(max_r)
-    stat = np.maximum(max_q, max_r)
-    assert out["exceed_q"] == [int((max_q >= lam).sum()) / trials for lam in grid]
-    assert out["exceed_r"] == [int((max_r >= lam).sum()) / trials for lam in grid]
-    assert out["exceed"] == [int((stat >= lam).sum()) / trials for lam in grid]
-    assert 0.0 < out["exceed"][0] and out["exceed"][-1] < 1.0
+    trials = 1000
+    for model, alpha_k, eta, r in ((ClassicalLeakSim(4, 0.25), 6.0, 0.25, 4),
+                                   (WiesnerToyOtm(2), 2.5, 0.5, 4),
+                                   (WiesnerToyOtm(3), 4.0, 0.5, 8)):
+        n = 1 << model.ell
+        out = hash_bias_tail(model, 0.25, r, trials, np.random.default_rng(404),
+                             alpha_k=alpha_k, eta=eta, lambda_grid=grid)
+        # oracle: the same instances, and per-trial signs from scalar Horner
+        u_list, v_list = [], []
+        for token in model.outcome_set(0.5):
+            if model.certified_entropy(token) < alpha_k - 1e-9:
+                continue
+            P = model.conditional_joint(token)
+            art = otm_module._split_outcome(P, alpha_k, eta)
+            for c in (0, 1):
+                q_c = art["C"] if c == 1 else (1.0 - art["C"])
+                pc = float((P * q_c).sum())
+                if pc > 0.0:
+                    weight = P * q_c * art["E"][c] / pc
+                    u_list.append((weight.sum(axis=1) if c == 0 else weight.sum(axis=0), c))
+                    v_list.append(weight)
+        assert out["instances"] == len(v_list) > 0
+        V = np.stack(v_list)
+        rng = np.random.default_rng(404)
+        max_q, max_r = [], []
+        for _ in range(trials):
+            F = sample_hash(model.ell, r, rng)
+            G = sample_hash(model.ell, r, rng)
+            sF = np.array([1.0 - 2.0 * F(x) for x in range(n)])
+            sG = np.array([1.0 - 2.0 * G(x) for x in range(n)])
+            max_q.append(max(abs(float(u @ (sF if c == 0 else sG))) for u, c in u_list))
+            max_r.append(np.abs(np.einsum("s,kst,t->k", sF, V, sG)).max())
+        max_q, max_r = np.array(max_q), np.array(max_r)
+        stat = np.maximum(max_q, max_r)
+        assert out["exceed_q"] == [int((max_q >= lam).sum()) / trials for lam in grid]
+        assert out["exceed_r"] == [int((max_r >= lam).sum()) / trials for lam in grid]
+        assert out["exceed"] == [int((stat >= lam).sum()) / trials for lam in grid]
+        assert 0.0 < out["exceed"][0] and out["exceed"][-1] < 1.0
 
 
 @pytest.mark.parametrize("model, params", [
@@ -797,6 +800,8 @@ def test_hash_bias_tail_degenerate_model():
     with pytest.raises(ValueError):
         hash_bias_tail(model, 0.5, 4, 1000, rng, alpha_k=4.0, eta=0.5,
                        lambda_grid=[0.0, 1.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        hash_bias_tail(model, 0.5, 4, 1000, rng, alpha_k=4.0, eta=0.5, lambda_grid=[])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -896,6 +901,13 @@ def test_continuity_check_bad_c_and_bad_hypotheses():
     rep = continuity_check(model, F, G, M, M, mu=0.2, tau=0.1, delta=0.1,
                            alpha_k=1.4, eta=0.5)
     assert not rep["hypothesis_ok"]
+    # a delta with 2*delta outside (0, 1] is reported, neither raised nor clamped
+    for delta in (-0.1, 0.6):
+        rep = continuity_check(model, F, G, M, M, mu=0.0, tau=0.1, delta=delta,
+                               alpha_k=1.4, eta=0.5)
+        assert not rep["hypothesis_ok"]
+        assert not rep["hypotheses"]["delta_range_ok"]
+        assert not rep["hypotheses"]["M_2delta_non_negligible"]
 
 
 def test_continuity_check_refuses_hashes_on_another_domain():
@@ -907,6 +919,10 @@ def test_continuity_check_refuses_hashes_on_another_domain():
         with pytest.raises(ValueError, match="hash domain"):
             continuity_check(model, F, G, M, M, mu=0.01, tau=0.1, delta=0.2,
                              alpha_k=1.0, eta=0.5)
+        # the wrapper refuses them the same way, with the same message
+        with pytest.raises(ValueError) as got:
+            IdealBitOtm(F, G, model)
+        assert str(got.value) == "hash domain 2^3 does not match model ell=2"
 
 
 def _digest(doc):
@@ -926,7 +942,7 @@ def test_hash_bias_tail_and_continuity_check_are_pinned():
     rep = continuity_check(WiesnerToyOtm(2), F, G, M, 0.996 * M + 0.001 * np.eye(4), mu=0.01,
                            tau=0.1, delta=0.1, alpha_k=2.5, eta=0.5)
     assert rep["hypothesis_ok"] and rep["bad_c_count"] == 0
-    assert _digest(rep) == "d116dda1eb232c766da0d5a40ee04eeeb9cc0e662e6d6851ddec53f023f0c173"
+    assert _digest(rep) == "750a3e150be7ecd2bb1d0191b9f2a4a0c84e5c82c16789ad226edcf2735cf4f0"
 
 
 def _old_split_outcome(P, alpha_k, eta):
