@@ -24,6 +24,7 @@ overridden by the OTMLAB_OUTPUT_DIR environment variable, overridden by
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -531,16 +532,13 @@ def theorem_bounds(points):
               help="Path to the acceptance test file (default: autodetect).")
 def verify_all(suite):
     """Run the acceptance suite; exits with pytest's status."""
+    if importlib.util.find_spec("pytest") is None:
+        _fail("verify-all needs pytest, which is not installed (pip install otmlab[test])")
     if suite is None:
-        candidates = [
-            Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py",
-            Path.cwd() / "tests" / "test_acceptance.py",
-        ]
-        for candidate in candidates:
-            if candidate.exists():
-                suite = candidate
-                break
-        else:
+        candidates = [root / "tests" / "test_acceptance.py"
+                      for root in (Path(__file__).resolve().parents[2], Path.cwd())]
+        suite = next((c for c in candidates if c.exists()), None)
+        if suite is None:
             _fail("cannot locate tests/test_acceptance.py; pass --suite")
     elif not Path(suite).exists():
         _fail("suite path %s does not exist" % suite)

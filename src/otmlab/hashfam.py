@@ -26,7 +26,7 @@ points, as the output bits are linear in the seed bits; the enumeration of
 all 2^(r*l) seeds is its oracle in the test suite (`tests/hash_oracle.py`).
 """
 
-import functools
+import itertools
 
 import numpy as np
 
@@ -36,7 +36,8 @@ MAX_FIELD_BITS = 64
 # with the degree-l bit set.  Entry l is x^l + x^a + 1 with the smallest a
 # for which the trinomial is irreducible, else the lexicographically smallest
 # irreducible pentanomial x^l + x^a + x^b + x^c + 1.  Reproducibility of
-# every seeded experiment depends on this table staying fixed.
+# every seeded experiment depends on this table staying fixed; the test suite
+# proves all 64 entries irreducible by Rabin's criterion.
 IRREDUCIBLE_POLY = {
     1: 0x3,
     2: 0x7,
@@ -124,28 +125,13 @@ def _poly_mod(a, f):
     return a
 
 
-@functools.lru_cache(maxsize=None)
-def _has_nontrivial_factor(f):
-    """Exhaustive trial division of f by all polynomials of degree 1..deg/2.
-
-    Memoized per modulus, so each pinned modulus is searched once per process.
-    """
-    deg = f.bit_length() - 1
-    for d in range(1, deg // 2 + 1):
-        for g in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(f, g) == 0:
-                return True
-    return False
-
-
 class BinaryField:
     """Arithmetic in GF(2^l) with the pinned modulus for bit-width l.
 
     Elements are plain ints in [0, 2^l).  Addition is XOR; multiplication is
-    carry-less product followed by reduction.  For l <= 16 the modulus is
-    verified irreducible by exhaustive factor search, once per modulus and
-    process; for larger l the table entry is trusted (the test suite
-    re-verifies the whole table with Rabin's criterion).
+    carry-less product followed by reduction.  The modulus is read from the
+    pinned table `IRREDUCIBLE_POLY`, a constant the test suite proves
+    irreducible; nothing is searched at run time.
     """
 
     def __init__(self, ell):
@@ -154,8 +140,6 @@ class BinaryField:
         self.ell = ell
         self.modulus = IRREDUCIBLE_POLY[ell]
         self.order = 1 << ell
-        if ell <= 16 and _has_nontrivial_factor(self.modulus):
-            raise ValueError("modulus 0x%X for ell=%d is reducible" % (self.modulus, ell))
 
     def mul(self, a, b):
         return _poly_mod(_poly_mul(a, b), self.modulus)
@@ -229,13 +213,11 @@ def sample_hash(ell, r, rng):
     -------
     HashFunction
     """
-    if not (1 <= ell <= MAX_FIELD_BITS):
-        raise ValueError("ell=%d out of range [1, %d]" % (ell, MAX_FIELD_BITS))
+    field = BinaryField(ell)
     if r < 1:
         raise ValueError("independence order r=%d must be >= 1" % r)
-    if r > (1 << ell):
-        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, ell, 1 << ell))
-    field = BinaryField(ell)
+    if r > field.order:
+        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, ell, field.order))
     nb = (ell + 7) // 8
     mask = (1 << ell) - 1
     raw = rng.bytes(nb * r)
@@ -343,14 +325,10 @@ class HashTables:
 
 
 def _tuples_up_to(n, size):
-    """All strictly increasing index tuples of length 1..size from range(n)."""
-    stack = [(x,) for x in range(n)]
-    while stack:
-        t = stack.pop()
-        yield t
-        if len(t) < size:
-            for x in range(t[-1] + 1, n):
-                stack.append(t + (x,))
+    """All strictly increasing index tuples of length 1..size from range(n),
+    shortest first, each length in lexicographic order."""
+    for k in range(1, size + 1):
+        yield from itertools.combinations(range(n), k)
 
 
 def _gf2_rank(vectors):

@@ -65,10 +65,16 @@ QUBIT_BOX = math.sqrt(2.0)  # |X|_linf bound on the Hermitian ambient box
 KRAUS_BOX = 2.0             # |X|_linf bound on the 4x4 ambient box
 
 
-def _axis_values(half_width, spacing):
+def _axis_values(half_width, spacing, dims=1):
     """Centered grid on [-half_width, half_width]; consecutive values are
-    `spacing` apart and every point of the interval is within spacing/2."""
-    n = int(math.floor(2.0 * half_width / spacing)) + 1
+    `spacing` apart and every point of the interval is within spacing/2.
+    Refused before any array exists if the grid of `dims` such axes would
+    exceed MAX_GRID_POINTS, or the spacing underflowed to 0."""
+    span = 2.0 * half_width / spacing if spacing > 0.0 else math.inf
+    n = int(span) + 1 if span < math.inf else math.inf
+    if n ** dims > MAX_GRID_POINTS:
+        raise ValueError("%d-d grid of %.4g points per axis exceeds the 10^7 cap; increase mu"
+                         % (dims, n))
     start = -half_width + (2.0 * half_width - (n - 1) * spacing) / 2.0
     return start + spacing * np.arange(n)
 
@@ -157,13 +163,10 @@ class QubitNet:
 
 def _qubit_axis(delta):
     """Grid axis of the delta-resolution qubit net, after the argument and
-    size checks; cheap, so the checks can run before any grid exists."""
+    4-d grid size checks; cheap, so they run before any grid exists."""
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta=%r outside (0, 1]" % (delta,))
-    axis = _axis_values(QUBIT_BOX, delta * math.sqrt(2.0))
-    if axis.size ** 4 > MAX_GRID_POINTS:
-        raise ValueError("grid of %d points exceeds the 10^7 cap; increase delta" % axis.size ** 4)
-    return axis
+    return _axis_values(QUBIT_BOX, delta * math.sqrt(2.0), dims=4)
 
 
 # one salt per word position, so equal words in different places mix apart

@@ -265,8 +265,6 @@ def empirical_tail_linear(inst, ell, r, lambda_grid, trials, rng):
     """
     if trials < MIN_TRIALS:
         raise ValueError("trials=%d below the Monte Carlo floor %d" % (trials, MIN_TRIALS))
-    if inst.n > (1 << ell):
-        raise ValueError("instance has %d weights but domain holds 2^%d points" % (inst.n, ell))
     w = inst.weights
 
     def gen():

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -89,6 +91,13 @@ def test_unknown_config_key_rejected(runner, tmp_path):
     assert result.exit_code == 2
     err = json.loads(_stderr(result).strip().splitlines()[-1])
     assert "typo_field" in err["message"]
+    # a config file that cannot be read, parsed or taken as one mapping
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    for name, word in [("missing.json", "cannot read"), ("bad.json", "cannot parse"),
+                       ("list.json", "mapping")]:
+        _rejected(runner.invoke(main, ["tails", "--output-dir", str(tmp_path),
+                                       "--config", str(tmp_path / name)]), word)
 
 
 def test_yaml_config_and_quadratic_mode(runner, tmp_path):
@@ -194,6 +203,9 @@ def test_otm_security_bad_model_rejected(runner, tmp_path):
     assert result.exit_code == 2
     err = json.loads(_stderr(result).strip().splitlines()[-1])
     assert "no-such-model" in err["message"]
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), model={"ell": 4})))
+    _rejected(runner.invoke(main, ["otm-security", "--output-dir", str(tmp_path),
+                                   "--config", str(cfg), "--seed", "1"]), "'name'")
 
 
 def test_theorem_bounds_table_matches_module(runner, tmp_path):
@@ -419,12 +431,22 @@ def test_bad_nets_config_values_are_rejected(runner, tmp_path, monkeypatch):
     for doc, word in [({"family": "three-local"}, "family"), ({"mu": True}, "mu"),
                       ({"mu": "0.8"}, "mu"), ({"samples": 0}, "samples"),
                       ({"family": "two-local", "d": 1.5}, "'d'"), ({"mu": 10 ** 400}, "mu"),
+                      ({"family": "two-local"}, "requires d"),
                       ({"family": "two-local", "m": 8, "d": 1}, "m <= 6"),
                       ({"family": "two-local", "m": 2, "d": 9}, "d <= 8")]:
         cfg.write_text(json.dumps(dict({"family": "separable", "m": 1, "mu": 0.8,
                                         "samples": 10, "seed": 1}, **doc)))
         _rejected(runner.invoke(main, ["nets", "--output-dir", str(tmp_path),
                                        "--config", str(cfg)]), word)
+    # a mu whose grid spacing underflows is refused by the grid cap, before
+    # any axis exists, and the output directory the run made is removed
+    out = tmp_path / "out"
+    for flags in (["--family", "two-local", "--m", "2", "--d", "1", "--mu", "5e-324"],
+                  ["--family", "separable", "--m", "1", "--mu", "5e-323"]):
+        result = runner.invoke(main, ["nets", "--output-dir", str(out), "--samples", "10",
+                                      "--seed", "1"] + flags)
+        _rejected(result, "10^7")
+        assert len(_stderr(result).strip().splitlines()) == 1 and not out.exists()
 
 
 def test_entropy_certificates(runner, tmp_path):
@@ -565,13 +587,21 @@ def test_unwritable_output_directory_is_reported_before_any_computation(runner, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
-def test_verify_all_runs_given_suite(runner, tmp_path):
+def test_verify_all_runs_given_suite(runner, tmp_path, monkeypatch):
     suite = tmp_path / "test_dummy.py"
     suite.write_text("def test_ok():\n    assert True\n")
     result = runner.invoke(main, ["verify-all", "--suite", str(suite)])
     assert result.exit_code == 0, result.output
     result = runner.invoke(main, ["verify-all", "--suite", str(tmp_path / "missing.py")])
     assert result.exit_code == 2
+
+    # without pytest the run is refused, not started and read as a failing suite
+    def no_call(*args, **kwargs):
+        raise AssertionError("pytest was started")
+
+    monkeypatch.setitem(sys.modules, "pytest", None)
+    monkeypatch.setattr(subprocess, "call", no_call)
+    _rejected(runner.invoke(main, ["verify-all", "--suite", str(suite)]), "pytest")
 
 
 _ENTROPY_CONFIG = {"count": 2, "n0": 3, "n1": 3, "nz": 1, "eps": 0.0,

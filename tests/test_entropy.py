@@ -75,6 +75,12 @@ def test_cond_dist_validation():
         CondDist([[0.5, -0.5]], [1.0])
     with pytest.raises(ValueError):
         CondDist([[1.0]], [0.5])  # marginal not normalized
+    with pytest.raises(ValueError, match="matching p_y"):
+        CondDist([[0.5, 0.5]], [0.5, 0.5])  # two marginal entries for one row
+    with pytest.raises(ValueError, match="empty"):
+        CondDist(np.zeros((1, 0)), [1.0])
+    with pytest.raises(ValueError, match="shape"):
+        joint_cond_dist([[0.5, 0.5]], [1.0])  # not (nz, n0, n1)
     with pytest.raises(ValueError, match="pair shape"):
         CondDist([[1.0]], [1.0], pair_shape=(1, 2))
     with pytest.raises(ValueError, match="pair shape"):
@@ -370,6 +376,9 @@ def test_split_precondition_enforced():
         entropy_split(p, 4.0, 0.0, 1.5)  # eps_prime out of range
     with pytest.raises(ValueError):
         entropy_split(p, 4.0, 0.6, 0.5)  # eps + eps_prime >= 1
+    for eps in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="eps="):
+            entropy_split(p, 4.0, eps, 0.25)
 
 
 def test_split_random_joints_always_certify():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from otmlab import hashfam
 from otmlab.hashfam import (
     IRREDUCIBLE_POLY,
     BinaryField,
@@ -228,6 +227,8 @@ def test_verify_independence_guards():
         verify_independence(3, 5)
     with pytest.raises(ValueError):
         verify_independence(1, 3)  # r > domain
+    with pytest.raises(ValueError, match="ncoeffs"):
+        verify_independence(2, 2, ncoeffs=0)
 
 
 def test_single_point_output_is_unbiased():
@@ -376,17 +377,6 @@ def test_seed_tables_match_coefficient_tables(ell, r, npoints, entropy):
     assert np.array_equal(got, seed_hash_bits(ell, r, points, seeds))
     h = HashFunction(BinaryField(ell), coeffs_from_seed_bits(seeds[0], ell).tolist())
     assert got[0].tolist() == [h(x) for x in points]
-
-
-def test_field_irreducibility_check_is_cached_and_still_rejects(monkeypatch):
-    BinaryField(12)
-    before = hashfam._has_nontrivial_factor.cache_info().hits
-    BinaryField(12)
-    assert hashfam._has_nontrivial_factor.cache_info().hits == before + 1
-    monkeypatch.setitem(IRREDUCIBLE_POLY, 4, 0x11)  # x^4 + 1 = (x + 1)^4
-    for _ in range(2):
-        with pytest.raises(ValueError, match="reducible"):
-            BinaryField(4)
 
 
 def test_coefficient_range_enforced():

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import functools
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +67,18 @@ def _clamp(x):
     """`_clamp01_herm2_batch` on one Hermitian 2x2 matrix."""
     return _clamp01_herm2_batch(np.array(x[0, 0].real), np.array(x[1, 1].real),
                                 np.array(x[0, 1]))
+
+
+@contextlib.contextmanager
+def _peak_below(limit):
+    """Fail unless the block's tracemalloc peak stays under `limit` bytes."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 def _kraus_axis(delta):
@@ -271,9 +285,12 @@ def test_two_local_net_argument_guards(monkeypatch):
 
     monkeypatch.setattr(nets, "_pairings", no_pairings)
     for bad in [(3, 1, 1.0), (0, 1, 1.0), (2, 0, 1.0), (2, 1, 2.0), (8, 1, 1.0), (20, 1, 1.0),
-                (2, 9, 1.0)]:
+                (2, 9, 1.0), (2, 1, 5e-324)]:
         with pytest.raises(ValueError):
             two_local_net(*bad)
+    # a Kraus axis of 11.3 million values is refused before it is built
+    with _peak_below(1 << 20), pytest.raises(ValueError, match="10\\^7"):
+        two_local_net(2, 1, 4e-6)
 
 
 def test_two_local_log2_size_below_closed_form():
@@ -472,6 +489,9 @@ def test_separable_net_is_built_on_first_use():
     assert "qubit_net" not in vars(spec)
     with pytest.raises(ValueError, match="10\\^7"):
         separable_net(1, 0.1)  # the per-qubit grid cap fires before any grid exists
+    # ... and before any axis exists: this one would hold 1.6 million values
+    with _peak_below(1 << 20), pytest.raises(ValueError, match="10\\^7"):
+        separable_net(2, 1e-5)
     small = separable_net(1, 1.0)
     assert small.qubit_net is small.qubit_net
 
@@ -548,6 +568,8 @@ def test_batched_snaps_reject_bad_stacks():
         spec.covering_indices(np.zeros((3, 1, 2, 2)))
     with pytest.raises(ValueError):
         spec.covering_indices(np.full((1, 2, 2, 2), np.nan))
+    with pytest.raises(ValueError, match="2x2"):
+        spec.qubit_net.snap_indices(np.zeros((3, 4)))
     axis = two_local_net(2, 1, 1.0).axis
     for bad in (np.zeros((4, 4)), np.zeros((1, 2, 2)), np.full((1, 4, 4), np.nan)):
         with pytest.raises(ValueError):

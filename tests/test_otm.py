@@ -88,6 +88,8 @@ def test_reduction_params_invariants_rejected():
     with pytest.raises(ValueError):
         ReductionParams(k=2, ell=2, theta=1.0, delta0=0.5, alpha=2.0, eps0=0.5,
                         gamma=1.0, depth_mode=True)  # phi and d missing
+    with pytest.raises(ValueError, match="depth d"):
+        _params(depth_mode=True, phi=1.0, d=0)
     # r = 4 ceil((gamma + 1) k^{2 theta}) past the float range has no integer
     # value: a ValueError, not an OverflowError
     for bad in [dict(gamma=math.inf), dict(gamma=1e308), dict(theta=math.inf),
@@ -216,6 +218,8 @@ def test_classical_leak_validation():
         ClassicalLeakSim(4, 0.25, positions=(0, 1, 2))  # wrong count
     with pytest.raises(ValueError):
         ClassicalLeakSim(4, 0.25, positions=(0, 9))
+    with pytest.raises(ValueError, match="outside the advertised set"):
+        ClassicalLeakSim(4, 0.25).outcome_probability(4)  # outcomes are 0..3
     # position 2 leaks bit 1 of s, position 5 bit 2 of t, as outcome bits 0, 1
     custom = ClassicalLeakSim(4, 0.25, positions=(2, 5))
     s, t = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
@@ -527,6 +531,8 @@ def test_hummingbird_hand_values_and_identity():
         hummingbird_distance([[0.9, 0.3], [0.0, 0.0]])
     with pytest.raises(ValueError):
         hummingbird_distance([[-0.1, 0.2], [0.1, 0.2]])
+    with pytest.raises(ValueError, match="2x2"):
+        hummingbird_distance([0.25, 0.25, 0.25, 0.25])
 
 
 def test_evaluate_security_zero_leakage_balanced_hashes():
@@ -777,6 +783,12 @@ def test_evaluate_security_refuses_an_unnormalised_posterior():
     otm = IdealBitOtm(HashFunction(field, (0, 1)), HashFunction(field, (1, 1)),
                       Unnormalised(2, 0.25))
     with pytest.raises(ValueError, match="posterior"):
+        evaluate_security(otm, params.delta, params)
+    # every outcome of the honest model holds 3 bits, below alpha*k = 4
+    otm = IdealBitOtm(otm.F, otm.G, ClassicalLeakSim(2, 0.25))
+    params = ReductionParams(k=2, ell=2, theta=1.0, delta0=0.5, alpha=2.0,
+                             eps0=0.5, gamma=1.0)
+    with pytest.raises(ValueError, match="no advertised outcome"):
         evaluate_security(otm, params.delta, params)
 
 

@@ -217,6 +217,12 @@ def test_negligible_mass_zero_probability_outcome():
 def test_negligible_mass_incomplete_rejected():
     with pytest.raises(ValueError):
         negligible_mass([KET0, KET0], I2 / 2, 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        negligible_mass([], I2 / 2, 0.5)
+    with pytest.raises(ValueError, match="dimensions"):
+        negligible_mass([KET0, np.eye(4)], I2 / 2, 0.5)
+    with pytest.raises(ValueError, match="square"):
+        negligible_mass([np.ones((2, 3))], I2 / 2, 0.5)
 
 
 def test_negligible_mass_strictly_below_delta_randomized():
@@ -238,6 +244,8 @@ def test_povm_element_validation():
         PovmElement(np.diag([1.2, 0.0]))
     with pytest.raises(ValueError):
         PovmElement(np.diag([-0.2, 0.0]))
+    with pytest.raises(ValueError, match=r"\(K, d, d\)"):
+        validate_povm_stack(np.eye(2))
     m = PovmElement(np.diag([1.0, 0.0]))
     assert m.dim == 2
     assert not m.matrix.flags.writeable
@@ -326,6 +334,8 @@ def test_kraus_layer_validation():
         KrausLayer([(0, 1)], [np.eye(2)])
     with pytest.raises(ValueError, match="got 2 factors for 1 pairs"):
         KrausLayer([(0, 1)], [np.eye(4), np.eye(4)])
+    with pytest.raises(ValueError, match="pairs"):
+        KrausLayer([(0, 1, 2)], [np.eye(4)])  # a triple, not a pair
 
 
 def test_kraus_layer_holds_factors_as_one_array():
@@ -434,4 +444,8 @@ def test_two_local_inconsistent_layers_rejected():
     l4 = KrausLayer([(0, 1), (2, 3)], [np.eye(4), np.eye(4)])
     with pytest.raises(ValueError):
         TwoLocalOutcome([l2, l4])
+    with pytest.raises(ValueError, match="layer"):
+        TwoLocalOutcome([])
+    with pytest.raises(ValueError, match="pairings"):
+        assemble_two_local_stack([], np.eye(4)[None, None, None])  # 0 pairings for 1 row
 

@@ -55,6 +55,10 @@ def test_quadratic_instance_norms_against_eigen_oracle():
 def test_quadratic_instance_rejects_asymmetric():
     with pytest.raises(ValueError):
         QuadraticInstance([[0.0, 1.0], [1.0 + 1e-15, 0.0]])
+    with pytest.raises(ValueError, match="square"):
+        QuadraticInstance([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        QuadraticInstance([[0.0, math.inf], [math.inf, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +138,10 @@ def test_crayfish_zero_and_scaling():
 def test_crayfish_rejects_op_above_frob():
     with pytest.raises(ValueError):
         crayfish_bound(2, 1.0, 1.5, 1.0)
+    with pytest.raises(ValueError, match="lam"):
+        crayfish_bound(2, 1.0, 0.5, -1.0)
+    with pytest.raises(ValueError, match="norms"):
+        crayfish_bound(2, -1.0, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +216,8 @@ def test_empirical_linear_guards():
         empirical_tail_linear(LinearInstance(np.ones(17)), 4, 2, [1.0], 10 ** 4, rng)
     with pytest.raises(ValueError):
         empirical_tail_linear(LinearInstance([1.0]), 4, 2, [-1.0], 10 ** 4, rng)
+    with pytest.raises(ValueError, match="1-d"):
+        empirical_tail_linear(LinearInstance([1.0]), 4, 2, [[1.0]], 10 ** 4, rng)
     # sample_hash's contract r <= 2^ell holds for the sampled seed bits too
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="exceeds domain size"):
@@ -239,6 +249,8 @@ def test_empirical_quadratic_mode_guards():
     inst = QuadraticInstance(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         empirical_tail_quadratic(inst, 3, 2, [1.0], 10 ** 4, rng, mode="bogus")
+    with pytest.raises(ValueError, match="trials"):
+        empirical_tail_quadratic(inst, 3, 2, [1.0], 10 ** 4 - 1, rng)
     with pytest.raises(ValueError):
         # hash mode needs 9 domain points but 2^3 = 8 are available
         empirical_tail_quadratic(QuadraticInstance(np.zeros((9, 9))), 3, 2, [1.0], 10 ** 4, rng)
