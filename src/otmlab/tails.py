@@ -27,17 +27,16 @@ whole chunks of them to one `hashfam.HashTables`, built once per run for
 the instance's points: a hash's output row is the XOR of one byte-table
 row per seed byte, so millions of full hash evaluations reduce to
 ceil(r * ell / 8) row gathers per chunk.  The signs 1 - 2b of every chunk
-are written in one pass into one reused float buffer.  Frequencies come
-with one-sided 99% Clopper-Pearson upper confidence limits: Monte Carlo
-cannot prove an inequality, so domination is asserted against the
-confidence limit.
+are formed in place in the unpacked bytes and cast once into one reused
+float buffer.  Frequencies come with one-sided 99% Clopper-Pearson upper
+confidence limits: Monte Carlo cannot prove an inequality, so domination
+is asserted against the confidence limit.
 """
 
 import math
 
 import mpmath
 import numpy as np
-from scipy.special import betaincinv
 
 from . import hashfam
 
@@ -189,6 +188,7 @@ def clopper_pearson_upper(k, n):
         raise ValueError("need 0 <= k <= n, n >= 1; got k=%r n=%r" % (k, n))
     if k >= n:
         return 1.0
+    from scipy.special import betaincinv  # half of a CLI start; only the tallies need it
     return float(betaincinv(k + 1, n - k, CONFIDENCE))
 
 
@@ -204,22 +204,24 @@ def _sign_chunks(ell, r, npoints, trials, rng):
     tables = hashfam.HashTables(ell, r, np.arange(npoints))
 
     def draw(c):
-        return tables.hash_bits(rng.integers(0, 2, size=(c, r * ell), dtype=np.uint8))
+        return tables.hash_bits(rng.integers(0, 2, size=(c, r * ell), dtype=np.uint8)).view(np.int8)
 
     yield from _fill_signs(draw, npoints, trials)
 
 
 def _fill_signs(draw, npoints, trials):
-    # 1 - 2b for the 0/1 rows draw(c), computed in int8 and written in one
-    # pass into one reused float buffer: the same doubles as 1.0 - 2.0 * b
+    # 1 - 2b formed in place in the fresh signed 0/1 rows of draw(c), then cast
+    # once into one reused float buffer: the same doubles as 1.0 - 2.0 * b.
+    # The rows are dropped before the yield, so no two chunks' rows coexist.
     buf = np.empty((min(CHUNK, trials), npoints))
-    done = 0
-    while done < trials:
-        c = min(CHUNK, trials - done)
-        signs = buf[:c]
-        np.subtract(1, draw(c).astype(np.int8) * np.int8(2), out=signs)
+    for done in range(0, trials, CHUNK):
+        signs = buf[:min(CHUNK, trials - done)]
+        bits = draw(len(signs))
+        bits *= -2
+        bits += 1
+        np.copyto(signs, bits)
+        del bits
         yield signs
-        done += c
 
 
 def _tally(values_iter, lambda_grid, trials):
@@ -265,13 +267,8 @@ def empirical_tail_linear(inst, ell, r, lambda_grid, trials, rng):
     """
     if trials < MIN_TRIALS:
         raise ValueError("trials=%d below the Monte Carlo floor %d" % (trials, MIN_TRIALS))
-    w = inst.weights
-
-    def gen():
-        for signs in _sign_chunks(ell, r, inst.n, trials, rng):
-            yield signs @ w
-
-    return _tally(gen(), lambda_grid, trials)
+    chunks = _sign_chunks(ell, r, inst.n, trials, rng)
+    return _tally((signs @ inst.weights for signs in chunks), lambda_grid, trials)
 
 
 def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"):
@@ -300,9 +297,9 @@ def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"
     else:
         raise ValueError("unknown mode %r" % (mode,))
 
-    def gen():
-        for signs in chunks:
-            yield ((signs @ a) * signs).sum(axis=1) - tr
+    def chaos(signs):
+        quad = signs @ a
+        return np.multiply(quad, signs, out=quad).sum(axis=1) - tr
 
-    return _tally(gen(), lambda_grid, trials)
+    return _tally(map(chaos, chunks), lambda_grid, trials)
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import otmlab
 from otmlab.cli import _random_joints, main
 from otmlab.nets import separable_net, two_local_net
 from otmlab.otm import ReductionParams, theorem_bound
@@ -602,6 +604,18 @@ def test_verify_all_runs_given_suite(runner, tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "pytest", None)
     monkeypatch.setattr(subprocess, "call", no_call)
     _rejected(runner.invoke(main, ["verify-all", "--suite", str(suite)]), "pytest")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is about half of a CLI start; only the Monte Carlo
+    # tallies need it, so it is imported on their first confidence limit
+    src = str(Path(otmlab.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, otmlab.cli; print('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 _ENTROPY_CONFIG = {"count": 2, "n0": 3, "n1": 3, "nz": 1, "eps": 0.0,

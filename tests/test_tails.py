@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -367,6 +368,26 @@ def test_quadratic_results_equal_fresh_array_path(n, mode):
     _assert_same_result(got, want)
 
 
+def test_linear_chunk_memory_is_one_buffer_and_the_bytes():
+    # the float buffer plus about one byte per sign of the chunk being
+    # formed, and no more for more chunks: no full-size temporary per chunk
+    # (this module's imports already load scipy.special, which the tally
+    # imports on first use, so that import is not traced)
+    n = 1024
+    inst = LinearInstance(np.full(n, n ** -0.5))
+    peaks = []
+    for trials in (2 * CHUNK + 37, 5 * CHUNK + 37):
+        tracemalloc.start()
+        try:
+            empirical_tail_linear(inst, 10, 8, [0.5, 1.0, 2.0], trials, np.random.default_rng(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0], peaks
+    for peak in peaks:
+        assert peak - 8 * CHUNK * n <= 1.5 * CHUNK * n, peaks
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
@@ -410,9 +431,10 @@ _README_QUADRATIC = ("kind: quadratic\nell: 6\nr: 8\nn: 32\ntrials: 50000\n"
 def test_tails_csv_is_pinned(tmp_path, args, yaml_text, digest):
     # the README's linear command and YAML quadratic config (in both modes),
     # and the benchmark's linear config; the digests are those of the
-    # coefficient-byte pipeline with a two-pass sign fill.  The CSV holds
-    # frequencies only, so a last-bit change in a BLAS sum cannot move it
-    # unless a sum lands on a threshold.
+    # oracle pipeline (coefficient-byte tables, signs in fresh float arrays),
+    # which the seed-byte tables and the in-place sign fill reproduce bit for
+    # bit.  The CSV holds frequencies only, so a last-bit change in a BLAS
+    # sum cannot move it unless a sum lands on a threshold.
     if yaml_text is not None:
         (tmp_path / "tails.yaml").write_text(yaml_text)
         args = ["--config", str(tmp_path / "tails.yaml")]
