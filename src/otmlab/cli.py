@@ -42,7 +42,7 @@ from . import entropy as entropy_mod
 from . import nets as nets_mod
 from . import otm as otm_mod
 from . import tails as tails_mod
-from .hashfam import MAX_FIELD_BITS, sample_hash
+from .hashfam import family, sample_hash
 
 ENV_OUTPUT_DIR = "OTMLAB_OUTPUT_DIR"
 
@@ -329,13 +329,8 @@ def _tails_rules(v):
     if v["kind"] == "quadratic" and v["n"] < 2:
         raise ValueError("parameter 'n' must be >= 2 for the quadratic kind (a 1x1 zero-diagonal "
                          "matrix cannot be normalized), got %d" % v["n"])
-    if v["kind"] == "linear" or v.get("mode") != "rademacher":
-        if v["ell"] > MAX_FIELD_BITS:
-            raise ValueError("parameter 'ell' must be at most %d, got %d"
-                             % (MAX_FIELD_BITS, v["ell"]))
-        if v["r"] > 1 << v["ell"]:
-            raise ValueError("parameter 'r'=%d exceeds the domain size 2^ell=%d of the hash "
-                             "family" % (v["r"], 1 << v["ell"]))
+    mode = v.get("mode", "hash") if v["kind"] == "quadratic" else "hash"
+    tails_mod._check_run(v["ell"], v["r"], v["n"], v["trials"], mode)
     # the order the closed-form bound takes: t = r, or r/2 for the chaos
     tails_mod._check_t(v["r"] if v["kind"] == "linear" else v["r"] // 2)
 
@@ -352,9 +347,7 @@ def _tails_rules(v):
 ], TAIL_CSV_COLUMNS, _tails_rules)
 def tails(kind, ell, r, n, trials, lambda_grid, seed, mode="hash"):
     """Monte Carlo tail frequencies against the closed-form bounds."""
-    rng = np.random.default_rng(seed)
-    # the closed-form bounds come before the Monte Carlo run, so parameters
-    # they reject fail before any trial is drawn
+    rng = np.random.default_rng(seed)  # _tails_rules refused what the bounds or the run would
     if kind == "linear":
         weights = rng.normal(size=n)
         inst = tails_mod.LinearInstance(weights / np.linalg.norm(weights))
@@ -486,8 +479,7 @@ def _security_rules(v):
     ell = v["model"].ell
     if v["params"].ell != ell:
         raise ValueError("params ell=%d does not match the model's ell=%d" % (v["params"].ell, ell))
-    if v["hash_r"] > 1 << ell:
-        raise ValueError("parameter 'hash_r'=%d exceeds 2^ell=%d" % (v["hash_r"], 1 << ell))
+    family(ell, v["hash_r"])
     otm_mod._check_delta(v["params"].delta if v.get("delta") is None else v["delta"])
 
 

@@ -21,6 +21,9 @@ hash's coefficients in that seed layout.  Scalar Horner evaluation
 (`HashFunction.__call__`) serves single lookups and is the reference oracle
 for the tables.
 
+`family` is the one home of the family's rule 1 <= l <= 64, 1 <= r <= 2^l
+(no family on 2^l points is independent beyond the domain size).
+
 `verify_independence` audits exactness by one GF(2) rank per tuple of
 points, as the output bits are linear in the seed bits; the enumeration of
 all 2^(r*l) seeds is its oracle in the test suite (`tests/hash_oracle.py`).
@@ -29,8 +32,6 @@ all 2^(r*l) seeds is its oracle in the test suite (`tests/hash_oracle.py`).
 import itertools
 
 import numpy as np
-
-MAX_FIELD_BITS = 64
 
 # Pinned irreducible moduli for GF(2^l), l = 1..64, encoded as Python ints
 # with the degree-l bit set.  Entry l is x^l + x^a + 1 with the smallest a
@@ -135,8 +136,9 @@ class BinaryField:
     """
 
     def __init__(self, ell):
-        if not (1 <= ell <= MAX_FIELD_BITS):
-            raise ValueError("field bit-width ell=%d out of range [1, %d]" % (ell, MAX_FIELD_BITS))
+        if ell not in IRREDUCIBLE_POLY:
+            raise ValueError("field bit-width ell=%d out of range [1, %d]"
+                             % (ell, len(IRREDUCIBLE_POLY)))
         self.ell = ell
         self.modulus = IRREDUCIBLE_POLY[ell]
         self.order = 1 << ell
@@ -193,6 +195,16 @@ class HashFunction:
         return "HashFunction(ell=%d, r=%d)" % (self.field.ell, self.r)
 
 
+def family(ell, r):
+    """The field GF(2^ell), refusing an (ell, r) with no r-wise family over it."""
+    field = BinaryField(ell)
+    if r < 1:
+        raise ValueError("independence order r=%d must be >= 1" % r)
+    if r > field.order:
+        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, ell, field.order))
+    return field
+
+
 def sample_hash(ell, r, rng):
     """Draw a uniformly random member of the exactly r-wise independent family.
 
@@ -213,11 +225,7 @@ def sample_hash(ell, r, rng):
     -------
     HashFunction
     """
-    field = BinaryField(ell)
-    if r < 1:
-        raise ValueError("independence order r=%d must be >= 1" % r)
-    if r > field.order:
-        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, ell, field.order))
+    field = family(ell, r)
     nb = (ell + 7) // 8
     mask = (1 << ell) - 1
     raw = rng.bytes(nb * r)
@@ -237,7 +245,7 @@ def point_masks(ell, r, points):
     together, one vectorized multiply-by-2 step per bit; at ell = 64 the
     reduction XORs in the modulus without its x^64 term.
     """
-    field = BinaryField(ell)
+    field = family(ell, r)
     pts = [int(x) for x in points]
     if not all(0 <= x < field.order for x in pts):
         raise ValueError("points outside domain {0,1}^%d" % ell)
@@ -378,8 +386,7 @@ def verify_independence(ell, r, ncoeffs=None):
     """
     if not (1 <= ell <= 5 and 1 <= r <= 4):
         raise ValueError("exhaustive regime requires ell <= 5 and r <= 4, got ell=%d r=%d" % (ell, r))
-    if r > (1 << ell):
-        raise ValueError("r=%d exceeds domain size 2^%d" % (r, ell))
+    family(ell, r)
     if ncoeffs is None:
         ncoeffs = r
     if ncoeffs < 1:

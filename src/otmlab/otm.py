@@ -50,7 +50,7 @@ import mpmath
 import numpy as np
 
 from .entropy import SLICE_TOL, split_joints
-from .hashfam import HashFunction, HashTables, sample_hash, seed_bits
+from .hashfam import HashFunction, HashTables, family, sample_hash, seed_bits
 from .quantum import (NumericalConsistencyError, PovmElement, _as_matrix, is_delta_non_negligible,
                       opnorms, tensor_stack)
 from .tails import BOUND_DPS, CHUNK, _tally, _to_float, crayfish_bound, kite_bound
@@ -752,11 +752,9 @@ def hash_bias_tail(model, delta, r, trials, rng, alpha_k, eta, lambda_grid=None)
     fractions and UCLs for Q, R and their max, union_bound_sharp and
     union_bound_theorem; also instances, trials, r and collision_log2
     """
+    n = family(model.ell, r).order
     if int(r) != r or r < 4 or r % 4 != 0:
         raise ValueError("r=%r must be a multiple of 4 (the bilinear bound splits it)" % (r,))
-    n = 1 << model.ell
-    if r > n:
-        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, model.ell, n))
     if trials < 10 ** 3:
         raise ValueError("trials=%d below the reportable minimum 10^3" % (trials,))
     if lambda_grid is None:

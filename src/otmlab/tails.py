@@ -192,15 +192,22 @@ def clopper_pearson_upper(k, n):
     return float(betaincinv(k + 1, n - k, CONFIDENCE))
 
 
+def _check_run(ell, r, n, trials, mode="hash"):
+    """Refuse a Monte Carlo run: too few trials, an unknown sign source, or for
+    hash signs no r-wise family on {0,1}^ell or fewer than n points in it."""
+    if trials < MIN_TRIALS:
+        raise ValueError("trials=%d below the Monte Carlo floor %d" % (trials, MIN_TRIALS))
+    if mode not in ("hash", "rademacher"):
+        raise ValueError("unknown mode %r" % (mode,))
+    if mode == "hash" and n > hashfam.family(ell, r).order:
+        raise ValueError("instance needs %d domain points but 2^%d available" % (n, ell))
+
+
 def _sign_chunks(ell, r, npoints, trials, rng):
     """Yield chunks of (-1)^{H(x)} sign matrices, shape (chunk, npoints):
     row i holds one freshly sampled r-wise hash at the points 0..npoints-1.
 
     Every chunk is a view of one buffer that the next chunk overwrites."""
-    if npoints > (1 << ell):
-        raise ValueError("instance needs %d domain points but 2^%d available" % (npoints, ell))
-    if r > (1 << ell):
-        raise ValueError("r=%d exceeds domain size 2^%d=%d" % (r, ell, 1 << ell))
     tables = hashfam.HashTables(ell, r, np.arange(npoints))
 
     def draw(c):
@@ -265,8 +272,7 @@ def empirical_tail_linear(inst, ell, r, lambda_grid, trials, rng):
     dict with lambdas, freqs, upper_cl_99 (one-sided 99% Clopper-Pearson),
     trials, sample_mean, sample_std.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError("trials=%d below the Monte Carlo floor %d" % (trials, MIN_TRIALS))
+    _check_run(ell, r, inst.n, trials)
     chunks = _sign_chunks(ell, r, inst.n, trials, rng)
     return _tally((signs @ inst.weights for signs in chunks), lambda_grid, trials)
 
@@ -286,16 +292,13 @@ def empirical_tail_quadratic(inst, ell, r, lambda_grid, trials, rng, mode="hash"
     -------
     dict as in empirical_tail_linear
     """
-    if trials < MIN_TRIALS:
-        raise ValueError("trials=%d below the Monte Carlo floor %d" % (trials, MIN_TRIALS))
+    _check_run(ell, r, inst.n, trials, mode)
     a = inst.a
     tr = float(np.trace(a))
     if mode == "hash":
         chunks = _sign_chunks(ell, r, inst.n, trials, rng)
-    elif mode == "rademacher":
-        chunks = _fill_signs(lambda c: rng.integers(0, 2, size=(c, inst.n)), inst.n, trials)
     else:
-        raise ValueError("unknown mode %r" % (mode,))
+        chunks = _fill_signs(lambda c: rng.integers(0, 2, size=(c, inst.n)), inst.n, trials)
 
     def chaos(signs):
         quad = signs @ a

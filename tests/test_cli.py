@@ -14,8 +14,11 @@ from click.testing import CliRunner
 
 import otmlab
 from otmlab.cli import _random_joints, main
+from otmlab.hashfam import HashTables, sample_hash, verify_independence
 from otmlab.nets import separable_net, two_local_net
-from otmlab.otm import ReductionParams, theorem_bound
+from otmlab.otm import ClassicalLeakSim, ReductionParams, hash_bias_tail, theorem_bound
+from otmlab.tails import (LinearInstance, QuadraticInstance, empirical_tail_linear,
+                          empirical_tail_quadratic)
 
 
 @pytest.fixture
@@ -409,17 +412,73 @@ def test_single_point_quadratic_instance_is_rejected(runner, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("flags,word", [
-    (["--kind", "linear", "--ell", "6", "--r", "100", "--n", "8"], "'r'"),
-    (["--kind", "quadratic", "--ell", "2", "--r", "8", "--n", "4"], "'r'"),
-    (["--kind", "linear", "--ell", "65", "--r", "4", "--n", "8"], "'ell'"),
-])
+    (["--kind", "linear", "--ell", "6", "--r", "100", "--n", "8", "--trials", "10000"],
+     "r=100 exceeds domain size 2^6=64"),
+    (["--kind", "quadratic", "--ell", "2", "--r", "8", "--n", "4", "--trials", "10000"],
+     "r=8 exceeds domain size 2^2=4"),
+    (["--kind", "linear", "--ell", "65", "--r", "4", "--n", "8", "--trials", "10000"],
+     "ell=65 out of range [1, 64]"),
+    (["--kind", "linear", "--ell", "4", "--r", "4", "--n", "17", "--trials", "10000"],
+     "instance needs 17 domain points but 2^4 available"),
+    (["--kind", "quadratic", "--ell", "4", "--r", "4", "--n", "3001", "--trials", "10000"],
+     "instance needs 3001 domain points but 2^4 available"),
+    (["--kind", "linear", "--ell", "4", "--r", "4", "--n", "8", "--trials", "100"],
+     "trials=100 below the Monte Carlo floor 10000"),
+    (["--kind", "quadratic", "--ell", "4", "--r", "4", "--n", "8", "--trials", "100",
+      "--mode", "rademacher"], "trials=100 below the Monte Carlo floor 10000"),
+], ids=["linear-r-past-domain", "quadratic-r-past-domain", "ell-past-64", "linear-n-past-domain",
+        "quadratic-n-past-domain", "linear-few-trials", "rademacher-few-trials"])
 def test_hash_family_parameters_are_rejected_before_drawing(runner, tmp_path, monkeypatch,
                                                             flags, word):
-    # sample_hash(ell, r) needs 1 <= ell <= 64 and r <= 2^ell
+    # hashfam.family and tails._check_run refuse these in _tails_rules, before any draw
     _no_draws(monkeypatch)
-    _rejected(runner.invoke(main, ["tails", "--output-dir", str(tmp_path)] + flags + [
-        "--trials", "10000", "--lambda-grid", "0.5", "--seed", "7"]), word)
-    assert not (tmp_path / "tails.csv").exists()
+    _rejected(runner.invoke(main, ["tails", "--output-dir", str(tmp_path / "out")] + flags + [
+        "--lambda-grid", "0.5", "--seed", "7"]), word)
+    assert not (tmp_path / "out").exists()
+
+
+def _family_refusal(source, tmp_path):
+    """The message with which `source` refuses r = 3 on {0,1}^1."""
+    rng = np.random.default_rng(0)
+    calls = {
+        "sample_hash": lambda: sample_hash(1, 3, rng),
+        "HashTables": lambda: HashTables(1, 3, [0, 1]),
+        "verify_independence": lambda: verify_independence(1, 3),
+        "empirical_tail_linear": lambda: empirical_tail_linear(
+            LinearInstance([1.0]), 1, 3, [0.5], 10 ** 4, rng),
+        "empirical_tail_quadratic": lambda: empirical_tail_quadratic(
+            QuadraticInstance(np.eye(2)), 1, 3, [0.5], 10 ** 4, rng),
+        "hash_bias_tail": lambda: hash_bias_tail(
+            ClassicalLeakSim(1, 0.0), 0.5, 3, 1000, rng, alpha_k=1.0, eta=0.5),
+    }
+    if source in calls:
+        with pytest.raises(ValueError) as got:
+            calls[source]()
+        return str(got.value)
+    if source == "tails":
+        flags = ["--kind", "linear", "--ell", "1", "--r", "3", "--n", "2", "--trials", "10000",
+                 "--lambda-grid", "0.5"]
+    else:
+        cfg = tmp_path / "sec.json"
+        cfg.write_text(json.dumps({"model": {"name": "classical-leak", "ell": 1, "beta": 0.25},
+                                   "params": dict(_LEAK_PARAMS, k=1, ell=1), "hash_r": 3}))
+        flags = ["--config", str(cfg)]
+    result = CliRunner().invoke(main, [source, "--output-dir", str(tmp_path / "out"),
+                                       "--seed", "1"] + flags)
+    assert result.exit_code == 2 and not (tmp_path / "out").exists()
+    return json.loads(_stderr(result).strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("source", [
+    "sample_hash", "HashTables", "verify_independence", "empirical_tail_linear",
+    "empirical_tail_quadratic", "hash_bias_tail", "tails", "otm-security"])
+def test_family_refusal_has_one_message(source, tmp_path):
+    # r <= 2^ell is stated once, in hashfam.family, so every caller refuses r = 2^ell + 1 alike
+    assert _family_refusal(source, tmp_path) == "r=3 exceeds domain size 2^1=2"
+    if source == "sample_hash":
+        assert sample_hash(1, 2, np.random.default_rng(0)).r == 2
+    if source == "HashTables":
+        assert HashTables(1, 2, [0, 1]).r == 2
 
 
 def test_bad_nets_config_values_are_rejected(runner, tmp_path, monkeypatch):
@@ -673,7 +732,7 @@ _LEAK_PARAMS = {"k": 4, "ell": 4, "theta": 1.0, "delta0": 0.5, "alpha": 1.5, "ep
     ({"params": dict(_LEAK_PARAMS, ell=8)}, "params ell=8 does not match the model's ell=4"),
     ({"model": {"name": "wiesner", "m": 2}, "params": dict(_LEAK_PARAMS, k=2, ell=3)},
      "params ell=3 does not match the model's ell=2"),
-    ({"hash_r": 32}, "parameter 'hash_r'=32 exceeds 2^ell=16"),
+    ({"hash_r": 32}, "r=32 exceeds domain size 2^4=16"),
     ({"delta": 2.0}, "delta=2.0 leaves 2*delta outside (0, 1]"),
     ({"delta": 0}, "delta=0 leaves 2*delta outside (0, 1]"),
     ({"delta": -0.5}, "delta=-0.5 leaves 2*delta outside (0, 1]"),

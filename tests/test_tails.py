@@ -219,7 +219,7 @@ def test_empirical_linear_guards():
         empirical_tail_linear(LinearInstance([1.0]), 4, 2, [-1.0], 10 ** 4, rng)
     with pytest.raises(ValueError, match="1-d"):
         empirical_tail_linear(LinearInstance([1.0]), 4, 2, [[1.0]], 10 ** 4, rng)
-    # sample_hash's contract r <= 2^ell holds for the sampled seed bits too
+    # hashfam.family's rule r <= 2^ell holds for the sampled seed bits too, before any draw
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="exceeds domain size"):
         empirical_tail_linear(LinearInstance(np.ones(8)), 3, 9, [1.0], 10 ** 4, rng)
